@@ -66,6 +66,7 @@ from .seqmodel import (
     Vocabulary,
     next_distribution,
     restricted_distribution,
+    sample_markov_batch,
     sample_trajectory,
     validate,
 )

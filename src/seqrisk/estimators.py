@@ -13,13 +13,17 @@ outcome token appears before the end of the timeline:
 pool; ``reach`` requires outcome-excluded sampling.  Averaging any of them
 over independent trajectories is unbiased; the enumeration oracles in
 :mod:`seqrisk.oracle` verify this exactly on small models.
+
+:func:`estimate` samples a :class:`~seqrisk.seqmodel.MarkovModel` with the
+batched sampler on the single stream ``trajectory_stream(seed)``, and any
+other model one trajectory at a time, trajectory ``i`` on
+``trajectory_stream(seed, i)``.  Both agree at ``n = 1``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +31,13 @@ import numpy as np
 
 from .errors import ModeMismatchError
 from .rng import trajectory_stream
-from .seqmodel import OUTCOME_EXCLUDED, STANDARD, sample_trajectory
+from .seqmodel import (
+    OUTCOME_EXCLUDED,
+    STANDARD,
+    MarkovModel,
+    sample_markov_batch,
+    sample_trajectory,
+)
 
 MC = "mc"
 SCOPE = "scope"
@@ -83,6 +93,9 @@ def reach_sub(traj) -> float:
 
 
 _SUBS = {MC: mc_sub, SCOPE: scope_sub, REACH: reach_sub}
+
+#: kinds of the arrays :func:`sample_markov_batch` returns in each mode
+_BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
 
 
 @dataclass(frozen=True)
@@ -204,35 +217,26 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
     )
 
 
-def _sub_values_range(model, vocab, horizon, kinds, seed, lo, hi):
-    mode = required_mode(kinds[0])
-    subs = [_SUBS[k] for k in kinds]
-    out = []
-    for i in range(lo, hi):
-        traj = sample_trajectory(
-            model, vocab, horizon, mode, trajectory_stream(seed, i), seed=seed
-        )
-        out.append(tuple(f(traj) for f in subs))
-    return out
-
-
-def _pool_sub_values(model, vocab, horizon, kinds, n, seed, workers):
+def _sub_values(model, vocab, horizon, kinds, n, seed) -> list:
+    """One list of ``n`` sub-values per kind, all from one trajectory pool."""
     modes = {required_mode(k) for k in kinds}
     if len(modes) != 1:
         raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
-    if workers <= 1 or n < 2 * workers:
-        return _sub_values_range(model, vocab, horizon, kinds, seed, 0, n)
-    bounds = [round(j * n / workers) for j in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sub_values_range, model, vocab, horizon, kinds, seed, lo, hi)
-            for lo, hi in chunks
-        ]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+    mode = modes.pop()
+    if isinstance(model, MarkovModel):
+        arrays = sample_markov_batch(
+            model, vocab, horizon, mode, n, trajectory_stream(seed)
+        )
+        pool = dict(zip(_BATCH_KINDS[mode], arrays))
+        return [pool[k].tolist() for k in kinds]
+    cols = [[] for _ in kinds]
+    for i in range(n):
+        traj = sample_trajectory(
+            model, vocab, horizon, mode, trajectory_stream(seed, i), seed=seed
+        )
+        for col, k in zip(cols, kinds):
+            col.append(_SUBS[k](traj))
+    return cols
 
 
 def estimate(
@@ -244,17 +248,18 @@ def estimate(
     seed: int,
     *,
     clip_policy: str = CLIP_NONE,
-    workers: int = 1,
 ) -> EstimateReport:
     """Sample ``n`` trajectories in the mode ``kind`` requires and average.
 
-    Trajectory ``i`` always draws from the stream keyed ``(seed, i)``, so
-    the report is bit-identical for any worker count.
+    The report is a function of ``(model, vocab, horizon, kind, n, seed)``
+    alone.  Markov chains go through the batched sampler on the stream
+    ``trajectory_stream(seed)``; other models draw trajectory ``i`` from
+    ``trajectory_stream(seed, i)``.  At ``n = 1`` the two coincide.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = _pool_sub_values(model, vocab, horizon, (kind,), n, seed, workers)
-    return aggregate(kind, [r[0] for r in rows], clip_policy=clip_policy, seed=seed)
+    (values,) = _sub_values(model, vocab, horizon, (kind,), n, seed)
+    return aggregate(kind, values, clip_policy=clip_policy, seed=seed)
 
 
 def paired_estimates(
@@ -265,12 +270,11 @@ def paired_estimates(
     seed: int,
     *,
     clip_policy: str = CLIP_NONE,
-    workers: int = 1,
 ) -> tuple[EstimateReport, EstimateReport]:
     """MC and SCOPE reports computed from one shared standard-mode pool."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = _pool_sub_values(model, vocab, horizon, (MC, SCOPE), n, seed, workers)
-    mc_report = aggregate(MC, [r[0] for r in rows], clip_policy=clip_policy, seed=seed)
-    scope_report = aggregate(SCOPE, [r[1] for r in rows], clip_policy=clip_policy, seed=seed)
+    mc_values, scope_values = _sub_values(model, vocab, horizon, (MC, SCOPE), n, seed)
+    mc_report = aggregate(MC, mc_values, clip_policy=clip_policy, seed=seed)
+    scope_report = aggregate(SCOPE, scope_values, clip_policy=clip_policy, seed=seed)
     return mc_report, scope_report

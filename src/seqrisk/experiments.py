@@ -9,11 +9,12 @@ way a prediction study would: AUROC against labels drawn from the exact
 per-patient probability, bootstrapped over timeline resamples, plus Brier
 scores, calibration curves, and sample-count equivalence ratios.
 
-Sweeps and cohorts sample chains with a vectorized single-stream sampler
-(`_markov_sub_values`); results are reproducible bit-for-bit from
-``(spec, seed)``.  Default sweep parameters: 11-state chains, 20-step
-horizon, 10,000 replications, probability grid 0.05..0.95 (step 0.05),
-spontaneity grid 0.1..1.0 (step 0.1).
+Sweeps, repeated-estimate histograms and cohorts sample each chain with
+:func:`seqrisk.seqmodel.sample_markov_batch`, one stage stream per batch;
+results are reproducible bit-for-bit from ``(spec, seed)``.  Default sweep
+parameters: 11-state chains, 20-step horizon, 10,000 replications,
+probability grid 0.05..0.95 (step 0.05), spontaneity grid 0.1..1.0 (step
+0.1).
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from scipy import stats
 
 from .errors import CalibrationError, InstanceTooLargeError, UndefinedMetricError
 from .estimators import KINDS, MC, REACH, SCOPE
-from .oracle import enumerate_sub_distribution, exact_outcome_probability
-from .rng import as_generator, substream
-from .seqmodel import (
-    DEGENERATE_HAZARD,
-    OUTCOME_EXCLUDED,
-    STANDARD,
-    MarkovModel,
-    effective_steps,
+from .oracle import (
+    enumerate_sub_distribution,
+    exact_outcome_probability,
+    outcome_probability_dp,
 )
+from .rng import as_generator, substream
+from .seqmodel import OUTCOME_EXCLUDED, STANDARD, MarkovModel, sample_markov_batch
 
 DEFAULT_CHAIN_STATES = 11
 DEFAULT_HORIZON_STEPS = 20
@@ -271,17 +270,6 @@ class ExperimentTable:
 # ---------------------------------------------------------------------------
 
 
-def _reach_dp(transition, initial_state: int, outcome_state: int, steps: int) -> float:
-    """Bare recursion behind :func:`seqrisk.oracle.exact_outcome_probability`."""
-    keep = np.arange(transition.shape[0]) != outcome_state
-    hazard = transition[:, outcome_state]
-    inner = transition[:, keep]
-    p = np.zeros(transition.shape[0])
-    for _ in range(steps):
-        p = hazard + inner @ p[keep]
-    return float(min(1.0, p[initial_state]))
-
-
 def _assemble_chain(m, outcome, W, hazard_weights, theta) -> np.ndarray:
     t = np.zeros((m + 1, m + 1))
     haz = theta * hazard_weights
@@ -318,7 +306,7 @@ def random_chain(spec: ChainSpec, rng=None) -> MarkovModel:
         theta = gen.uniform(0.05, 0.9) * theta_max
     else:
         target = spec.target_probability
-        p_max = _reach_dp(
+        p_max = outcome_probability_dp(
             _assemble_chain(m, outcome, W, hazard_weights, theta_max),
             0,
             outcome,
@@ -334,7 +322,7 @@ def random_chain(spec: ChainSpec, rng=None) -> MarkovModel:
         p_mid = p_max
         for _ in range(200):
             theta = 0.5 * (lo + hi)
-            p_mid = _reach_dp(
+            p_mid = outcome_probability_dp(
                 _assemble_chain(m, outcome, W, hazard_weights, theta),
                 0,
                 outcome,
@@ -371,71 +359,18 @@ def spontaneity(model: MarkovModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized trajectory batches (Markov chains only)
+# trajectory pools
 # ---------------------------------------------------------------------------
 
 
-def _markov_sub_values(model: MarkovModel, mode: str, n: int, rng):
-    """Sub-estimator values for ``n`` chain trajectories from one stream.
-
-    Matches the semantics of per-trajectory sampling for canonical chain
-    vocabularies (unit times, no terminal tokens): standard mode returns
-    ``(mc, scope)`` arrays, outcome-excluded mode the ``reach`` array.
-    Used by the sweep and cohort pipelines, where per-trajectory streams
-    would dominate the runtime.
-    """
-    t = model.transition
-    o = model.outcome_state
-    steps = effective_steps(model.vocabulary, model.horizon)
-    hazard = t[:, o].copy()
-    states = np.full(n, model.initial_state, dtype=np.intp)
-    alive = np.ones(n, dtype=bool)
-
-    if mode == STANDARD:
-        cum = np.cumsum(t, axis=1)
-        cum[:, -1] = 1.0
-        hit = np.zeros(n, dtype=bool)
-        hsum = np.zeros(n)
-        for _ in range(steps):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            st = states[idx]
-            hsum[idx] += hazard[st]
-            u = rng.random(idx.size)
-            nxt = (cum[st] <= u[:, None]).sum(axis=1)
-            got = nxt == o
-            hit[idx[got]] = True
-            alive[idx[got]] = False
-            states[idx[~got]] = nxt[~got]
-        return hit.astype(float), hsum
-
-    if mode != OUTCOME_EXCLUDED:
-        raise ValueError(f"unknown trajectory mode {mode!r}")
-    degenerate = hazard >= DEGENERATE_HAZARD
-    denom = np.where(degenerate, 1.0, 1.0 - hazard)
-    restricted = t / denom[:, None]
-    restricted[:, o] = 0.0
-    rcum = np.cumsum(restricted, axis=1)
-    rcum[~degenerate, -1] = 1.0
-    surv = np.ones(n)
-    for _ in range(steps):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        st = states[idx]
-        dead = degenerate[st]
-        if dead.any():
-            surv[idx[dead]] = 0.0
-            alive[idx[dead]] = False
-            idx = idx[~dead]
-            st = states[idx]
-        if idx.size == 0:
-            continue
-        surv[idx] *= 1.0 - hazard[st]
-        u = rng.random(idx.size)
-        states[idx] = (rcum[st] <= u[:, None]).sum(axis=1)
-    return 1.0 - surv
+def _sample_pools(chain: MarkovModel, n: int, standard_rng, excluded_rng) -> dict:
+    """``n`` sub-values of every kind: MC and SCOPE share the standard batch."""
+    vocab, horizon = chain.vocabulary, chain.horizon
+    mc_v, scope_v = sample_markov_batch(chain, vocab, horizon, STANDARD, n, standard_rng)
+    (reach_v,) = sample_markov_batch(
+        chain, vocab, horizon, OUTCOME_EXCLUDED, n, excluded_rng
+    )
+    return {MC: mc_v, SCOPE: scope_v, REACH: reach_v}
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +417,11 @@ def variance_sweep(
         for j, g in enumerate(grid):
             n = int(g)
             task = f"sample_count={n}"
-            mc_v, scope_v = _markov_sub_values(
-                chain, STANDARD, replications * n, substream(seed, aid, j, 1)
+            pools = _sample_pools(
+                chain, replications * n,
+                substream(seed, aid, j, 1), substream(seed, aid, j, 2),
             )
-            reach_v = _markov_sub_values(
-                chain, OUTCOME_EXCLUDED, replications * n, substream(seed, aid, j, 2)
-            )
-            for kind, vals in ((MC, mc_v), (SCOPE, scope_v), (REACH, reach_v)):
+            for kind, vals in pools.items():
                 est = vals.reshape(replications, n).mean(axis=1)
                 var = float(est.var(ddof=1))
                 rows.append(MetricRow(task, kind, n, "variance", var, seed=seed))
@@ -511,13 +444,10 @@ def variance_sweep(
                       exact_outcome_probability(chain), seed=seed)
         )
         rows.append(MetricRow(task, "", 0, "spontaneity", spontaneity(chain), seed=seed))
-        mc_v, scope_v = _markov_sub_values(
-            chain, STANDARD, replications, substream(seed, aid, j, 1)
+        pools = _sample_pools(
+            chain, replications, substream(seed, aid, j, 1), substream(seed, aid, j, 2)
         )
-        reach_v = _markov_sub_values(
-            chain, OUTCOME_EXCLUDED, replications, substream(seed, aid, j, 2)
-        )
-        for kind, vals in ((MC, mc_v), (SCOPE, scope_v), (REACH, reach_v)):
+        for kind, vals in pools.items():
             rows.append(MetricRow(task, kind, 1, "mean", float(vals.mean()), seed=seed))
             rows.append(MetricRow(task, kind, 1, "variance", float(vals.var(ddof=1)), seed=seed))
         try:
@@ -573,15 +503,10 @@ def estimate_distribution_experiment(
     seed = spec.seed if seed is None else int(seed)
     chain = random_chain(spec, rng=substream(seed, 4, 0))
     total = n_estimates * samples_per_estimate
-    mc_v, scope_v = _markov_sub_values(chain, STANDARD, total, substream(seed, 4, 1))
-    reach_v = _markov_sub_values(chain, OUTCOME_EXCLUDED, total, substream(seed, 4, 2))
+    pools = _sample_pools(chain, total, substream(seed, 4, 1), substream(seed, 4, 2))
     shape = (n_estimates, samples_per_estimate)
     return DistributionResult(
-        estimates={
-            MC: mc_v.reshape(shape).mean(axis=1),
-            SCOPE: scope_v.reshape(shape).mean(axis=1),
-            REACH: reach_v.reshape(shape).mean(axis=1),
-        },
+        estimates={kind: v.reshape(shape).mean(axis=1) for kind, v in pools.items()},
         true_probability=exact_outcome_probability(chain),
         samples_per_estimate=samples_per_estimate,
         n_estimates=n_estimates,
@@ -793,12 +718,10 @@ def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> Experimen
             rng=substream(seed, 6, i),
         )
         p_exact[i] = exact_outcome_probability(chain)
-        pools[MC][i], pools[SCOPE][i] = _markov_sub_values(
-            chain, STANDARD, pool_n, substream(seed, 7, i)
-        )
-        pools[REACH][i] = _markov_sub_values(
-            chain, OUTCOME_EXCLUDED, pool_n, substream(seed, 8, i)
-        )
+        for kind, v in _sample_pools(
+            chain, pool_n, substream(seed, 7, i), substream(seed, 8, i)
+        ).items():
+            pools[kind][i] = v
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
 
     denom = np.arange(1, pool_n + 1, dtype=float)

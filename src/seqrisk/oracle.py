@@ -38,7 +38,6 @@ from .seqmodel import (
     Vocabulary,
     _stop_reason,
     effective_steps,
-    require_valid,
 )
 
 LEAF_GUARD = 10_000_000
@@ -98,23 +97,33 @@ class ValueDistribution:
 
 
 def exact_outcome_probability(model: MarkovModel) -> float:
-    """P(chain visits the outcome state within its step horizon), exactly.
+    """P(chain visits the outcome state within its step horizon), exactly."""
+    return outcome_probability_dp(
+        model.transition,
+        model.initial_state,
+        model.outcome_state,
+        effective_steps(model.vocabulary, model.horizon),
+    )
+
+
+def outcome_probability_dp(
+    transition: np.ndarray, initial_state: int, outcome_state: int, steps: int
+) -> float:
+    """Outcome probability of a bare transition matrix within ``steps`` steps.
 
     Recursion over remaining steps h:
     ``p_h(s) = T[s, O] + sum_{s' != O} T[s, s'] * p_{h-1}(s')`` with
-    ``p_0 = 0``; the answer is ``p_H(initial)``.
+    ``p_0 = 0``; the answer is ``p_H(initial)``.  The matrix is not
+    validated: chain calibration evaluates candidates before building a
+    :class:`MarkovModel`.
     """
-    require_valid(model)
-    t = model.transition
-    o = model.outcome_state
-    steps = effective_steps(model.vocabulary, model.horizon)
-    keep = np.arange(model.n_states) != o
-    hazard = t[:, o]
-    inner = t[:, keep]
-    p = np.zeros(model.n_states)
+    keep = np.arange(transition.shape[0]) != outcome_state
+    hazard = transition[:, outcome_state]
+    inner = transition[:, keep]
+    p = np.zeros(transition.shape[0])
     for _ in range(steps):
         p = hazard + inner @ p[keep]
-    return float(min(1.0, p[model.initial_state]))
+    return float(min(1.0, p[initial_state]))
 
 
 def _static_guard(vocab: Vocabulary, horizon: HorizonPolicy) -> None:

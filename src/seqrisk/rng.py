@@ -3,10 +3,12 @@
 All sampling in the package draws from Philox generators keyed through
 ``numpy.random.SeedSequence`` spawn keys, so any consumer can be handed an
 independent stream identified by ``(seed, key...)`` alone.  Trajectory
-streams use single-element keys (one stream per trajectory index), which
-makes serial and worker-pool sampling bit-identical; experiment stages use
-keys of length >= 2 and therefore never collide with trajectory streams
-derived from the same seed.
+streams use single-element keys: ``estimate`` on a Markov chain reads the
+whole batch from ``trajectory_stream(seed)``, the per-trajectory reference
+sampler reads trajectory ``i`` from ``trajectory_stream(seed, i)``, and
+the two agree on the first trajectory.  Experiment stages use keys of
+length >= 2 and therefore never collide with trajectory streams derived
+from the same seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 
 def trajectory_stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent stream for the trajectory at position ``index``."""
+    """Stream of the trajectory at position ``index``, or of a whole batch."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )

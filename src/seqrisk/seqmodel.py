@@ -13,11 +13,17 @@ only), is terminal, pushes cumulative time past the limit, or fills the
 step cap.  In ``outcome_excluded`` mode the outcome token is removed from
 the candidate pool and the remaining mass renormalized; the hazards still
 come from the unrestricted distribution.
+
+Two samplers implement these rules.  :func:`sample_trajectory` builds one
+:class:`Trajectory` at a time from any :class:`SequenceModel`; it is the
+reference.  :func:`sample_markov_batch` advances a whole batch of
+:class:`MarkovModel` trajectories at once and returns only their
+sub-estimator values; with one trajectory it reproduces the reference on
+the same stream.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
@@ -134,7 +140,9 @@ class MarkovModel:
     The next-token distribution depends only on the most recent token (or
     on ``initial_state`` for an empty prefix).  States double as tokens;
     every token advances time by one unit, so a horizon in step-count mode
-    carries ``time_limit == max_steps == number of steps``.
+    carries ``time_limit == max_steps == number of steps``.  Construction
+    rejects a matrix that is not row-stochastic with
+    :class:`ModelValidationError`, one diagnostic per bad row or entry.
     """
 
     n_states: int
@@ -143,9 +151,6 @@ class MarkovModel:
     outcome_state: int
     horizon: HorizonPolicy
     _vocab: Vocabulary = field(init=False, repr=False)
-    _hazard: tuple = field(init=False, repr=False)
-    _cum_standard: tuple = field(init=False, repr=False)
-    _cum_restricted: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
@@ -157,33 +162,15 @@ class MarkovModel:
             v = getattr(self, name)
             if not 0 <= v < self.n_states:
                 raise ValueError(f"{name} {v} outside [0, {self.n_states})")
+        violations = validate(t)
+        if violations:
+            raise ModelValidationError(violations)
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "transition", t)
         object.__setattr__(
             self, "_vocab", Vocabulary.unit_steps(self.n_states, self.outcome_state)
         )
-        o = self.outcome_state
-        hazard = t[:, o].tolist()
-        cum_std = []
-        cum_res = []
-        for s in range(self.n_states):
-            row = t[s]
-            c = np.cumsum(row)
-            c[-1] = 1.0
-            cum_std.append(c.tolist())
-            h = row[o]
-            if h >= DEGENERATE_HAZARD:
-                cum_res.append(None)
-            else:
-                r = row / (1.0 - h)
-                r[o] = 0.0
-                cr = np.cumsum(r)
-                cr[-1] = 1.0
-                cum_res.append(cr.tolist())
-        object.__setattr__(self, "_hazard", tuple(hazard))
-        object.__setattr__(self, "_cum_standard", tuple(cum_std))
-        object.__setattr__(self, "_cum_restricted", tuple(cum_res))
 
     @property
     def vocabulary(self) -> Vocabulary:
@@ -299,10 +286,10 @@ def read_jsonl(path) -> list:
         return [Trajectory.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
-def validate(model: MarkovModel) -> list[str]:
-    """Diagnostic check of row-stochasticity; empty list means ok."""
+def validate(transition) -> list[str]:
+    """Row-stochasticity diagnostics of a transition matrix; empty means ok."""
     out = []
-    t = np.asarray(model.transition, dtype=float)
+    t = np.asarray(transition, dtype=float)
     for i, row in enumerate(t):
         bad = np.nonzero((row < 0) | (row > 1) | ~np.isfinite(row))[0]
         for j in bad:
@@ -310,12 +297,6 @@ def validate(model: MarkovModel) -> list[str]:
         if bad.size == 0 and abs(float(row.sum()) - 1.0) > PROBABILITY_TOL:
             out.append(f"row {i} sums to {float(row.sum())!r}, expected 1")
     return out
-
-
-def require_valid(model: MarkovModel) -> None:
-    violations = validate(model)
-    if violations:
-        raise ModelValidationError(violations)
 
 
 def next_distribution(model: SequenceModel, prefix: Sequence[int]) -> np.ndarray:
@@ -377,68 +358,14 @@ def sample_trajectory(
 
     Inverse-CDF draws consume exactly one uniform per generated token, in
     order, so a trajectory is reproducible from the stream that produced
-    it.  ``seed`` is carried as metadata only.
+    it.  ``seed`` is carried as metadata only.  This is the reference
+    sampler; :func:`sample_markov_batch` reproduces its values for Markov
+    chains without building trajectories.
     """
     _check_mode(mode)
     if vocab.size != model.vocabulary.size:
         raise ValueError("vocabulary size does not match the model")
-    if isinstance(model, MarkovModel):
-        return _sample_markov(model, vocab, horizon, mode, rng, seed)
     return _sample_generic(model, vocab, horizon, mode, rng, seed)
-
-
-def _sample_markov(model, vocab, horizon, mode, rng, seed):
-    excluded = mode == OUTCOME_EXCLUDED
-    times = vocab._time_list
-    terminal = vocab.terminal
-    hazard = model._hazard
-    cum_std = model._cum_standard
-    cum_res = model._cum_restricted
-    tokens: list[int] = []
-    hazards: list[float] = []
-    elapsed = 0.0
-    hit = None
-    degenerate = False
-    reason = ""
-    state = model.initial_state
-    buf: list[float] = []
-    pos = 0
-    while True:
-        h = hazard[state]
-        hazards.append(h)
-        if excluded:
-            cum = cum_res[state]
-            if cum is None:
-                degenerate = True
-                reason = "degenerate_hazard"
-                break
-        else:
-            cum = cum_std[state]
-        if pos == len(buf):
-            buf = rng.random(_UNIFORM_CHUNK).tolist()
-            pos = 0
-        tok = bisect.bisect_right(cum, buf[pos])
-        pos += 1
-        tokens.append(tok)
-        elapsed += times[tok]
-        stop = _stop_reason(vocab, horizon, mode, tok, elapsed, len(tokens))
-        if stop is not None:
-            if stop == "outcome":
-                hit = len(tokens) - 1
-            reason = stop
-            break
-        state = tok
-    return Trajectory(
-        tokens=tuple(tokens),
-        hazards=tuple(hazards),
-        hit_index=hit,
-        end_index=len(hazards),
-        mode=mode,
-        elapsed_time=elapsed,
-        degenerate=degenerate,
-        stop_reason=reason,
-        seed=seed,
-    )
 
 
 def _sample_generic(model, vocab, horizon, mode, rng, seed):
@@ -492,6 +419,89 @@ def _sample_generic(model, vocab, horizon, mode, rng, seed):
         stop_reason=reason,
         seed=seed,
     )
+
+
+def sample_markov_batch(
+    model: MarkovModel,
+    vocab: Vocabulary,
+    horizon: HorizonPolicy,
+    mode: str,
+    n: int,
+    rng: np.random.Generator,
+) -> tuple:
+    """Sub-estimator values of ``n`` chain trajectories drawn from one stream.
+
+    Outcome, terminal tokens, token times and bounds come from ``vocab``
+    and ``horizon``, with the stop rules of :func:`sample_trajectory`.  All
+    trajectories advance together; each step draws ``rng.random(k)`` for
+    the ``k`` still running, in index order, so at ``n = 1`` the draws are
+    those of :func:`sample_trajectory` on the same stream and the values
+    equal its sub-estimators (``scope`` up to rounding: hazards are summed
+    in step order, not with ``fsum``).  Standard mode returns the arrays
+    ``(mc, scope)``, outcome-excluded mode ``(reach,)``.
+    """
+    _check_mode(mode)
+    if vocab.size != model.n_states:
+        raise ValueError("vocabulary size does not match the model")
+    t = model.transition
+    o = vocab.outcome
+    hazard = t[:, o].copy()
+    # tokens after which a trajectory stops, whatever the time or step count
+    stop_after = np.zeros(vocab.size, dtype=bool)
+    stop_after[list(vocab.terminal)] = True
+    times = vocab.time_map
+    if np.all(times == 1.0):
+        # elapsed time is the token count: the time limit is a step cap
+        steps, limit = effective_steps(vocab, horizon), None
+    else:
+        steps, limit = horizon.max_steps, horizon.time_limit
+    elapsed = np.zeros(n) if limit is not None else None
+    states = np.full(n, model.initial_state, dtype=np.intp)
+    alive = np.ones(n, dtype=bool)
+    excluded = mode == OUTCOME_EXCLUDED
+    if excluded:
+        degenerate = hazard >= DEGENERATE_HAZARD
+        restricted = t / np.where(degenerate, 1.0, 1.0 - hazard)[:, None]
+        restricted[:, o] = 0.0
+        cum = np.cumsum(restricted, axis=1)
+        cum[~degenerate, -1] = 1.0
+        surv = np.ones(n)
+    else:
+        stop_after[o] = True
+        cum = np.cumsum(t, axis=1)
+        cum[:, -1] = 1.0
+        hsum = np.zeros(n)
+    for _ in range(steps):
+        idx = np.nonzero(alive)[0]
+        if idx.size == 0:
+            break
+        st = states[idx]
+        if excluded:
+            dead = degenerate[st]
+            if dead.any():
+                surv[idx[dead]] = 0.0
+                alive[idx[dead]] = False
+                idx = idx[~dead]
+                st = states[idx]
+            if idx.size == 0:
+                continue
+            surv[idx] *= 1.0 - hazard[st]
+        else:
+            hsum[idx] += hazard[st]
+        u = rng.random(idx.size)
+        nxt = (cum[st] <= u[:, None]).sum(axis=1)
+        states[idx] = nxt
+        stop = stop_after[nxt]
+        if limit is not None:
+            elapsed[idx] += times[nxt]
+            stop |= elapsed[idx] > limit
+        alive[idx[stop]] = False
+        # free the per-row temporaries before the next step's (rows x tokens) draw
+        del st, u, nxt, stop
+    if excluded:
+        return (1.0 - surv,)
+    # every trajectory drew a token, and one ending on the outcome stopped there
+    return (states == o).astype(float), hsum
 
 
 def effective_steps(vocab: Vocabulary, horizon: HorizonPolicy) -> int:

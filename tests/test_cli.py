@@ -56,7 +56,7 @@ class TestValidateCommand:
 class TestEstimateCommand:
     def test_deterministic_runs(self, chain_file, tmp_path):
         args = ("estimate", "--model", str(chain_file), "--kind", "reach",
-                "--n", "500", "--seed", "7", "--workers", "1",
+                "--n", "500", "--seed", "7",
                 "--out", str(tmp_path / "report.json"))
         first = run_cli(*args)
         blob1 = (tmp_path / "report.json").read_bytes()

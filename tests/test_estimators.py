@@ -153,12 +153,6 @@ class TestEstimate:
         b = estimate(m, m.vocabulary, m.horizon, REACH, 50, seed=3)
         assert a == b
 
-    def test_workers_do_not_change_report(self):
-        m = make_random_model(6)
-        serial = estimate(m, m.vocabulary, m.horizon, SCOPE, 40, seed=2, workers=1)
-        parallel = estimate(m, m.vocabulary, m.horizon, SCOPE, 40, seed=2, workers=2)
-        assert serial == parallel
-
     def test_mc_matches_oracle_at_large_n(self):
         m = make_random_model(21)
         p = exact_outcome_probability(m)

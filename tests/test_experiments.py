@@ -24,15 +24,11 @@ from seqrisk import (
     random_chain,
     spontaneity,
     synthetic_cohort_eval,
+    sample_markov_batch,
     validate,
     variance_sweep,
 )
-from seqrisk.experiments import (
-    MetricRow,
-    _auroc_columns,
-    _equivalence,
-    _markov_sub_values,
-)
+from seqrisk.experiments import MetricRow, _auroc_columns, _equivalence
 from seqrisk.rng import substream
 
 
@@ -59,7 +55,7 @@ class TestRandomChain:
 
     def test_rows_stochastic_and_outcome_absorbing(self):
         chain = random_chain(ChainSpec(7, 0.5, 10, seed=3, target_probability=0.3))
-        assert validate(chain) == []
+        assert validate(chain.transition) == []
         o = chain.outcome_state
         assert chain.transition[o, o] == 1.0
 
@@ -105,8 +101,11 @@ class TestBatchSampler:
     def test_agrees_with_per_trajectory_estimates(self):
         chain = random_chain(ChainSpec(5, 0.75, 10, seed=8, target_probability=0.35))
         p = exact_outcome_probability(chain)
-        mc_v, scope_v = _markov_sub_values(chain, STANDARD, 40_000, substream(1, 20, 0))
-        reach_v = _markov_sub_values(chain, OUTCOME_EXCLUDED, 40_000, substream(1, 20, 1))
+        vocab, horizon = chain.vocabulary, chain.horizon
+        mc_v, scope_v = sample_markov_batch(chain, vocab, horizon, STANDARD, 40_000,
+                                            substream(1, 20, 0))
+        (reach_v,) = sample_markov_batch(chain, vocab, horizon, OUTCOME_EXCLUDED, 40_000,
+                                         substream(1, 20, 1))
         for vals in (mc_v, scope_v, reach_v):
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - p) <= 4.5 * max(se, 1e-12)
@@ -119,7 +118,8 @@ class TestBatchSampler:
         from seqrisk import MarkovModel
 
         m = MarkovModel.step_mode([[1.0 - h, h], [0.0, 1.0]], 0, 1, steps)
-        reach_v = _markov_sub_values(m, OUTCOME_EXCLUDED, 50, substream(2, 20, 2))
+        (reach_v,) = sample_markov_batch(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED,
+                                         50, substream(2, 20, 2))
         expected = 1.0
         for _ in range(steps):
             expected *= 1.0 - h
@@ -130,7 +130,8 @@ class TestBatchSampler:
 
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 5)
-        reach_v = _markov_sub_values(m, OUTCOME_EXCLUDED, 20, substream(3, 20, 3))
+        (reach_v,) = sample_markov_batch(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED,
+                                         20, substream(3, 20, 3))
         assert np.all(reach_v == 1.0)
 
 

@@ -70,10 +70,9 @@ class TestExactOutcomeProbability:
     def test_invalid_model_rejected(self):
         from seqrisk import HorizonPolicy, ModelValidationError
 
-        bad = MarkovModel(2, np.array([[0.5, 0.4], [0.0, 1.0]]), 0, 1,
-                          HorizonPolicy(max_steps=3))
         with pytest.raises(ModelValidationError):
-            exact_outcome_probability(bad)
+            MarkovModel(2, np.array([[0.5, 0.4], [0.0, 1.0]]), 0, 1,
+                        HorizonPolicy(max_steps=3))
 
 
 class TestValueDistribution:

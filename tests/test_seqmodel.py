@@ -2,8 +2,12 @@
 
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from seqrisk import (
@@ -12,12 +16,17 @@ from seqrisk import (
     DegenerateHazardError,
     HorizonPolicy,
     MarkovModel,
+    ModelValidationError,
     Trajectory,
     Vocabulary,
     counterexample_model,
     next_distribution,
+    mc_sub,
+    reach_sub,
     restricted_distribution,
+    sample_markov_batch,
     sample_trajectory,
+    scope_sub,
     trajectory_stream,
     validate,
 )
@@ -194,20 +203,13 @@ class TestSampleTrajectory:
 
     def test_generic_path_matches_markov_fast_path(self):
         m = make_random_model(12)
-
-        class Opaque:
-            vocabulary = m.vocabulary
-
-            def next_distribution(self, prefix):
-                return m.next_distribution(prefix)
-
         for mode in (STANDARD, OUTCOME_EXCLUDED):
-            for index in range(30):
-                a = sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                      trajectory_stream(7, index))
-                b = sample_trajectory(Opaque(), m.vocabulary, m.horizon, mode,
-                                      trajectory_stream(7, index))
-                assert a.tokens == b.tokens and a.hazards == b.hazards
+            for seed in range(30):
+                traj = sample_trajectory(m, m.vocabulary, m.horizon, mode,
+                                         trajectory_stream(seed, 0))
+                batch = sample_markov_batch(m, m.vocabulary, m.horizon, mode, 1,
+                                            trajectory_stream(seed))
+                assert_batch_matches(batch, traj)
 
     def test_seed_determinism(self):
         m = make_random_model(3)
@@ -304,19 +306,94 @@ class TestSampleTrajectory:
             assert p_value > 1e-3, f"hazard mismatch: {hits}/{count} vs {h}"
 
 
+def assert_batch_matches(batch, traj):
+    """One-trajectory batch values equal the reference trajectory's.
+
+    ``mc`` and ``reach`` match exactly; ``scope`` up to rounding, since the
+    batch sums hazards in step order and ``scope_sub`` uses fsum.
+    """
+    values = [float(v[0]) for v in batch]
+    if traj.mode == OUTCOME_EXCLUDED:
+        assert values == [reach_sub(traj)]
+        return
+    mc, scope = values
+    assert mc == mc_sub(traj)
+    assert math.isclose(scope, scope_sub(traj), rel_tol=1e-15, abs_tol=1e-15)
+
+
+class TestSampleMarkovBatch:
+    ROWS = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]
+
+    def test_outcome_comes_from_the_vocabulary(self):
+        # the chain's own outcome is state 2; the vocabulary names token 1,
+        # so hazards are column 1 and drawing token 1 ends a standard timeline
+        m = MarkovModel.step_mode(self.ROWS, 0, 2, 4)
+        vocab = Vocabulary.unit_steps(3, 1)
+        for mode in (STANDARD, OUTCOME_EXCLUDED):
+            for seed in range(40):
+                traj = sample_trajectory(m, vocab, m.horizon, mode,
+                                         trajectory_stream(seed, 0))
+                assert all(h in (0.3, 0.6, 0.2) for h in traj.hazards)
+                batch = sample_markov_batch(m, vocab, m.horizon, mode, 1,
+                                            trajectory_stream(seed))
+                assert_batch_matches(batch, traj)
+
+    def test_vocabulary_size_must_match(self):
+        m = MarkovModel.step_mode(self.ROWS, 0, 2, 4)
+        with pytest.raises(ValueError):
+            sample_markov_batch(m, Vocabulary.unit_steps(4, 1), m.horizon,
+                                STANDARD, 1, trajectory_stream(0))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(
+        chain_seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(2, 5),
+        unit_times=st.booleans(),
+        max_steps=st.integers(1, 8),
+        time_limit=st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0, 6.0]),
+        mode=st.sampled_from([STANDARD, OUTCOME_EXCLUDED]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_trajectory_matches_reference(
+        self, chain_seed, n_states, unit_times, max_steps, time_limit, mode, seed
+    ):
+        rng = np.random.default_rng(chain_seed)
+        rows = rng.dirichlet(np.ones(n_states), size=n_states)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        for s in np.nonzero(rows.sum(axis=1) == 0.0)[0]:
+            rows[s, rng.integers(n_states)] = 1.0  # one-hot rows, degenerate ones too
+        rows /= rows.sum(axis=1, keepdims=True)
+        m = MarkovModel.step_mode(rows, int(rng.integers(n_states)),
+                                  int(rng.integers(n_states)), max_steps)
+        terminal = frozenset(int(t) for t in np.nonzero(rng.random(n_states) < 0.25)[0])
+        times = np.ones(n_states) if unit_times else rng.choice(
+            [0.0, 0.5, 1.0, 1.5], size=n_states)
+        vocab = Vocabulary(size=n_states, outcome=int(rng.integers(n_states)),
+                           terminal=terminal, time_map=times)
+        horizon = HorizonPolicy(max_steps=max_steps, time_limit=time_limit)
+
+        traj = sample_trajectory(m, vocab, horizon, mode, trajectory_stream(seed, 0))
+        batch = sample_markov_batch(m, vocab, horizon, mode, 1, trajectory_stream(seed))
+        assert_batch_matches(batch, traj)
+
+
 class TestValidate:
     def test_identity_ok(self):
-        assert validate(chain(np.eye(3))) == []
+        assert validate(np.eye(3)) == []
+        assert chain(np.eye(3)).n_states == 3
 
     def test_row_sum_violation_names_row(self):
         rows = np.array([[0.5, 0.49], [0.0, 1.0]])
-        out = validate(MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2)))
+        with pytest.raises(ModelValidationError) as err:
+            MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
+        out = err.value.violations
         assert len(out) == 1 and "row 0" in out[0]
 
     def test_range_violation(self):
         rows = np.array([[1.1, -0.1], [0.0, 1.0]])
-        out = validate(MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2)))
-        assert any("outside [0, 1]" in v for v in out)
+        with pytest.raises(ModelValidationError) as err:
+            MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
+        assert any("outside [0, 1]" in v for v in err.value.violations)
 
 
 class TestSerialization:
