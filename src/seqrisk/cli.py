@@ -5,7 +5,8 @@ Subcommands: ``validate``, ``estimate``, ``oracle`` (``prob`` /
 Single-value queries print to standard output; tables and plots go to
 files named by ``--out``, written atomically (temp file + rename) and
 accompanied by a ``<out>.manifest.json`` recording the configuration,
-seed, artifact checksums, and wall-clock duration.
+seed, artifact checksums, wall-clock duration, the seqrisk and numpy
+versions, and the peak resident set size of the process.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 4 infeasible experiment point, 5 I/O failure.
@@ -17,13 +18,16 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import experiments
+import numpy as np
+
+from . import __version__, experiments
 from .errors import CalibrationError, ModelValidationError, SeqriskError
 from .estimators import CLIP_NONE, CLIP_POLICIES, KINDS, estimate
 from .oracle import dispersion_probability, exact_bijection_check, exact_outcome_probability
@@ -76,6 +80,9 @@ class _Artifacts:
             "artifacts": self.files,
             "duration_seconds": time.perf_counter() - self.t0,
             "created_utc": datetime.now(timezone.utc).isoformat(),
+            "versions": {"seqrisk": __version__, "numpy": np.__version__},
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         out = Path(out)
         path = out.with_name(out.name + ".manifest.json")

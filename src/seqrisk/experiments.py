@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import CalibrationError, InstanceTooLargeError, UndefinedMetricError
 from .estimators import KINDS, MC, REACH, SCOPE
@@ -534,18 +533,40 @@ def auroc(scores, labels) -> float:
     labels = _check_labels(labels)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have the same length")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     return float(_auroc_columns(scores[:, None], labels)[0])
 
 
 def _auroc_columns(score_matrix, labels) -> np.ndarray:
-    """AUROC of every column of ``score_matrix`` against shared labels."""
+    """AUROC of every column of ``score_matrix`` against shared labels.
+
+    U statistic from average 1-based ranks (Hanley & McNeil, 1982).  Each
+    column is sorted as one contiguous row; a tie group gets the mean of its
+    first and last positions, so the order inside a tie (and with it the
+    sort's stability) does not matter.  Ranks are half-integers, so the
+    rank sums are exact.
+    """
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both a positive and a negative label")
-    ranks = stats.rankdata(score_matrix, axis=0, method="average")
-    u = ranks[pos].sum(axis=0) - n_pos * (n_pos + 1) / 2.0
+    rows = np.ascontiguousarray(score_matrix.T)
+    order = np.argsort(rows, axis=1)
+    ranked = np.take_along_axis(rows, order, axis=1)
+    n = labels.size
+    idx = np.arange(n)
+    new_group = np.ones(ranked.shape, dtype=bool)
+    new_group[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    last_of_group = np.ones(ranked.shape, dtype=bool)
+    last_of_group[:, :-1] = new_group[:, 1:]
+    first = np.maximum.accumulate(np.where(new_group, idx, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(last_of_group, idx, n - 1)[:, ::-1], axis=1
+    )[:, ::-1]
+    ranks = (first + last) / 2.0 + 1.0
+    u = (ranks * pos[order]).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
@@ -553,6 +574,8 @@ def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("empty input")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     if np.any(scores < 0) or np.any(scores > 1):
         raise ValueError("scores must lie in [0, 1]")
     return scores

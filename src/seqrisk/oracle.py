@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import InstanceTooLargeError
 from .estimators import MC, REACH, SCOPE
@@ -292,8 +291,29 @@ def dispersion_probability(n_samples: int, p_base: float, p_elevated: float) -> 
     for name, p in (("p_base", p_base), ("p_elevated", p_elevated)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    k = np.arange(n_samples + 1)
-    with np.errstate(divide="ignore"):
-        base_pmf = np.exp(stats.binom.logpmf(k, n_samples, p_base))
-    exceed = stats.binom.sf(k, n_samples, p_elevated)
-    return float(math.fsum(base_pmf * exceed))
+    n = int(n_samples)
+    return float(math.fsum(_binomial_pmf(n, p_base) * _binomial_sf(n, p_elevated)))
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``P(X = k)`` for ``X ~ Binom(n, p)`` and ``k = 0..n``, from log terms.
+
+    ``log n!`` comes from a cumulative sum of ``log(1..n)``; the ``0 * log 0``
+    terms at ``k = 0`` and ``k = n`` are masked to 0 so ``p`` may be 0 or 1.
+    """
+    k = np.arange(n + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_hit = np.where(k > 0, k * np.log(p), 0.0)
+        log_miss = np.where(k < n, (n - k) * np.log1p(-p), 0.0)
+    return np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_hit + log_miss)
+
+
+def _binomial_sf(n: int, p: float) -> np.ndarray:
+    """``P(X > k)`` for ``X ~ Binom(n, p)`` and ``k = 0..n``.
+
+    Summed from ``k = n`` downwards, so each small upper tail is a sum of
+    its own small terms rather than one minus a number close to one.
+    """
+    tail = np.cumsum(_binomial_pmf(n, p)[::-1])[::-1]
+    return np.append(tail[1:], 0.0)

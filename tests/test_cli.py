@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import seqrisk
 from seqrisk import ChainSpec, MarkovModel, random_chain
 
 
@@ -75,6 +76,9 @@ class TestEstimateCommand:
         assert manifest["artifacts"]["report.json"] == digest
         assert manifest["seed"] == 1
         assert manifest["config"]["n"] == 100
+        assert manifest["versions"] == {"seqrisk": seqrisk.__version__,
+                                        "numpy": np.__version__}
+        assert manifest["peak_rss_mb"] > 0
 
     def test_infeasible_spec_exit_4(self, tmp_path):
         spec = ChainSpec(4, 0.67, 1, seed=2, target_probability=0.999)
@@ -155,3 +159,14 @@ class TestCohortCommand:
         assert out.returncode == 0
         text = out_path.read_text()
         assert "auroc" in text and "equivalence_ratio" in text
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs about a second per process; only tests may use it
+    code = ("import sys, seqrisk, seqrisk.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -242,6 +242,34 @@ class TestAuroc:
         for j in range(6):
             assert abs(cols[j] - auroc(scores[:, j], labels)) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auroc([0.1, bad, 0.5], [0, 1, 1])
+
+    def test_matches_scipy_average_ranks(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(2, 80))
+            cols = int(rng.integers(1, 40))
+            if trial % 3 == 0:  # few distinct values
+                scores = rng.integers(0, 4, size=(n, cols)).astype(float)
+            elif trial % 3 == 1:  # running means of 0/1 draws, as in the cohort
+                draws = rng.random((n, cols)) < rng.uniform(0.02, 0.5)
+                scores = draws.cumsum(axis=1) / np.arange(1, cols + 1)
+            else:
+                scores = rng.random((n, cols))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            n_pos = int(labels.sum())
+            ranks = stats.rankdata(scores, axis=0, method="average")
+            u = ranks[labels == 1].sum(axis=0) - n_pos * (n_pos + 1) / 2.0
+            want = u / (n_pos * (n - n_pos))
+            np.testing.assert_array_equal(_auroc_columns(scores, labels), want)
+            assert auroc(scores[:, 0], labels) == want[0]
+
 
 class TestBrierAndCalibration:
     def test_perfect_scores(self):
@@ -255,6 +283,13 @@ class TestBrierAndCalibration:
             brier([1.2], [1])
         with pytest.raises(ValueError):
             brier([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            brier([0.1, bad], [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            calibration_curve([0.1, bad, 0.5], [0, 1, 1])
 
     def test_calibration_bins(self):
         scores = [0.05, 0.08, 0.95, 0.55]

@@ -18,6 +18,8 @@ from seqrisk import (
     exact_outcome_probability,
 )
 
+from seqrisk.oracle import _binomial_pmf, _binomial_sf
+
 from conftest import make_random_model
 
 
@@ -215,6 +217,20 @@ class TestDispersionProbability:
             dispersion_probability(10, -0.1, 0.2)
         with pytest.raises(ValueError):
             dispersion_probability(10, 0.1, 1.2)
+
+
+@pytest.mark.parametrize("n", [1, 5, 100, 1000])
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 0.999, 1.0])
+def test_binomial_terms_match_scipy(n, p):
+    stats = pytest.importorskip("scipy.stats")
+    k = np.arange(n + 1)
+    # relative agreement down to 1e-280: below that scipy's sf loses digits
+    # (n = 100, p = 1e-4, k = 78: exact rationals give 2.0376113e-295, as
+    # does the log-space sum; scipy gives 2.0376332e-295)
+    np.testing.assert_allclose(_binomial_pmf(n, p), stats.binom.pmf(k, n, p),
+                               rtol=1e-10, atol=1e-280)
+    np.testing.assert_allclose(_binomial_sf(n, p), stats.binom.sf(k, n, p),
+                               rtol=1e-10, atol=1e-280)
 
 
 class TestBijectionCheck:
