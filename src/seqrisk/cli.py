@@ -5,8 +5,9 @@ Subcommands: ``validate``, ``estimate``, ``oracle`` (``prob`` /
 Single-value queries print to standard output; tables and plots go to
 files named by ``--out``, written atomically (temp file + rename) and
 accompanied by a ``<out>.manifest.json`` recording the configuration,
-seed, artifact checksums, wall-clock duration, the seqrisk and numpy
-versions, and the peak resident set size of the process.
+seed, artifact checksums, the wall-clock duration of the whole command,
+the seqrisk and numpy versions, and the peak resident set size of the
+process.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 4 infeasible experiment point, 5 I/O failure.
@@ -54,14 +55,14 @@ def _resolve_model(args) -> MarkovModel:
 
 
 class _Artifacts:
-    """Atomic artifact writing plus manifest bookkeeping."""
+    """Atomic artifact writing plus manifest bookkeeping for one command."""
 
-    def __init__(self, command: str, config: dict, seed: int):
-        self.command = command
-        self.config = config
-        self.seed = seed
+    def __init__(self, args):
+        self.command = args.command
+        self.config = _config_dict(args)
+        self.seed = args.seed
         self.files: dict[str, str] = {}
-        self.t0 = time.perf_counter()
+        self.t0 = args.started
 
     def write_text(self, path: Path, text: str) -> None:
         path = Path(path)
@@ -92,7 +93,7 @@ class _Artifacts:
 
 
 def _config_dict(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "started"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -115,7 +116,7 @@ def _cmd_estimate(args) -> int:
     )
     print(repr(report.mean))
     if args.out:
-        art = _Artifacts("estimate", _config_dict(args), args.seed)
+        art = _Artifacts(args)
         art.write_text(Path(args.out), report.to_json())
         art.finish(Path(args.out))
     return 0
@@ -167,7 +168,7 @@ def _default_sweep(args):
 
 def _write_table(args, table, *, svg_kw=None) -> None:
     out = Path(args.out)
-    art = _Artifacts(args.command, _config_dict(args), args.seed)
+    art = _Artifacts(args)
     if args.format == "json":
         art.write_text(out, table.to_json())
     else:
@@ -211,7 +212,7 @@ def _cmd_distribution(args) -> int:
         spec, args.n_estimates, args.samples, args.seed
     )
     out = Path(args.out)
-    art = _Artifacts("distribution", _config_dict(args), args.seed)
+    art = _Artifacts(args)
     art.write_text(out, result.to_csv_text(bins=args.bins))
     art.finish(out)
     return 0
@@ -309,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
+    args.started = started  # manifests time the whole command
     try:
         return args.func(args)
     except ModelValidationError as exc:

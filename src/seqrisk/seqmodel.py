@@ -19,7 +19,11 @@ Two samplers implement these rules.  :func:`sample_trajectory` builds one
 reference.  :func:`sample_markov_batch` advances a whole batch of
 :class:`MarkovModel` trajectories at once and returns only their
 sub-estimator values; with one trajectory it reproduces the reference on
-the same stream.
+the same stream.  Both draw a token by one inverse-CDF rule: the next token
+is the number of cumulative probabilities at or below the uniform ``u``.
+Batches of at least ``_BINS`` rows look that count up in an exact bucket
+table (Chen & Asau's guide table), falling back to the comparison only
+where a cumulative probability lies inside ``u``'s bucket.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ DEGENERATE_HAZARD = 1.0 - 1e-15
 PROBABILITY_TOL = 1e-12
 
 _UNIFORM_CHUNK = 32
+
+#: buckets per state of the inverse-CDF table in :func:`sample_markov_batch`,
+#: which uses it for batches of at least this many rows; a power of two, so
+#: ``u * _BINS`` and ``cum * _BINS`` are exact
+_BINS = 1024
 
 
 def _check_mode(mode: str) -> None:
@@ -288,8 +297,13 @@ def read_jsonl(path) -> list:
 
 def validate(transition) -> list[str]:
     """Row-stochasticity diagnostics of a transition matrix; empty means ok."""
-    out = []
     t = np.asarray(transition, dtype=float)
+    # one whole-matrix check for the common valid case; NaN fails both bounds
+    if np.all((t >= 0) & (t <= 1)) and np.all(
+        np.abs(t.sum(axis=-1) - 1.0) <= PROBABILITY_TOL
+    ):
+        return []
+    out = []
     for i, row in enumerate(t):
         bad = np.nonzero((row < 0) | (row > 1) | ~np.isfinite(row))[0]
         for j in bad:
@@ -439,6 +453,14 @@ def sample_markov_batch(
     equal its sub-estimators (``scope`` up to rounding: hazards are summed
     in step order, not with ``fsum``).  Standard mode returns the arrays
     ``(mc, scope)``, outcome-excluded mode ``(reach,)``.
+
+    A row in state ``s`` drawing ``u`` moves to token
+    ``(cum[s] <= u).sum()``, as in the reference.  When ``n >= _BINS`` that
+    count is read from :func:`_bucket_table` at ``floor(u * _BINS)``; rows
+    whose bucket holds a cumulative probability (at most one bucket per
+    token) compare against the whole row instead.
+    Smaller batches always compare: building the table would cost more
+    than it saves.  Both ways give the same token for every ``u``.
     """
     _check_mode(mode)
     if vocab.size != model.n_states:
@@ -465,12 +487,14 @@ def sample_markov_batch(
         restricted[:, o] = 0.0
         cum = np.cumsum(restricted, axis=1)
         cum[~degenerate, -1] = 1.0
+        keep = 1.0 - hazard
         surv = np.ones(n)
     else:
         stop_after[o] = True
         cum = np.cumsum(t, axis=1)
         cum[:, -1] = 1.0
         hsum = np.zeros(n)
+    table = _bucket_table(cum) if n >= _BINS else None
     for _ in range(steps):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
@@ -485,23 +509,57 @@ def sample_markov_batch(
                 st = states[idx]
             if idx.size == 0:
                 continue
-            surv[idx] *= 1.0 - hazard[st]
+            surv[idx] *= keep[st]
         else:
             hsum[idx] += hazard[st]
         u = rng.random(idx.size)
-        nxt = (cum[st] <= u[:, None]).sum(axis=1)
+        if table is None:
+            nxt = (cum[st] <= u[:, None]).sum(axis=1)
+        else:
+            key = (u * _BINS).astype(np.intp)
+            key += st * _BINS
+            nxt = table[key]
+            split = np.flatnonzero(nxt < 0)
+            if split.size:
+                nxt[split] = (cum[st[split]] <= u[split, None]).sum(axis=1)
         states[idx] = nxt
         stop = stop_after[nxt]
         if limit is not None:
             elapsed[idx] += times[nxt]
             stop |= elapsed[idx] > limit
         alive[idx[stop]] = False
-        # free the per-row temporaries before the next step's (rows x tokens) draw
+        # free the per-row temporaries before the next step allocates its own
         del st, u, nxt, stop
     if excluded:
         return (1.0 - surv,)
     # every trajectory drew a token, and one ending on the outcome stopped there
     return (states == o).astype(float), hsum
+
+
+def _bucket_table(cum: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup table: the next token of ``cum[s]`` by ``u``'s bucket.
+
+    Entry ``s * _BINS + b`` holds ``(cum[s] <= u).sum()``, the count every
+    ``u`` in ``[b / _BINS, (b + 1) / _BINS)`` gives, or -1 when some entry
+    of ``cum[s]`` lies strictly inside that interval and the count depends
+    on ``u``.  It is exact because ``cum * _BINS`` is: an entry ``c`` is at
+    most ``b / _BINS`` iff ``ceil(c * _BINS) <= b``, and below
+    ``(b + 1) / _BINS`` iff ``floor(c * _BINS) <= b``, so two per-row
+    histograms of those integers and their cumulative sums give both
+    counts.  Rows need not be sorted.
+    """
+    rows = cum.shape[0]
+    scaled = cum * _BINS
+    # one histogram slot per bucket plus one for "above the last bucket"
+    offsets = np.arange(rows)[:, None] * (_BINS + 1)
+
+    def at_or_below(edges):
+        slot = np.clip(edges, 0, _BINS).astype(np.intp) + offsets
+        hist = np.bincount(slot.ravel(), minlength=rows * (_BINS + 1))
+        return hist.reshape(rows, _BINS + 1).cumsum(axis=1)[:, :_BINS]
+
+    first = at_or_below(np.ceil(scaled))
+    return np.where(first == at_or_below(np.floor(scaled)), first, -1).ravel()
 
 
 def effective_steps(vocab: Vocabulary, horizon: HorizonPolicy) -> int:

@@ -4,12 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import seqrisk
-from seqrisk import ChainSpec, MarkovModel, random_chain
+from seqrisk import ChainSpec, MarkovModel, cli, experiments, random_chain
 
 
 def run_cli(*args, cwd=None):
@@ -159,6 +160,22 @@ class TestCohortCommand:
         assert out.returncode == 0
         text = out_path.read_text()
         assert "auroc" in text and "equivalence_ratio" in text
+
+    def test_manifest_times_the_whole_command(self, tmp_path, monkeypatch):
+        real = experiments.synthetic_cohort_eval
+
+        def slow(spec):
+            time.sleep(0.2)
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "synthetic_cohort_eval", slow)
+        out_path = tmp_path / "cohort.csv"
+        assert cli.main(["cohort", "--patients", "20", "--timelines", "4",
+                         "--rounds", "2", "--states", "4", "--horizon", "4",
+                         "--seed", "9", "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "cohort.csv.manifest.json").read_text())
+        assert manifest["duration_seconds"] >= 0.2
+        assert "started" not in manifest["config"]
 
 
 def test_import_leaves_scipy_unloaded():

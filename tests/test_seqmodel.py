@@ -3,6 +3,7 @@
 import json
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,35 @@ from seqrisk import (
     trajectory_stream,
     validate,
 )
+from seqrisk import seqmodel
 from seqrisk.seqmodel import read_jsonl, write_jsonl
 
 from conftest import make_random_model
+
+
+@st.composite
+def random_case(draw):
+    """Random chain, vocabulary, horizon and mode: one-hot and degenerate
+    rows, terminal sets, and token times that include zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states = draw(st.integers(2, 5))
+    unit_times = draw(st.booleans())
+    max_steps = draw(st.integers(1, 8))
+    time_limit = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0, 6.0]))
+    mode = draw(st.sampled_from([STANDARD, OUTCOME_EXCLUDED]))
+    rows = rng.dirichlet(np.ones(n_states), size=n_states)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    for s in np.nonzero(rows.sum(axis=1) == 0.0)[0]:
+        rows[s, rng.integers(n_states)] = 1.0  # one-hot rows, degenerate ones too
+    rows /= rows.sum(axis=1, keepdims=True)
+    m = MarkovModel.step_mode(rows, int(rng.integers(n_states)),
+                              int(rng.integers(n_states)), max_steps)
+    terminal = frozenset(int(t) for t in np.nonzero(rng.random(n_states) < 0.25)[0])
+    times = np.ones(n_states) if unit_times else rng.choice(
+        [0.0, 0.5, 1.0, 1.5], size=n_states)
+    vocab = Vocabulary(size=n_states, outcome=int(rng.integers(n_states)),
+                       terminal=terminal, time_map=times)
+    return m, vocab, HorizonPolicy(max_steps=max_steps, time_limit=time_limit), mode
 
 
 def chain(rows, initial=0, outcome=None, steps=5):
@@ -345,36 +372,72 @@ class TestSampleMarkovBatch:
                                 STANDARD, 1, trajectory_stream(0))
 
     @settings(max_examples=400, deadline=None, database=None)
-    @given(
-        chain_seed=st.integers(0, 2**32 - 1),
-        n_states=st.integers(2, 5),
-        unit_times=st.booleans(),
-        max_steps=st.integers(1, 8),
-        time_limit=st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0, 6.0]),
-        mode=st.sampled_from([STANDARD, OUTCOME_EXCLUDED]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_single_trajectory_matches_reference(
-        self, chain_seed, n_states, unit_times, max_steps, time_limit, mode, seed
-    ):
-        rng = np.random.default_rng(chain_seed)
-        rows = rng.dirichlet(np.ones(n_states), size=n_states)
-        rows[rng.random(rows.shape) < 0.3] = 0.0
-        for s in np.nonzero(rows.sum(axis=1) == 0.0)[0]:
-            rows[s, rng.integers(n_states)] = 1.0  # one-hot rows, degenerate ones too
-        rows /= rows.sum(axis=1, keepdims=True)
-        m = MarkovModel.step_mode(rows, int(rng.integers(n_states)),
-                                  int(rng.integers(n_states)), max_steps)
-        terminal = frozenset(int(t) for t in np.nonzero(rng.random(n_states) < 0.25)[0])
-        times = np.ones(n_states) if unit_times else rng.choice(
-            [0.0, 0.5, 1.0, 1.5], size=n_states)
-        vocab = Vocabulary(size=n_states, outcome=int(rng.integers(n_states)),
-                           terminal=terminal, time_map=times)
-        horizon = HorizonPolicy(max_steps=max_steps, time_limit=time_limit)
-
+    @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
+    def test_single_trajectory_matches_reference(self, case, seed):
+        m, vocab, horizon, mode = case
         traj = sample_trajectory(m, vocab, horizon, mode, trajectory_stream(seed, 0))
         batch = sample_markov_batch(m, vocab, horizon, mode, 1, trajectory_stream(seed))
         assert_batch_matches(batch, traj)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
+    def test_bucket_table_draws_match_comparison(self, case, seed):
+        # a batch of 2 * _BINS rows uses the table; with 4 buckets most rows
+        # fall back to the comparison, with _BINS above n the table is off
+        m, vocab, horizon, mode = case
+        n = 2 * seqmodel._BINS
+        runs = []
+        for bins in (seqmodel._BINS, 4, 4 * n):
+            with mock.patch.object(seqmodel, "_BINS", bins):
+                runs.append(sample_markov_batch(m, vocab, horizon, mode, n,
+                                                trajectory_stream(seed)))
+        for other in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+
+def _cum(row):
+    """Cumulative row as the batch sampler builds it: last entry forced to 1."""
+    cum = np.cumsum(np.asarray(row, dtype=float))
+    cum[-1] = 1.0
+    return cum
+
+
+class TestBucketTable:
+    B = seqmodel._BINS
+    CUMS = [
+        _cum([0.25, 0.25, 0.5]),  # every boundary on a bucket edge
+        _cum([0.5, 0.5]),
+        _cum([0.3, 0.0, 0.0, 0.2, 0.0, 0.5]),  # zero tokens: repeated boundaries
+        _cum([0.1, 1e-5, 2e-5, 3e-5, 0.0, 1 - 0.1 - 6e-5]),  # several in one bucket
+        _cum([0.6, 0.4 + 5e-13, 0.0]),  # overshoots 1 before the forced last entry
+        _cum([1.0, 0.0, 0.0]),
+        _cum([0.0, 0.0, 1.0]),
+        np.zeros(3),  # degenerate row of the outcome-excluded mode: never forced
+        _cum(np.array([1e-14, 0.0, 0.0]) / (1.0 - (1.0 - 1e-14))),  # near-degenerate
+    ]
+
+    def test_lookup_equals_comparison_at_every_edge_and_boundary(self):
+        for cum in self.CUMS:
+            table = seqmodel._bucket_table(cum[None, :])
+            assert table.shape == (self.B,)
+            us = [b / self.B for b in range(self.B)]
+            for c in cum:
+                us += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+            for u in (u for u in us if 0.0 <= u < 1.0):
+                b = int(u * self.B)
+                inside = any(b < c * self.B < b + 1 for c in cum)
+                got = table[b]
+                if inside:
+                    assert got == -1, (cum, u)
+                else:
+                    assert got == (cum <= u).sum(), (cum, u)
+
+    def test_rows_are_independent(self):
+        cums = np.array([c for c in self.CUMS if c.size == 3])
+        table = seqmodel._bucket_table(cums)
+        for s, cum in enumerate(cums):
+            own = seqmodel._bucket_table(cum[None, :])
+            assert np.array_equal(table[s * self.B:(s + 1) * self.B], own)
 
 
 class TestValidate:
@@ -388,6 +451,12 @@ class TestValidate:
             MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
         out = err.value.violations
         assert len(out) == 1 and "row 0" in out[0]
+
+    def test_non_finite_entries_named(self):
+        rows = np.array([[np.nan, 1.0], [0.0, 1.0], [np.inf, 0.0]])
+        out = validate(rows)
+        assert [v.split(" = ")[0] for v in out] == ["row 0 entry 0", "row 2 entry 0"]
+        assert all(v.endswith("outside [0, 1]") for v in out)
 
     def test_range_violation(self):
         rows = np.array([[1.1, -0.1], [0.0, 1.0]])
