@@ -28,18 +28,17 @@ print(f"chain spontaneity target met: {abs(truth - 0.3):.2e} from 0.3\n")
 print(f"{'kind':>6} {'n':>7} {'mean':>9} {'std err':>9} {'|err|/se':>9}")
 for kind in (MC, SCOPE, REACH):
     for n in (100, 1_000, 10_000):
-        rep = estimate(chain, chain.vocabulary, chain.horizon, kind, n, seed=7)
+        rep = estimate(chain, kind, n, seed=7)
         z = abs(rep.mean - truth) / max(rep.std_error, 1e-12)
         print(f"{kind:>6} {n:>7} {rep.mean:>9.5f} {rep.std_error:>9.5f} {z:>9.2f}")
 
 print("\nvariance per single trajectory (n = 10,000 pool):")
 for kind in (MC, SCOPE, REACH):
-    rep = estimate(chain, chain.vocabulary, chain.horizon, kind, 10_000, seed=8)
+    rep = estimate(chain, kind, 10_000, seed=8)
     print(f"  {kind:>6}: {rep.sample_variance:.6f}")
 
 # MC and scope can share one pool of sampled timelines
-mc_rep, scope_rep = paired_estimates(chain, chain.vocabulary, chain.horizon,
-                                     5_000, seed=9)
+mc_rep, scope_rep = paired_estimates(chain, 5_000, seed=9)
 print(f"\nshared-pool estimates: mc={mc_rep.mean:.5f} scope={scope_rep.mean:.5f}")
 corr = np.corrcoef(mc_rep.sub_values, scope_rep.sub_values)[0, 1]
 print(f"per-trajectory correlation between the two sub-estimators: {corr:.3f}")

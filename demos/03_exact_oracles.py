@@ -25,8 +25,8 @@ print("branching-coin model: hazard-sum variance stays above Monte Carlo's")
 print(f"{'p':>5} {'P(outcome)':>11} {'Var(mc)':>9} {'Var(scope)':>10} {'gap':>9} {'(1-p)/16':>9}")
 for p in (0.0, 0.25, 0.5, 0.9, 0.99):
     model = counterexample_model(p)
-    mc = enumerate_sub_distribution(model, model.vocabulary, model.horizon, "mc")
-    sc = enumerate_sub_distribution(model, model.vocabulary, model.horizon, "scope")
+    mc = enumerate_sub_distribution(model, "mc")
+    sc = enumerate_sub_distribution(model, "scope")
     gap = sc.variance() - mc.variance()
     print(f"{p:>5} {mc.mean():>11.6f} {mc.variance():>9.6f} {sc.variance():>10.6f}"
           f" {gap:>9.6f} {(1 - p) / 16:>9.6f}")
@@ -36,7 +36,7 @@ print("  the gap stays positive while P(outcome) -> 0: no probability\n"
 print("standard vs outcome-excluded enumeration agree on every model")
 for seed in (1, 2, 3):
     chain = random_chain(ChainSpec(4, 1.0, 6, seed=seed, target_probability=0.35))
-    p_std, p_excl = exact_bijection_check(chain, chain.vocabulary, chain.horizon)
+    p_std, p_excl = exact_bijection_check(chain)
     print(f"  seed {seed}: standard {p_std:.12f}  excluded {p_excl:.12f}"
           f"  gap {abs(p_std - p_excl):.1e}")
 print()
@@ -45,7 +45,7 @@ print("enumerated sub-estimator distributions (chain seed 1), CSV per kind")
 chain = random_chain(ChainSpec(4, 1.0, 6, seed=1, target_probability=0.35))
 truth = exact_outcome_probability(chain)
 for kind in KINDS:
-    dist = enumerate_sub_distribution(chain, chain.vocabulary, chain.horizon, kind)
+    dist = enumerate_sub_distribution(chain, kind)
     path = OUT / f"subvalues_{kind}.csv"
     dist.to_csv(path)
     print(f"  {kind:>6}: mean {dist.mean():.9f} (DP {truth:.9f}),"

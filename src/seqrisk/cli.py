@@ -105,15 +105,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     model = _resolve_model(args)
-    report = estimate(
-        model,
-        model.vocabulary,
-        model.horizon,
-        args.kind,
-        args.n,
-        args.seed,
-        clip_policy=args.clip,
-    )
+    report = estimate(model, args.kind, args.n, args.seed, clip_policy=args.clip)
     print(repr(report.mean))
     if args.out:
         art = _Artifacts(args)
@@ -136,7 +128,7 @@ def _cmd_oracle_dispersion(args) -> int:
 
 def _cmd_oracle_bijection(args) -> int:
     model = _load_model(args.model)
-    p_a, p_b = exact_bijection_check(model, model.vocabulary, model.horizon)
+    p_a, p_b = exact_bijection_check(model)
     print(f"{p_a!r} {p_b!r}")
     return 0
 
@@ -246,9 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, out_required=False):
+    def artifact(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=out_required, help="artifact path")
+        p.add_argument("--out", required=True, help="artifact path")
+
+    def table(p):
+        artifact(p)
         p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
     p = sub.add_parser("validate", help="check a chain file for stochasticity")
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--spec", help="base ChainSpec JSON")
     p.add_argument("--replications", type=int)
-    common(p, out_required=True)
+    table(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("distribution", help="histogram of repeated estimates")
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-estimates", type=int, default=10_000, dest="n_estimates")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--bins", type=int, default=40)
-    common(p, out_required=True)
+    artifact(p)
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("cohort", help="synthetic cohort evaluation")
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spontaneity", type=float, default=1.0)
     p.add_argument("--horizon", type=int, default=12)
     p.add_argument("--transitions", choices=("equal", "random"), default="equal")
-    common(p, out_required=True)
+    table(p)
     p.set_defaults(func=_cmd_cohort)
 
     return parser

@@ -14,10 +14,11 @@ pool; ``reach`` requires outcome-excluded sampling.  Averaging any of them
 over independent trajectories is unbiased; the enumeration oracles in
 :mod:`seqrisk.oracle` verify this exactly on small models.
 
-:func:`estimate` samples a :class:`~seqrisk.seqmodel.MarkovModel` with the
-batched sampler on the single stream ``trajectory_stream(seed)``, and any
-other model one trajectory at a time, trajectory ``i`` on
-``trajectory_stream(seed, i)``.  Both agree at ``n = 1``.
+:func:`estimate` and :func:`paired_estimates` ask about the model's own
+vocabulary and horizon, and read every trajectory from the one stream
+``trajectory_stream(seed)``: a :class:`~seqrisk.seqmodel.MarkovModel` with
+the batched sampler, any other model one trajectory after another with the
+reference sampler.  Both agree at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -217,64 +218,48 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
     )
 
 
-def _sub_values(model, vocab, horizon, kinds, n, seed) -> list:
+def _sub_values(model, kinds, n, seed) -> list:
     """One list of ``n`` sub-values per kind, all from one trajectory pool."""
     modes = {required_mode(k) for k in kinds}
     if len(modes) != 1:
         raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
     mode = modes.pop()
+    vocab, horizon, rng = model.vocabulary, model.horizon, trajectory_stream(seed)
     if isinstance(model, MarkovModel):
-        arrays = sample_markov_batch(
-            model, vocab, horizon, mode, n, trajectory_stream(seed)
-        )
+        arrays = sample_markov_batch(model, vocab, horizon, mode, n, rng)
         pool = dict(zip(_BATCH_KINDS[mode], arrays))
         return [pool[k].tolist() for k in kinds]
     cols = [[] for _ in kinds]
-    for i in range(n):
-        traj = sample_trajectory(
-            model, vocab, horizon, mode, trajectory_stream(seed, i), seed=seed
-        )
+    for _ in range(n):
+        traj = sample_trajectory(model, vocab, horizon, mode, rng, seed=seed)
         for col, k in zip(cols, kinds):
             col.append(_SUBS[k](traj))
     return cols
 
 
 def estimate(
-    model,
-    vocab,
-    horizon,
-    kind: str,
-    n: int,
-    seed: int,
-    *,
-    clip_policy: str = CLIP_NONE,
+    model, kind: str, n: int, seed: int, *, clip_policy: str = CLIP_NONE
 ) -> EstimateReport:
     """Sample ``n`` trajectories in the mode ``kind`` requires and average.
 
-    The report is a function of ``(model, vocab, horizon, kind, n, seed)``
-    alone.  Markov chains go through the batched sampler on the stream
-    ``trajectory_stream(seed)``; other models draw trajectory ``i`` from
-    ``trajectory_stream(seed, i)``.  At ``n = 1`` the two coincide.
+    The report is a function of ``(model, kind, n, seed)`` alone: the
+    outcome, stop rules and bounds are the model's ``vocabulary`` and
+    ``horizon``, and the trajectories are read in order from
+    ``trajectory_stream(seed)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    (values,) = _sub_values(model, vocab, horizon, (kind,), n, seed)
+    (values,) = _sub_values(model, (kind,), n, seed)
     return aggregate(kind, values, clip_policy=clip_policy, seed=seed)
 
 
 def paired_estimates(
-    model,
-    vocab,
-    horizon,
-    n: int,
-    seed: int,
-    *,
-    clip_policy: str = CLIP_NONE,
+    model, n: int, seed: int, *, clip_policy: str = CLIP_NONE
 ) -> tuple[EstimateReport, EstimateReport]:
     """MC and SCOPE reports computed from one shared standard-mode pool."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    mc_values, scope_values = _sub_values(model, vocab, horizon, (MC, SCOPE), n, seed)
+    mc_values, scope_values = _sub_values(model, (MC, SCOPE), n, seed)
     mc_report = aggregate(MC, mc_values, clip_policy=clip_policy, seed=seed)
     scope_report = aggregate(SCOPE, scope_values, clip_policy=clip_policy, seed=seed)
     return mc_report, scope_report

@@ -451,9 +451,7 @@ def variance_sweep(
             rows.append(MetricRow(task, kind, 1, "variance", float(vals.var(ddof=1)), seed=seed))
         try:
             for kind in KINDS:
-                dist = enumerate_sub_distribution(
-                    chain, chain.vocabulary, chain.horizon, kind
-                )
+                dist = enumerate_sub_distribution(chain, kind)
                 rows.append(
                     MetricRow(task, kind, 1, "exact_variance", dist.variance(), seed=seed)
                 )
@@ -478,7 +476,7 @@ class DistributionResult:
         for kind, values in self.estimates.items():
             counts, edges = np.histogram(values, bins=bins, range=(0.0, hi))
             for c, lo_e, hi_e in zip(counts, edges, edges[1:]):
-                lines.append(f"{kind},{lo_e!r},{hi_e!r},{int(c)}")
+                lines.append(f"{kind},{float(lo_e)!r},{float(hi_e)!r},{int(c)}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path, *, bins: int = 40) -> None:

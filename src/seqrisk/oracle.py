@@ -12,8 +12,10 @@ Three mechanisms live here:
   dispersion probability that a higher-risk case outranks a baseline case
   when both are scored by finite-sample proportions.
 
-Enumeration is guarded: it refuses instances whose sequence tree could
-exceed ``LEAF_GUARD`` leaves.  Path probabilities are kept as plain
+Enumeration walks the model's own vocabulary and horizon and checks every
+distribution it reads (:class:`~seqrisk.errors.ModelValidationError`).  It
+is guarded: it refuses instances whose sequence tree could exceed
+``LEAF_GUARD`` leaves.  Path probabilities are kept as plain
 doubles (paths whose probability underflows contribute less than 1e-290
 to any statistic, far below every tolerance used in the package).
 """
@@ -35,6 +37,7 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
+    _read_distribution,
     _stop_reason,
     effective_steps,
 )
@@ -134,8 +137,9 @@ def _static_guard(vocab: Vocabulary, horizon: HorizonPolicy) -> None:
         )
 
 
-def _walk_standard(model, vocab, horizon):
+def _walk_standard(model):
     """Yield (path probability, outcome hit, hazard sum) for every standard path."""
+    vocab, horizon = model.vocabulary, model.horizon
     _static_guard(vocab, horizon)
     o = vocab.outcome
     times = vocab._time_list
@@ -143,7 +147,7 @@ def _walk_standard(model, vocab, horizon):
     stack = [((), 1.0, 0.0, 0.0)]
     while stack:
         prefix, prob, elapsed, hsum = stack.pop()
-        dist = np.asarray(model.next_distribution(list(prefix)), dtype=float)
+        dist = _read_distribution(model, list(prefix), vocab.size)
         hsum2 = hsum + float(dist[o])
         n_tok = len(prefix) + 1
         for tok in range(vocab.size):
@@ -162,12 +166,13 @@ def _walk_standard(model, vocab, horizon):
                 yield prob2, stop == "outcome", hsum2
 
 
-def _walk_restricted(model, vocab, horizon):
+def _walk_restricted(model):
     """Yield (path probability, survival-complement value) under exclusion.
 
     Paths reaching a degenerate hazard terminate immediately with value
     exactly 1.
     """
+    vocab, horizon = model.vocabulary, model.horizon
     _static_guard(vocab, horizon)
     o = vocab.outcome
     times = vocab._time_list
@@ -175,7 +180,7 @@ def _walk_restricted(model, vocab, horizon):
     stack = [((), 1.0, 0.0, 1.0)]
     while stack:
         prefix, prob, elapsed, surv = stack.pop()
-        dist = np.asarray(model.next_distribution(list(prefix)), dtype=float)
+        dist = _read_distribution(model, list(prefix), vocab.size)
         h = float(dist[o])
         if h >= DEGENERATE_HAZARD:
             leaves += 1
@@ -202,23 +207,20 @@ def _walk_restricted(model, vocab, horizon):
                 yield prob2, 1.0 - surv2
 
 
-def enumerate_sub_distribution(model, vocab, horizon, kind: str) -> ValueDistribution:
+def enumerate_sub_distribution(model, kind: str) -> ValueDistribution:
     """Exact distribution of one sub-estimator by full sequence enumeration."""
     if kind == REACH:
-        pairs = [(value, prob) for prob, value in _walk_restricted(model, vocab, horizon)]
+        pairs = [(value, prob) for prob, value in _walk_restricted(model)]
     elif kind == MC:
-        pairs = [
-            (1.0 if hit else 0.0, prob)
-            for prob, hit, _ in _walk_standard(model, vocab, horizon)
-        ]
+        pairs = [(1.0 if hit else 0.0, prob) for prob, hit, _ in _walk_standard(model)]
     elif kind == SCOPE:
-        pairs = [(hsum, prob) for prob, _, hsum in _walk_standard(model, vocab, horizon)]
+        pairs = [(hsum, prob) for prob, _, hsum in _walk_standard(model)]
     else:
         raise ValueError(f"unknown estimator kind {kind!r}")
     return ValueDistribution.from_pairs(pairs)
 
 
-def exact_bijection_check(model, vocab, horizon) -> tuple[float, float]:
+def exact_bijection_check(model) -> tuple[float, float]:
     """(P(outcome in a standard timeline), expected survival-complement).
 
     The first is enumerated over standard sequences, the second over
@@ -226,12 +228,8 @@ def exact_bijection_check(model, vocab, horizon) -> tuple[float, float]:
     outcome-free standard paths and all-failure excluded paths carry the
     same probability.
     """
-    p_a = math.fsum(
-        prob for prob, hit, _ in _walk_standard(model, vocab, horizon) if hit
-    )
-    p_b = math.fsum(
-        prob * value for prob, value in _walk_restricted(model, vocab, horizon)
-    )
+    p_a = math.fsum(prob for prob, hit, _ in _walk_standard(model) if hit)
+    p_b = math.fsum(prob * value for prob, value in _walk_restricted(model))
     return p_a, p_b
 
 

@@ -2,13 +2,11 @@
 
 All sampling in the package draws from Philox generators keyed through
 ``numpy.random.SeedSequence`` spawn keys, so any consumer can be handed an
-independent stream identified by ``(seed, key...)`` alone.  Trajectory
-streams use single-element keys: ``estimate`` on a Markov chain reads the
-whole batch from ``trajectory_stream(seed)``, the per-trajectory reference
-sampler reads trajectory ``i`` from ``trajectory_stream(seed, i)``, and
-the two agree on the first trajectory.  Experiment stages use keys of
-length >= 2 and therefore never collide with trajectory streams derived
-from the same seed.
+independent stream identified by ``(seed, key...)`` alone.  A query
+(``estimate``, ``paired_estimates``) reads all of its trajectories, in
+order, from the one stream ``trajectory_stream(seed)``, keyed ``(0,)``.
+Experiment stages use keys of length >= 2 and therefore never collide
+with it.
 """
 
 from __future__ import annotations
@@ -16,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def trajectory_stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Stream of the trajectory at position ``index``, or of a whole batch."""
+def trajectory_stream(seed: int) -> np.random.Generator:
+    """The stream a query's trajectories are drawn from, one after another."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     )
 
 

@@ -16,7 +16,9 @@ come from the unrestricted distribution.
 
 Two samplers implement these rules.  :func:`sample_trajectory` builds one
 :class:`Trajectory` at a time from any :class:`SequenceModel`; it is the
-reference.  :func:`sample_markov_batch` advances a whole batch of
+reference.  It reads one uniform per token from the stream it is given, so
+trajectories drawn one after another from one stream follow each other in
+it without a gap.  :func:`sample_markov_batch` advances a whole batch of
 :class:`MarkovModel` trajectories at once and returns only their
 sub-estimator values; with one trajectory it reproduces the reference on
 the same stream.  Both draw a token by one inverse-CDF rule: the next token
@@ -24,6 +26,11 @@ is the number of cumulative probabilities at or below the uniform ``u``.
 Batches of at least ``_BINS`` rows look that count up in an exact bucket
 table (Chen & Asau's guide table), falling back to the comparison only
 where a cumulative probability lies inside ``u``'s bucket.
+
+A :class:`MarkovModel` is validated once, at construction.  The
+distributions of any other model are checked as the reference sampler and
+the enumeration oracles read them: a vector that is not a probability
+distribution over the vocabulary raises :class:`ModelValidationError`.
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ DEGENERATE_HAZARD = 1.0 - 1e-15
 
 #: tolerance for "sums to one" checks on probability vectors
 PROBABILITY_TOL = 1e-12
-
-_UNIFORM_CHUNK = 32
 
 #: buckets per state of the inverse-CDF table in :func:`sample_markov_batch`,
 #: which uses it for batches of at least this many rows; a power of two, so
@@ -134,10 +139,18 @@ class HorizonPolicy:
 
 @runtime_checkable
 class SequenceModel(Protocol):
-    """Anything that maps a token prefix to a next-token distribution."""
+    """Anything that maps a token prefix to a next-token distribution.
+
+    ``vocabulary`` names the outcome, terminal tokens and token times, and
+    ``horizon`` bounds generation; the estimators and oracles ask their
+    question about these two.
+    """
 
     @property
     def vocabulary(self) -> Vocabulary: ...
+
+    @property
+    def horizon(self) -> HorizonPolicy: ...
 
     def next_distribution(self, prefix: Sequence[int]) -> np.ndarray: ...
 
@@ -296,21 +309,50 @@ def read_jsonl(path) -> list:
 
 
 def validate(transition) -> list[str]:
-    """Row-stochasticity diagnostics of a transition matrix; empty means ok."""
+    """Stochasticity diagnostics of a transition matrix, or of one
+    distribution; empty means ok."""
     t = np.asarray(transition, dtype=float)
-    # one whole-matrix check for the common valid case; NaN fails both bounds
-    if np.all((t >= 0) & (t <= 1)) and np.all(
-        np.abs(t.sum(axis=-1) - 1.0) <= PROBABILITY_TOL
+    # one whole-array check for the common valid case (an empty array has no
+    # minimum and goes to the diagnostics); NaN fails every bound
+    if (
+        t.size
+        and t.min() >= 0
+        and t.max() <= 1
+        and np.abs(t.sum(axis=-1) - 1.0).max() <= PROBABILITY_TOL
     ):
         return []
-    out = []
-    for i, row in enumerate(t):
-        bad = np.nonzero((row < 0) | (row > 1) | ~np.isfinite(row))[0]
-        for j in bad:
-            out.append(f"row {i} entry {j} = {row[j]!r} outside [0, 1]")
-        if bad.size == 0 and abs(float(row.sum()) - 1.0) > PROBABILITY_TOL:
-            out.append(f"row {i} sums to {float(row.sum())!r}, expected 1")
+    if t.ndim == 1:
+        return _violations(t)
+    return [f"row {i} {v}" for i, row in enumerate(t) for v in _violations(row)]
+
+
+def _violations(dist: np.ndarray) -> list[str]:
+    bad = np.nonzero(~((dist >= 0) & (dist <= 1)))[0]
+    out = [f"entry {j} = {float(dist[j])!r} outside [0, 1]" for j in bad]
+    if not out and abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
+        out.append(f"sums to {float(dist.sum())!r}, expected 1")
     return out
+
+
+def _read_distribution(model, prefix: Sequence[int], size: int) -> np.ndarray:
+    """``model.next_distribution(prefix)`` as floats, checked by :func:`validate`.
+
+    Raises :class:`ModelValidationError`, naming the prefix, unless it is a
+    probability vector with ``size`` entries.  A :class:`MarkovModel`'s rows
+    were checked at construction and are returned as they are.
+    """
+    dist = np.asarray(model.next_distribution(prefix), dtype=float)
+    if isinstance(model, MarkovModel):
+        return dist
+    if dist.shape != (size,):
+        violations = [f"shape {dist.shape}, expected ({size},)"]
+    else:
+        violations = validate(dist)
+    if violations:
+        raise ModelValidationError(
+            [f"next_distribution({list(prefix)}): {v}" for v in violations]
+        )
+    return dist
 
 
 def next_distribution(model: SequenceModel, prefix: Sequence[int]) -> np.ndarray:
@@ -319,12 +361,10 @@ def next_distribution(model: SequenceModel, prefix: Sequence[int]) -> np.ndarray
     for tok in prefix:
         if not 0 <= tok < vocab.size:
             raise ValueError(f"invalid token id {tok} in prefix")
-    dist = np.asarray(model.next_distribution(prefix), dtype=float)
-    if dist.shape != (vocab.size,):
-        raise ValueError("model returned a vector of the wrong length")
-    if np.any(dist < 0) or abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
-        raise ValueError("model returned an invalid probability vector")
-    return dist
+    try:
+        return _read_distribution(model, prefix, vocab.size)
+    except ModelValidationError as err:
+        raise ValueError(f"model returned an invalid probability vector: {err}") from err
 
 
 def restricted_distribution(dist: np.ndarray, outcome: int) -> np.ndarray:
@@ -334,7 +374,7 @@ def restricted_distribution(dist: np.ndarray, outcome: int) -> np.ndarray:
     all mass, in which case no restricted draw exists.
     """
     dist = np.asarray(dist, dtype=float)
-    if np.any(dist < 0) or abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
+    if validate(dist):
         raise ValueError("dist is not a valid probability vector")
     h = float(dist[outcome])
     if h >= DEGENERATE_HAZARD:
@@ -371,10 +411,12 @@ def sample_trajectory(
     """Draw one trajectory, recording the unrestricted hazard at every step.
 
     Inverse-CDF draws consume exactly one uniform per generated token, in
-    order, so a trajectory is reproducible from the stream that produced
-    it.  ``seed`` is carried as metadata only.  This is the reference
-    sampler; :func:`sample_markov_batch` reproduces its values for Markov
-    chains without building trajectories.
+    order, and nothing more, so a trajectory is reproducible from the
+    stream that produced it and the next one drawn from that stream starts
+    right after it.  The model's distributions are checked as they are read
+    (:class:`ModelValidationError`).  ``seed`` is carried as metadata only.
+    This is the reference sampler; :func:`sample_markov_batch` reproduces
+    its values for Markov chains without building trajectories.
     """
     _check_mode(mode)
     if vocab.size != model.vocabulary.size:
@@ -392,10 +434,8 @@ def _sample_generic(model, vocab, horizon, mode, rng, seed):
     hit = None
     degenerate = False
     reason = ""
-    buf: list[float] = []
-    pos = 0
     while True:
-        dist = np.asarray(model.next_distribution(prefix), dtype=float)
+        dist = _read_distribution(model, prefix, vocab.size)
         h = float(dist[o])
         hazards.append(h)
         if excluded:
@@ -409,11 +449,7 @@ def _sample_generic(model, vocab, horizon, mode, rng, seed):
             draw_from = dist
         cum = np.cumsum(draw_from)
         cum[-1] = 1.0
-        if pos == len(buf):
-            buf = rng.random(_UNIFORM_CHUNK).tolist()
-            pos = 0
-        tok = int(np.searchsorted(cum, buf[pos], side="right"))
-        pos += 1
+        tok = int(np.searchsorted(cum, rng.random(), side="right"))
         prefix.append(tok)
         elapsed += times[tok]
         stop = _stop_reason(vocab, horizon, mode, tok, elapsed, len(prefix))

@@ -71,10 +71,10 @@ def model_suite():
         seed = SUITE_SEED_BASE + i
         model = make_random_model(seed)
         dists = {
-            kind: enumerate_sub_distribution(model, model.vocabulary, model.horizon, kind)
+            kind: enumerate_sub_distribution(model, kind)
             for kind in KINDS
         }
-        p_a, p_b = exact_bijection_check(model, model.vocabulary, model.horizon)
+        p_a, p_b = exact_bijection_check(model)
         records.append(
             SuiteRecord(
                 seed=seed,

@@ -58,8 +58,8 @@ def test_counterexample_closed_forms():
     worst = 0.0
     for p in (0.0, 0.25, 0.5, 0.9):
         model = counterexample_model(p)
-        mc = enumerate_sub_distribution(model, model.vocabulary, model.horizon, MC)
-        sc = enumerate_sub_distribution(model, model.vocabulary, model.horizon, SCOPE)
+        mc = enumerate_sub_distribution(model, MC)
+        sc = enumerate_sub_distribution(model, SCOPE)
         worst = max(
             worst,
             abs(sc.variance() - mc.variance() - (1.0 - p) / 16.0),
@@ -207,8 +207,7 @@ def test_mc_statistical_contract():
     for i in range(20):
         chain = random_chain(ChainSpec(5, 0.75, 12, seed=MC_CONTRACT_SEED_BASE + i))
         p = exact_outcome_probability(chain)
-        report = estimate(chain, chain.vocabulary, chain.horizon, MC, n,
-                          seed=MC_CONTRACT_SEED_BASE + i)
+        report = estimate(chain, MC, n, seed=MC_CONTRACT_SEED_BASE + i)
         # exact Bernoulli standard error: at p near 1 a sample may hold no
         # miss at all, and its sample standard error is then 0
         worst_z = max(worst_z, abs(report.mean - p) / np.sqrt(p * (1.0 - p) / n))

@@ -150,6 +150,15 @@ class TestDistributionCommand:
         assert out.returncode == 0
         assert out_path.read_text().splitlines()[0] == "kind,bin_low,bin_high,count"
 
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        out_path = tmp_path / "h.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["distribution", "--n-estimates", "50", "--samples", "5",
+                      "--format", "json", "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestCohortCommand:
     def test_small_cohort_runs(self, tmp_path):

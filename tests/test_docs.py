@@ -1,0 +1,31 @@
+"""The README's library tour and the first demo run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    truth, mean, std_error = (float(x) for x in out.stdout.split())
+    assert abs(mean - truth) <= 4 * std_error
+
+
+def test_estimator_tour_demo_runs():
+    out = run_python("demos/01_estimator_tour.py")
+    assert out.returncode == 0, out.stderr
+    assert "shared-pool estimates" in out.stdout

@@ -128,13 +128,13 @@ class TestEstimate:
     def test_certain_outcome_any_n(self):
         m = MarkovModel.step_mode([[0.0, 1.0], [0.0, 1.0]], 0, 1, 5)
         for n in (1, 7):
-            rep = estimate(m, m.vocabulary, m.horizon, MC, n, seed=0)
+            rep = estimate(m, MC, n, seed=0)
             assert rep.mean == 1.0 and rep.sample_variance == 0.0
 
     def test_reach_deterministic_backbone(self):
         h, steps = 0.3, 6
         m = MarkovModel.step_mode([[1.0 - h, h], [0.0, 1.0]], 0, 1, steps)
-        rep = estimate(m, m.vocabulary, m.horizon, REACH, 25, seed=1)
+        rep = estimate(m, REACH, 25, seed=1)
         expected = 1.0
         for _ in range(steps):
             expected *= 1.0 - h
@@ -145,42 +145,53 @@ class TestEstimate:
     def test_n_zero_rejected(self):
         m = make_random_model(0)
         with pytest.raises(ValueError):
-            estimate(m, m.vocabulary, m.horizon, MC, 0, seed=0)
+            estimate(m, MC, 0, seed=0)
 
     def test_seed_determinism(self):
         m = make_random_model(5)
-        a = estimate(m, m.vocabulary, m.horizon, REACH, 50, seed=3)
-        b = estimate(m, m.vocabulary, m.horizon, REACH, 50, seed=3)
+        a = estimate(m, REACH, 50, seed=3)
+        b = estimate(m, REACH, 50, seed=3)
         assert a == b
 
     def test_mc_matches_oracle_at_large_n(self):
         m = make_random_model(21)
         p = exact_outcome_probability(m)
-        rep = estimate(m, m.vocabulary, m.horizon, MC, 20_000, seed=4)
+        rep = estimate(m, MC, 20_000, seed=4)
         assert abs(rep.mean - p) <= 4.0 * max(rep.std_error, 1e-9)
+
+    def test_non_markov_values_are_read_in_order_from_one_stream(self):
+        m = counterexample_model(0.3)
+        seed, n = 12, 300
+        for kind, sub in ((MC, mc_sub), (SCOPE, scope_sub), (REACH, reach_sub)):
+            rep = estimate(m, kind, n, seed=seed)
+            rng = trajectory_stream(seed)
+            expected = [sub(sample_trajectory(m, m.vocabulary, m.horizon,
+                                              required_mode(kind), rng))
+                        for _ in range(n)]
+            assert list(rep.sub_values) == expected
 
     def test_sub_value_ranges(self):
         m = make_random_model(13)
         for kind in (MC, REACH):
-            rep = estimate(m, m.vocabulary, m.horizon, kind, 200, seed=5)
+            rep = estimate(m, kind, 200, seed=5)
             assert all(0.0 <= v <= 1.0 for v in rep.sub_values)
-        rep = estimate(m, m.vocabulary, m.horizon, SCOPE, 200, seed=5)
+        rep = estimate(m, SCOPE, 200, seed=5)
         assert all(v >= 0.0 for v in rep.sub_values)
 
 
 class TestPairedEstimates:
     def test_no_outcome_model(self):
         m = MarkovModel.step_mode([[1.0, 0.0], [0.0, 1.0]], 0, 1, 4)
-        mc_rep, scope_rep = paired_estimates(m, m.vocabulary, m.horizon, 20, seed=0)
+        mc_rep, scope_rep = paired_estimates(m, 20, seed=0)
         assert mc_rep.mean == 0.0 and scope_rep.mean == 0.0
 
     def test_shared_pool_values_are_per_trajectory(self):
         m = counterexample_model(0.3)
         seed, n = 11, 300
-        mc_rep, scope_rep = paired_estimates(m, m.vocabulary, m.horizon, n, seed=seed)
+        mc_rep, scope_rep = paired_estimates(m, n, seed=seed)
+        rng = trajectory_stream(seed)
         for i in range(n):
-            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD,
-                                  trajectory_stream(seed, i))
+            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng)
             assert mc_rep.sub_values[i] == mc_sub(t)
             assert scope_rep.sub_values[i] == scope_sub(t)
 
@@ -188,6 +199,6 @@ class TestPairedEstimates:
         p = 0.3
         m = counterexample_model(p)
         truth = (7.0 / 8.0) * (1.0 - p)
-        mc_rep, scope_rep = paired_estimates(m, m.vocabulary, m.horizon, 30_000, seed=8)
+        mc_rep, scope_rep = paired_estimates(m, 30_000, seed=8)
         assert abs(mc_rep.mean - truth) <= 4.0 * mc_rep.std_error
         assert abs(scope_rep.mean - truth) <= 4.0 * scope_rep.std_error

@@ -109,7 +109,7 @@ class TestBatchSampler:
         for vals in (mc_v, scope_v, reach_v):
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - p) <= 4.5 * max(se, 1e-12)
-        rep = estimate(chain, chain.vocabulary, chain.horizon, REACH, 2_000, seed=9)
+        rep = estimate(chain, REACH, 2_000, seed=9)
         pooled = np.hypot(rep.std_error, reach_v.std(ddof=1) / np.sqrt(reach_v.size))
         assert abs(rep.mean - reach_v.mean()) <= 4.5 * max(pooled, 1e-12)
 
@@ -204,6 +204,9 @@ class TestDistributionExperiment:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "kind,bin_low,bin_high,count"
         assert len(lines) == 1 + 3 * 10
+        # the edges read back as numbers, whatever the numpy scalar repr
+        for kind, lo, hi, count in (line.split(",") for line in lines[1:]):
+            assert float(lo) < float(hi) and int(count) >= 0
 
 
 class TestAuroc:

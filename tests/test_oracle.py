@@ -103,7 +103,7 @@ class TestValueDistribution:
 class TestEnumeration:
     def test_counterexample_mc_atoms(self):
         p = 0.25
-        d = enumerate_sub_distribution(*_ce(p), MC)
+        d = enumerate_sub_distribution(counterexample_model(p), MC)
         atoms = dict(d.atoms)
         assert set(atoms) == {0.0, 1.0}
         assert abs(atoms[1.0] - 7.0 / 8.0 * (1.0 - p)) <= 1e-15
@@ -111,13 +111,13 @@ class TestEnumeration:
 
     def test_counterexample_scope_second_moment(self):
         for p in (0.0, 0.5):
-            d = enumerate_sub_distribution(*_ce(p), SCOPE)
+            d = enumerate_sub_distribution(counterexample_model(p), SCOPE)
             assert abs(d.second_moment() - 15.0 / 16.0 * (1.0 - p)) <= 1e-15
 
     def test_reach_variance_never_exceeds_mc(self):
         for seed in range(25):
             m = make_random_model(seed)
-            dists = {k: enumerate_sub_distribution(m, m.vocabulary, m.horizon, k)
+            dists = {k: enumerate_sub_distribution(m, k)
                      for k in KINDS}
             assert dists[REACH].variance() <= dists[MC].variance() + 1e-12
             assert dists[REACH].variance() <= dists[SCOPE].variance() + 1e-12
@@ -127,14 +127,14 @@ class TestEnumeration:
             m = make_random_model(seed)
             p = exact_outcome_probability(m)
             for kind in KINDS:
-                d = enumerate_sub_distribution(m, m.vocabulary, m.horizon, kind)
+                d = enumerate_sub_distribution(m, kind)
                 assert abs(d.mean() - p) <= 1e-10
 
     def test_mc_variance_is_bernoulli(self):
         for seed in range(10):
             m = make_random_model(seed)
             p = exact_outcome_probability(m)
-            d = enumerate_sub_distribution(m, m.vocabulary, m.horizon, MC)
+            d = enumerate_sub_distribution(m, MC)
             assert abs(d.variance() - p * (1.0 - p)) <= 1e-12
 
     def test_size_guard(self):
@@ -142,25 +142,20 @@ class TestEnumeration:
         t = rng.dirichlet(np.ones(10), size=10)
         m = MarkovModel.step_mode(t, 0, 9, 10)
         with pytest.raises(InstanceTooLargeError):
-            enumerate_sub_distribution(m, m.vocabulary, m.horizon, MC)
+            enumerate_sub_distribution(m, MC)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            enumerate_sub_distribution(*_ce(0.5), "other")
+            enumerate_sub_distribution(counterexample_model(0.5), "other")
 
     def test_degenerate_branch_enumerates_to_one(self):
         # from state 1 the outcome takes all mass; excluded paths reaching it
         # contribute survival-complement exactly 1
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 4)
-        d = enumerate_sub_distribution(m, m.vocabulary, m.horizon, REACH)
+        d = enumerate_sub_distribution(m, REACH)
         assert d.atoms == ((1.0, 1.0),)
         assert abs(d.mean() - exact_outcome_probability(m)) <= 1e-12
-
-
-def _ce(p):
-    m = counterexample_model(p)
-    return m, m.vocabulary, m.horizon
 
 
 class TestCounterexampleModel:
@@ -169,24 +164,24 @@ class TestCounterexampleModel:
             counterexample_model(1.5)
 
     def test_p_one_outcome_impossible(self):
-        d = enumerate_sub_distribution(*_ce(1.0), MC)
+        d = enumerate_sub_distribution(counterexample_model(1.0), MC)
         assert d.mean() == 0.0
 
     def test_p_zero_probability(self):
-        d = enumerate_sub_distribution(*_ce(0.0), MC)
+        d = enumerate_sub_distribution(counterexample_model(0.0), MC)
         assert abs(d.mean() - 7.0 / 8.0) <= 1e-15
 
     def test_variance_gap_closed_form(self):
         for p in (0.0, 0.3, 0.6, 0.99):
-            mc = enumerate_sub_distribution(*_ce(p), MC)
-            sc = enumerate_sub_distribution(*_ce(p), SCOPE)
+            mc = enumerate_sub_distribution(counterexample_model(p), MC)
+            sc = enumerate_sub_distribution(counterexample_model(p), SCOPE)
             gap = sc.variance() - mc.variance()
             assert abs(gap - (1.0 - p) / 16.0) <= 1e-12
 
     def test_gap_positive_at_vanishing_probability(self):
         p = 0.999
-        mc = enumerate_sub_distribution(*_ce(p), MC)
-        sc = enumerate_sub_distribution(*_ce(p), SCOPE)
+        mc = enumerate_sub_distribution(counterexample_model(p), MC)
+        sc = enumerate_sub_distribution(counterexample_model(p), SCOPE)
         assert mc.mean() < 0.001
         assert sc.variance() > mc.variance()
 
@@ -237,15 +232,15 @@ class TestBijectionCheck:
     def test_random_models_agree(self):
         for seed in range(25):
             m = make_random_model(seed)
-            p_a, p_b = exact_bijection_check(m, m.vocabulary, m.horizon)
+            p_a, p_b = exact_bijection_check(m)
             assert abs(p_a - p_b) < 1e-10
 
     def test_outcome_impossible(self):
         m = MarkovModel.step_mode([[1.0, 0.0], [0.0, 1.0]], 0, 1, 5)
-        assert exact_bijection_check(m, m.vocabulary, m.horizon) == (0.0, 0.0)
+        assert exact_bijection_check(m) == (0.0, 0.0)
 
     def test_counterexample_value(self):
         p = 0.4
-        p_a, p_b = exact_bijection_check(*_ce(p))
+        p_a, p_b = exact_bijection_check(counterexample_model(p))
         truth = 7.0 / 8.0 * (1.0 - p)
         assert abs(p_a - truth) <= 1e-12 and abs(p_b - truth) <= 1e-12

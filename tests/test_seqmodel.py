@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from seqrisk import (
+    KINDS,
     OUTCOME_EXCLUDED,
     STANDARD,
     DegenerateHazardError,
@@ -21,7 +22,11 @@ from seqrisk import (
     Trajectory,
     Vocabulary,
     counterexample_model,
+    enumerate_sub_distribution,
+    estimate,
+    exact_bijection_check,
     next_distribution,
+    paired_estimates,
     mc_sub,
     reach_sub,
     restricted_distribution,
@@ -158,13 +163,10 @@ class TestRestrictedDistribution:
             assert np.all(out >= 0.0)
 
 
-def reference_sample(model, mode, seed, index):
+def reference_sample(model, mode, rng):
     """Straight-line sampler written directly against the documented
-    semantics: one Philox stream per (seed, index), one uniform per drawn
-    token, inverse CDF with the final cumulative entry forced to 1."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+    semantics: one uniform per drawn token read from ``rng`` and nothing
+    more, inverse CDF with the final cumulative entry forced to 1."""
     vocab, horizon = model.vocabulary, model.horizon
     tokens, hazards = [], []
     elapsed = 0.0
@@ -218,11 +220,13 @@ class TestSampleTrajectory:
         m = MarkovModel.step_mode(rows, 0, 2, 4)
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in (3, 17, 99):
-                for index in range(40):
-                    got = sample_trajectory(
-                        m, m.vocabulary, m.horizon, mode, trajectory_stream(seed, index)
-                    )
-                    tokens, hazards, hit, degenerate = reference_sample(m, mode, seed, index)
+                # each sampler reads 40 trajectories in order from its own
+                # copy of the stream, so one that drew a uniform it did not
+                # use would fall out of step with the other
+                rng, ref_rng = trajectory_stream(seed), trajectory_stream(seed)
+                for _ in range(40):
+                    got = sample_trajectory(m, m.vocabulary, m.horizon, mode, rng)
+                    tokens, hazards, hit, degenerate = reference_sample(m, mode, ref_rng)
                     assert got.tokens == tuple(tokens)
                     assert got.hazards == tuple(hazards)
                     assert got.hit_index == hit
@@ -233,22 +237,22 @@ class TestSampleTrajectory:
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(30):
                 traj = sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                         trajectory_stream(seed, 0))
+                                         trajectory_stream(seed))
                 batch = sample_markov_batch(m, m.vocabulary, m.horizon, mode, 1,
                                             trajectory_stream(seed))
                 assert_batch_matches(batch, traj)
 
     def test_seed_determinism(self):
         m = make_random_model(3)
-        a = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11, 4))
-        b = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11, 4))
+        a = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11))
+        b = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11))
         assert a == b
 
     def test_outcome_excluded_never_contains_outcome(self):
         for seed in range(30):
             m = make_random_model(seed)
             t = sample_trajectory(
-                m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED, trajectory_stream(seed, 1)
+                m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED, trajectory_stream(seed)
             )
             assert m.outcome_state not in t.tokens
             assert t.hit_index is None
@@ -265,7 +269,7 @@ class TestSampleTrajectory:
             m = make_random_model(seed)
             for mode in (STANDARD, OUTCOME_EXCLUDED):
                 t = sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                      trajectory_stream(seed, 2))
+                                      trajectory_stream(seed))
                 assert t.end_index <= m.horizon.max_steps
                 assert t.end_index == len(t.hazards)
                 assert all(0.0 <= h <= 1.0 for h in t.hazards)
@@ -314,9 +318,9 @@ class TestSampleTrajectory:
         n = 100_000
         first_hits = 0
         second = {0: [0, 0], 1: [0, 0]}  # state after step 1 -> [count, hits]
-        for i in range(n):
-            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD,
-                                  trajectory_stream(424242, i))
+        rng = trajectory_stream(424242)
+        for _ in range(n):
+            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng)
             if t.hit_index == 0:
                 first_hits += 1
             else:
@@ -359,7 +363,7 @@ class TestSampleMarkovBatch:
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(40):
                 traj = sample_trajectory(m, vocab, m.horizon, mode,
-                                         trajectory_stream(seed, 0))
+                                         trajectory_stream(seed))
                 assert all(h in (0.3, 0.6, 0.2) for h in traj.hazards)
                 batch = sample_markov_batch(m, vocab, m.horizon, mode, 1,
                                             trajectory_stream(seed))
@@ -375,7 +379,7 @@ class TestSampleMarkovBatch:
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
     def test_single_trajectory_matches_reference(self, case, seed):
         m, vocab, horizon, mode = case
-        traj = sample_trajectory(m, vocab, horizon, mode, trajectory_stream(seed, 0))
+        traj = sample_trajectory(m, vocab, horizon, mode, trajectory_stream(seed))
         batch = sample_markov_batch(m, vocab, horizon, mode, 1, trajectory_stream(seed))
         assert_batch_matches(batch, traj)
 
@@ -454,15 +458,56 @@ class TestValidate:
 
     def test_non_finite_entries_named(self):
         rows = np.array([[np.nan, 1.0], [0.0, 1.0], [np.inf, 0.0]])
-        out = validate(rows)
-        assert [v.split(" = ")[0] for v in out] == ["row 0 entry 0", "row 2 entry 0"]
-        assert all(v.endswith("outside [0, 1]") for v in out)
+        assert validate(rows) == ["row 0 entry 0 = nan outside [0, 1]",
+                                  "row 2 entry 0 = inf outside [0, 1]"]
 
     def test_range_violation(self):
         rows = np.array([[1.1, -0.1], [0.0, 1.0]])
         with pytest.raises(ModelValidationError) as err:
             MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
         assert any("outside [0, 1]" in v for v in err.value.violations)
+
+
+class FixedRowModel:
+    """Model without a transition matrix whose next-token vector is always
+    ``row``, over a vocabulary of ``size`` tokens (outcome 2)."""
+
+    def __init__(self, row, size=None):
+        self.row = np.asarray(row, dtype=float)
+        self.vocabulary = Vocabulary(size=size or self.row.size, outcome=2)
+        self.horizon = HorizonPolicy(max_steps=3)
+
+    def next_distribution(self, prefix):
+        return self.row
+
+
+BAD_ROWS = {
+    "half_mass": ([0.25, 0.125, 0.125], None, "sums to 0.5, expected 1"),
+    "nan": ([np.nan, 0.5, 0.5], None, "entry 0 = nan outside [0, 1]"),
+    "short": ([0.25, 0.25, 0.5], 4, "shape (3,), expected (4,)"),
+}
+
+
+class TestNonMarkovDistributionsChecked:
+    @pytest.mark.parametrize("row,size,message", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_samplers_and_oracles_reject(self, row, size, message):
+        m = FixedRowModel(row, size)
+        calls = [lambda mode=mode: sample_trajectory(m, m.vocabulary, m.horizon, mode,
+                                                     trajectory_stream(0))
+                 for mode in (STANDARD, OUTCOME_EXCLUDED)]
+        calls += [lambda kind=kind: estimate(m, kind, 20, seed=0) for kind in KINDS]
+        calls += [lambda kind=kind: enumerate_sub_distribution(m, kind) for kind in KINDS]
+        calls += [lambda: paired_estimates(m, 20, seed=0), lambda: exact_bijection_check(m)]
+        for call in calls:
+            with pytest.raises(ModelValidationError) as err:
+                call()
+            assert err.value.violations == [f"next_distribution([]): {message}"]
+
+    def test_helpers_reject_non_finite_entries(self):
+        with pytest.raises(ValueError, match="invalid probability vector"):
+            next_distribution(FixedRowModel([np.nan, 0.5, 0.5]), [])
+        with pytest.raises(ValueError, match="not a valid probability vector"):
+            restricted_distribution(np.array([np.nan, 0.5, 0.5]), 2)
 
 
 class TestSerialization:
@@ -481,10 +526,10 @@ class TestSerialization:
 
     def test_trajectory_jsonl_round_trip(self, tmp_path):
         m = make_random_model(4)
+        rng = trajectory_stream(100)
         trajs = [
-            sample_trajectory(m, m.vocabulary, m.horizon, STANDARD,
-                              trajectory_stream(100, i), seed=100)
-            for i in range(5)
+            sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng, seed=100)
+            for _ in range(5)
         ]
         path = tmp_path / "trajs.jsonl"
         write_jsonl(trajs, path)
