@@ -7,7 +7,9 @@ files named by ``--out``, written atomically (temp file + rename) and
 accompanied by a ``<out>.manifest.json`` recording the configuration,
 seed, artifact checksums, the wall-clock duration of the whole command,
 the seqrisk and numpy versions, and the peak resident set size of the
-process.
+process.  A ``cohort`` manifest adds ``stage_seconds``: the seconds spent
+calibrating, sampling, in the AUROC bootstrap, in the summary metrics and
+writing the artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 4 infeasible experiment point, 5 I/O failure.
@@ -73,7 +75,7 @@ class _Artifacts:
         self.files[path.name] = hashlib.sha256(text.encode()).hexdigest()
         print(f"wrote {path}", file=sys.stderr)
 
-    def finish(self, out: Path) -> None:
+    def finish(self, out: Path, stage_seconds=None) -> None:
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -85,6 +87,8 @@ class _Artifacts:
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
+        if stage_seconds:
+            manifest["stage_seconds"] = stage_seconds
         out = Path(out)
         path = out.with_name(out.name + ".manifest.json")
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -159,6 +163,9 @@ def _default_sweep(args):
 
 
 def _write_table(args, table, *, svg_kw=None) -> None:
+    """Write the table's artifacts; a table that timed its stages gets them,
+    plus ``write``, in the manifest's ``stage_seconds``."""
+    started = time.perf_counter()
     out = Path(args.out)
     art = _Artifacts(args)
     if args.format == "json":
@@ -167,7 +174,10 @@ def _write_table(args, table, *, svg_kw=None) -> None:
         art.write_text(out, table.to_csv_text())
         if args.format == "svg" and svg_kw:
             art.write_text(out.with_suffix(".svg"), table_plot(table, **svg_kw))
-    art.finish(out)
+    stages = dict(table.stage_seconds)
+    if stages:
+        stages["write"] = time.perf_counter() - started
+    art.finish(out, stages)
 
 
 def _cmd_sweep(args) -> int:

@@ -9,24 +9,34 @@ way a prediction study would: AUROC against labels drawn from the exact
 per-patient probability, bootstrapped over timeline resamples, plus Brier
 scores, calibration curves, and sample-count equivalence ratios.
 
-Sweeps, repeated-estimate histograms and cohorts sample each chain with
-:func:`seqrisk.seqmodel.sample_markov_batch`, one stage stream per batch;
-results are reproducible bit-for-bit from ``(spec, seed)``.  Default sweep
-parameters: 11-state chains, 20-step horizon, 10,000 replications,
-probability grid 0.05..0.95 (step 0.05), spontaneity grid 0.1..1.0 (step
-0.1).
+Sweeps and repeated-estimate histograms sample each chain with
+:func:`seqrisk.seqmodel.sample_markov_batch`, one stage stream per batch.
+A cohort is one stack of chains: one bisection calibrates all of them and
+one stacked sampler call per mode draws every patient's timelines, each
+patient from its own stage streams, so every patient's numbers are those
+it gets alone.  Results are reproducible bit-for-bit from
+``(spec, seed)``.  Default sweep parameters: 11-state chains, 20-step
+horizon, 10,000 replications, probability grid 0.05..0.95 (step 0.05),
+spontaneity grid 0.1..1.0 (step 0.1).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+import time
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, InstanceTooLargeError, UndefinedMetricError
+from .errors import (
+    CalibrationError,
+    InstanceTooLargeError,
+    ModelValidationError,
+    UndefinedMetricError,
+)
 from .estimators import KINDS, MC, REACH, SCOPE
 from .oracle import (
     enumerate_sub_distribution,
@@ -34,7 +44,16 @@ from .oracle import (
     outcome_probability_dp,
 )
 from .rng import as_generator, substream
-from .seqmodel import OUTCOME_EXCLUDED, STANDARD, MarkovModel, sample_markov_batch
+from .seqmodel import (
+    OUTCOME_EXCLUDED,
+    STANDARD,
+    HorizonPolicy,
+    MarkovModel,
+    Vocabulary,
+    _sample_stack,
+    sample_markov_batch,
+    validate,
+)
 
 DEFAULT_CHAIN_STATES = 11
 DEFAULT_HORIZON_STEPS = 20
@@ -85,8 +104,14 @@ class ChainSpec:
             )
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
-        if self.target_probability is not None and not 0.0 <= self.target_probability <= 1.0:
-            raise ValueError("target_probability must lie in [0, 1]")
+        target = self.target_probability
+        if target is not None:
+            if isinstance(target, bool) or not isinstance(target, numbers.Real):
+                raise ValueError(
+                    f"target_probability must be a number or null, got {target!r}"
+                )
+            if not 0.0 <= target <= 1.0:
+                raise ValueError("target_probability must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return {
@@ -191,9 +216,15 @@ def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
 
 @dataclass(frozen=True)
 class ExperimentTable:
-    """Ordered collection of :class:`MetricRow` with CSV/JSON serialization."""
+    """Ordered collection of :class:`MetricRow` with CSV/JSON serialization.
+
+    ``stage_seconds`` maps each stage that built the table to its wall-clock
+    seconds, when the function that built it times its stages; it is not
+    serialized.
+    """
 
     rows: tuple
+    stage_seconds: Mapping = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -269,13 +300,86 @@ class ExperimentTable:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_chain(m, outcome, W, hazard_weights, theta) -> np.ndarray:
-    t = np.zeros((m + 1, m + 1))
-    haz = theta * hazard_weights
-    t[:m, outcome] = haz
-    t[:m, :m] = (1.0 - haz)[:, None] * W
-    t[outcome, outcome] = 1.0
+def _assemble_chain(W, hazard_weights, theta) -> np.ndarray:
+    """Chains from their parts, stacked over the leading axes of ``theta``.
+
+    Non-outcome state ``s`` moves to the outcome (the last state) with
+    ``theta * hazard_weights[s]`` and spreads the rest by ``W[s]``.
+    """
+    m = W.shape[-1]
+    t = np.zeros(W.shape[:-2] + (m + 1, m + 1))
+    haz = np.asarray(theta)[..., None] * hazard_weights
+    t[..., :m, m] = haz
+    t[..., :m, :m] = (1.0 - haz)[..., None] * W
+    t[..., m, m] = 1.0
     return t
+
+
+def _chain_parts(spec: ChainSpec, gen) -> tuple:
+    """Row weights ``W`` and hazard weights of a chain, drawn from ``gen``."""
+    m = spec.n_states - 1
+    k = int(round(spec.spontaneity * m))
+    if spec.equal_transitions:
+        W = np.full((m, m), 1.0 / m)
+        raw = np.ones(k)
+    else:
+        W = gen.dirichlet(np.ones(m), size=m)
+        W /= W.sum(axis=1, keepdims=True)
+        raw = gen.uniform(0.2, 1.0, size=k)
+    hazard_weights = np.zeros(m)
+    hazard_weights[:k] = raw
+    return W, hazard_weights
+
+
+def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
+    """Transition stack with chain ``i`` calibrated onto ``targets[i]``.
+
+    Chain ``i`` has the shape of ``spec`` with parts drawn from ``gens[i]``;
+    its hazard scale ``theta`` is bisected on ``(0, theta_max]`` until the
+    exact outcome probability lies within 1e-6 of the target, or falls
+    back to ``theta_max`` after 200 halvings.  All chains bisect together,
+    each on its own interval until it stops, so every chain follows the
+    ``theta`` sequence it follows alone.  An infeasible or stalled chain
+    raises :class:`CalibrationError`, for the lowest-numbered one.
+    """
+    m = spec.n_states - 1
+    steps = spec.horizon_steps
+    parts = [_chain_parts(spec, gen) for gen in gens]
+    W = np.stack([w for w, _ in parts])
+    weights = np.stack([h for _, h in parts])
+    targets = np.asarray(targets, dtype=float)
+    theta_max = 1.0 / weights.max(axis=1)
+    p_max = outcome_probability_dp(_assemble_chain(W, weights, theta_max), 0, m, steps)
+    infeasible = ~((0.0 < targets) & (targets <= p_max + 1e-9))
+    lo, hi, theta = np.zeros_like(theta_max), theta_max, theta_max
+    running = ~infeasible
+    for _ in range(200):
+        if not running.any():
+            break
+        # a chain that stopped keeps lo and hi, so it keeps its theta
+        theta = 0.5 * (lo + hi)
+        p_mid = outcome_probability_dp(_assemble_chain(W, weights, theta), 0, m, steps)
+        running &= np.abs(p_mid - targets) > 1e-6
+        below = p_mid < targets
+        lo = np.where(running & below, theta, lo)
+        hi = np.where(running & ~below, theta, hi)
+    theta = np.where(running, theta_max, theta)
+    transitions = _assemble_chain(W, weights, theta)
+    achieved = outcome_probability_dp(transitions, 0, m, steps)
+    failed = np.flatnonzero(infeasible | (np.abs(achieved - targets) > 1e-6))
+    if failed.size:
+        i = failed[0]
+        target, top = float(targets[i]), float(p_max[i])
+        if infeasible[i]:
+            raise CalibrationError(
+                f"target probability {target} outside achievable (0, {top:.12g}]",
+                achievable=(0.0, top),
+            )
+        raise CalibrationError(
+            f"bisection stalled at {float(achieved[i])}, target {target}",
+            achievable=(0.0, top),
+        )
+    return transitions
 
 
 def random_chain(spec: ChainSpec, rng=None) -> MarkovModel:
@@ -287,67 +391,13 @@ def random_chain(spec: ChainSpec, rng=None) -> MarkovModel:
     :class:`CalibrationError` naming the achievable interval.
     """
     gen = as_generator(rng, spec.seed, 0, 0)
-    m = spec.n_states - 1
-    outcome = m
-    k = int(round(spec.spontaneity * m))
-    if spec.equal_transitions:
-        W = np.full((m, m), 1.0 / m)
-        raw = np.ones(k)
-    else:
-        W = gen.dirichlet(np.ones(m), size=m)
-        W /= W.sum(axis=1, keepdims=True)
-        raw = gen.uniform(0.2, 1.0, size=k)
-    hazard_weights = np.zeros(m)
-    hazard_weights[:k] = raw
-    theta_max = 1.0 / raw.max()
-
     if spec.target_probability is None:
-        theta = gen.uniform(0.05, 0.9) * theta_max
+        W, weights = _chain_parts(spec, gen)
+        theta = gen.uniform(0.05, 0.9) * (1.0 / weights.max())
+        transition = _assemble_chain(W, weights, theta)
     else:
-        target = spec.target_probability
-        p_max = outcome_probability_dp(
-            _assemble_chain(m, outcome, W, hazard_weights, theta_max),
-            0,
-            outcome,
-            spec.horizon_steps,
-        )
-        if not 0.0 < target <= p_max + 1e-9:
-            raise CalibrationError(
-                f"target probability {target} outside achievable (0, {p_max:.12g}]",
-                achievable=(0.0, p_max),
-            )
-        lo, hi = 0.0, theta_max
-        theta = theta_max
-        p_mid = p_max
-        for _ in range(200):
-            theta = 0.5 * (lo + hi)
-            p_mid = outcome_probability_dp(
-                _assemble_chain(m, outcome, W, hazard_weights, theta),
-                0,
-                outcome,
-                spec.horizon_steps,
-            )
-            if abs(p_mid - target) <= 1e-6:
-                break
-            if p_mid < target:
-                lo = theta
-            else:
-                hi = theta
-        else:
-            if abs(p_mid - target) > 1e-6:
-                theta = theta_max
-        transition = _assemble_chain(m, outcome, W, hazard_weights, theta)
-        model = MarkovModel.step_mode(transition, 0, outcome, spec.horizon_steps)
-        achieved = exact_outcome_probability(model)
-        if abs(achieved - target) > 1e-6:
-            raise CalibrationError(
-                f"bisection stalled at {achieved}, target {target}",
-                achievable=(0.0, p_max),
-            )
-        return model
-
-    transition = _assemble_chain(m, outcome, W, hazard_weights, theta)
-    return MarkovModel.step_mode(transition, 0, outcome, spec.horizon_steps)
+        (transition,) = _calibrated_chains(spec, [spec.target_probability], [gen])
+    return MarkovModel.step_mode(transition, 0, spec.n_states - 1, spec.horizon_steps)
 
 
 def spontaneity(model: MarkovModel) -> float:
@@ -706,12 +756,25 @@ def equivalence_ratio(
 # ---------------------------------------------------------------------------
 
 
+class _StageClock:
+    """Wall-clock seconds of consecutive stages, each closed by :meth:`lap`."""
+
+    def __init__(self):
+        self.seconds: dict = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
 def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> ExperimentTable:
     """Score a synthetic cohort with all three estimators and evaluate.
 
-    Per patient: calibrate a chain to a drawn target risk, draw one label
-    from the exact outcome probability, and sample ``n_timelines`` standard
-    trajectories (shared by MC and SCOPE) plus ``n_timelines``
+    Every patient gets a chain calibrated to a drawn target risk, one label
+    drawn from the exact outcome probability, ``n_timelines`` standard
+    trajectories (shared by MC and SCOPE) and ``n_timelines``
     outcome-excluded trajectories (REACH).  AUROC is computed at every
     sample count ``1..n_timelines`` by resampling each patient's pool with
     replacement, ``bootstrap_rounds`` times; equivalence ratios compare
@@ -719,32 +782,56 @@ def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> Experimen
     curves are reported at each estimator's equivalence sample count (SCOPE
     scores are clipped to [0, 1] for those two metrics only, with the clip
     count reported).
+
+    The whole cohort runs as one stack: one bisection calibrates every
+    chain, and one sampler call per mode draws every pool, patient ``i``
+    from its own streams ``substream(seed, 6 | 7 | 8, i)``, so the table is
+    the one patient-by-patient runs give.  The table's ``stage_seconds``
+    times the stages ``calibrate``, ``sample``, ``bootstrap`` (the AUROC
+    rounds) and ``summary`` (equivalence, Brier, calibration).
     """
+    clock = _StageClock()
     seed = spec.seed if rng is None else int(rng)
     tpl = spec.chain_template
-    n_pat, pool_n, rounds = spec.n_patients, spec.n_timelines, spec.bootstrap_rounds
+    n_pat, pool_n = spec.n_patients, spec.n_timelines
     a, b = spec.risk_beta
     lo, hi = spec.risk_range
+    m, steps = tpl.n_states - 1, tpl.horizon_steps
 
     targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
-    p_exact = np.empty(n_pat)
-    pools = {
-        MC: np.empty((n_pat, pool_n)),
-        SCOPE: np.empty((n_pat, pool_n)),
-        REACH: np.empty((n_pat, pool_n)),
-    }
-    for i in range(n_pat):
-        chain = random_chain(
-            replace(tpl, target_probability=float(targets[i])),
-            rng=substream(seed, 6, i),
-        )
-        p_exact[i] = exact_outcome_probability(chain)
-        for kind, v in _sample_pools(
-            chain, pool_n, substream(seed, 7, i), substream(seed, 8, i)
-        ).items():
-            pools[kind][i] = v
+    transitions = _calibrated_chains(
+        tpl, targets, [substream(seed, 6, i) for i in range(n_pat)]
+    )
+    violations = validate(transitions)
+    if violations:
+        raise ModelValidationError(violations)
+    p_exact = outcome_probability_dp(transitions, 0, m, steps)
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
+    clock.lap("calibrate")
 
+    vocab = Vocabulary.unit_steps(tpl.n_states, m)
+    horizon = HorizonPolicy(max_steps=steps, time_limit=float(steps))
+    mc_v, scope_v = _sample_stack(
+        transitions, 0, vocab, horizon, STANDARD, pool_n,
+        [substream(seed, 7, i) for i in range(n_pat)],
+    )
+    (reach_v,) = _sample_stack(
+        transitions, 0, vocab, horizon, OUTCOME_EXCLUDED, pool_n,
+        [substream(seed, 8, i) for i in range(n_pat)],
+    )
+    clock.lap("sample")
+    rows = _cohort_metrics(spec, seed, {MC: mc_v, SCOPE: scope_v, REACH: reach_v},
+                           labels, clock)
+    return ExperimentTable(rows, stage_seconds=clock.seconds)
+
+
+def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> list:
+    """Metric rows of a scored cohort: ``pools[kind]`` is patients x timelines.
+
+    Laps ``clock`` at ``bootstrap`` after the AUROC rounds and at
+    ``summary`` at the end.
+    """
+    n_pat, pool_n, rounds = spec.n_patients, spec.n_timelines, spec.bootstrap_rounds
     denom = np.arange(1, pool_n + 1, dtype=float)
     auc = {k: np.full((pool_n, rounds), np.nan) for k in KINDS}
     dropped = {k: 0 for k in KINDS}
@@ -759,6 +846,7 @@ def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> Experimen
                 auc[kind][:, r] = _auroc_columns(scores, labels)
             except UndefinedMetricError:
                 dropped[kind] += 1
+    clock.lap("bootstrap")
 
     rows: list[MetricRow] = []
     replicate_table: dict = {}
@@ -824,5 +912,5 @@ def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> Experimen
             rows.append(MetricRow(task, kind, m, "cal_mean_score", mean_score, seed=seed))
             rows.append(MetricRow(task, kind, m, "cal_event_rate", event_rate, seed=seed))
             rows.append(MetricRow(task, kind, m, "cal_count", float(count), seed=seed))
-
-    return ExperimentTable(tuple(rows))
+    clock.lap("summary")
+    return rows

@@ -110,7 +110,7 @@ def exact_outcome_probability(model: MarkovModel) -> float:
 
 def outcome_probability_dp(
     transition: np.ndarray, initial_state: int, outcome_state: int, steps: int
-) -> float:
+) -> float | np.ndarray:
     """Outcome probability of a bare transition matrix within ``steps`` steps.
 
     Recursion over remaining steps h:
@@ -118,14 +118,24 @@ def outcome_probability_dp(
     ``p_0 = 0``; the answer is ``p_H(initial)``.  The matrix is not
     validated: chain calibration evaluates candidates before building a
     :class:`MarkovModel`.
+
+    ``transition`` may be a ``(..., S, S)`` stack of matrices sharing the
+    initial and outcome states; the result is then an array of the stack's
+    shape, else a float.  Every matrix is handed to BLAS in the layout a
+    lone matrix has (Fortran order, contiguous vector), so a chain's
+    probability does not depend on the stack it is evaluated in.
     """
-    keep = np.arange(transition.shape[0]) != outcome_state
-    hazard = transition[:, outcome_state]
-    inner = transition[:, keep]
-    p = np.zeros(transition.shape[0])
+    keep = np.arange(transition.shape[-1]) != outcome_state
+    others = np.flatnonzero(keep)
+    hazard = np.ascontiguousarray(transition[..., :, outcome_state, None])
+    inner = np.ascontiguousarray(np.swapaxes(transition, -1, -2)[..., keep, :])
+    inner = np.swapaxes(inner, -1, -2)
+    # p is a column per matrix; take() copies it contiguously, as BLAS needs
+    p = np.zeros(transition.shape[:-1] + (1,))
     for _ in range(steps):
-        p = hazard + inner @ p[keep]
-    return float(min(1.0, p[initial_state]))
+        p = hazard + inner @ p.take(others, axis=-2)
+    p = np.minimum(1.0, p[..., initial_state, 0])
+    return float(p) if transition.ndim == 2 else p
 
 
 def _static_guard(vocab: Vocabulary, horizon: HorizonPolicy) -> None:

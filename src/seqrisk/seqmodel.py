@@ -21,11 +21,15 @@ trajectories drawn one after another from one stream follow each other in
 it without a gap.  :func:`sample_markov_batch` advances a whole batch of
 :class:`MarkovModel` trajectories at once and returns only their
 sub-estimator values; with one trajectory it reproduces the reference on
-the same stream.  Both draw a token by one inverse-CDF rule: the next token
-is the number of cumulative probabilities at or below the uniform ``u``.
-Batches of at least ``_BINS`` rows look that count up in an exact bucket
-table (Chen & Asau's guide table), falling back to the comparison only
-where a cumulative probability lies inside ``u``'s bucket.
+the same stream.  It is the one-chain case of a stacked core that advances
+the trajectories of many chains together, each chain drawing from its own
+stream exactly what it draws alone; the synthetic cohort samples all of
+its patients this way.  Both samplers draw a token by one inverse-CDF
+rule: the next token is the number of cumulative probabilities at or below
+the uniform ``u``.  A single chain's batch of at least ``_BINS`` rows looks
+that count up in an exact bucket table (Chen & Asau's guide table),
+falling back to the comparison only where a cumulative probability lies
+inside ``u``'s bucket.
 
 A :class:`MarkovModel` is validated once, at construction.  The
 distributions of any other model are checked as the reference sampler and
@@ -309,8 +313,9 @@ def read_jsonl(path) -> list:
 
 
 def validate(transition) -> list[str]:
-    """Stochasticity diagnostics of a transition matrix, or of one
-    distribution; empty means ok."""
+    """Stochasticity diagnostics of one distribution, a transition matrix
+    (``row i ...``) or a stack of them (``chain c row i ...``); empty means
+    ok."""
     t = np.asarray(transition, dtype=float)
     # one whole-array check for the common valid case (an empty array has no
     # minimum and goes to the diagnostics); NaN fails every bound
@@ -323,7 +328,8 @@ def validate(transition) -> list[str]:
         return []
     if t.ndim == 1:
         return _violations(t)
-    return [f"row {i} {v}" for i, row in enumerate(t) for v in _violations(row)]
+    label = "row" if t.ndim == 2 else "chain"
+    return [f"{label} {i} {v}" for i, part in enumerate(t) for v in validate(part)]
 
 
 def _violations(dist: np.ndarray) -> list[str]:
@@ -494,18 +500,43 @@ def sample_markov_batch(
     ``(cum[s] <= u).sum()``, as in the reference.  When ``n >= _BINS`` that
     count is read from :func:`_bucket_table` at ``floor(u * _BINS)``; rows
     whose bucket holds a cumulative probability (at most one bucket per
-    token) compare against the whole row instead.
+    token) compare against the row instead.
     Smaller batches always compare: building the table would cost more
-    than it saves.  Both ways give the same token for every ``u``.
+    than it saves.  Both ways give the same token for every ``u``.  This is
+    the one-chain case of :func:`_sample_stack`.
+    """
+    values = _sample_stack(
+        model.transition[None], model.initial_state, vocab, horizon, mode, n, [rng]
+    )
+    return tuple(v[0] for v in values)
+
+
+def _sample_stack(transition, initial_state, vocab, horizon, mode, n, rngs) -> tuple:
+    """Sub-estimator values of ``n`` trajectories of every chain in a stack.
+
+    ``transition`` is a ``(P, S, S)`` stack of row-stochastic matrices that
+    share ``initial_state``, ``vocab`` and ``horizon``; chain ``c`` reads
+    its uniforms from ``rngs[c]`` alone.  Rows ``c * n`` up to
+    ``(c + 1) * n`` are chain ``c``'s trajectories, and each step draws
+    ``rngs[c].random(k)`` for the ``k`` of them still running, chain after
+    chain, so every chain gets exactly the values :func:`sample_markov_batch`
+    gives for it alone on its stream.  Returns ``(P, n)`` arrays in the
+    order of :func:`sample_markov_batch`.
+
+    Per-step temporaries stay at one entry per row for any ``S``: the
+    comparison runs one column of the cumulative rows at a time.  Only a
+    single chain of at least ``_BINS`` rows builds the bucket table; a
+    stack's table would take ``P * S * _BINS`` entries.
     """
     _check_mode(mode)
-    if vocab.size != model.n_states:
+    n_chains, size = transition.shape[0], transition.shape[-1]
+    if vocab.size != size:
         raise ValueError("vocabulary size does not match the model")
-    t = model.transition
     o = vocab.outcome
-    hazard = t[:, o].copy()
+    # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
+    hazard = transition[:, :, o].ravel()
     # tokens after which a trajectory stops, whatever the time or step count
-    stop_after = np.zeros(vocab.size, dtype=bool)
+    stop_after = np.zeros(size, dtype=bool)
     stop_after[list(vocab.terminal)] = True
     times = vocab.time_map
     if np.all(times == 1.0):
@@ -513,50 +544,67 @@ def sample_markov_batch(
         steps, limit = effective_steps(vocab, horizon), None
     else:
         steps, limit = horizon.max_steps, horizon.time_limit
-    elapsed = np.zeros(n) if limit is not None else None
-    states = np.full(n, model.initial_state, dtype=np.intp)
-    alive = np.ones(n, dtype=bool)
+    rows = n_chains * n
+    elapsed = np.zeros(rows) if limit is not None else None
+    states = np.full(rows, initial_state, dtype=np.intp)
+    alive = np.ones(rows, dtype=bool)
+    # offset of each row's chain in the flat tables (a lone chain's states
+    # index them directly), and each chain's first row
+    offset = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
+    first_rows = np.arange(n_chains + 1) * n
     excluded = mode == OUTCOME_EXCLUDED
     if excluded:
         degenerate = hazard >= DEGENERATE_HAZARD
-        restricted = t / np.where(degenerate, 1.0, 1.0 - hazard)[:, None]
-        restricted[:, o] = 0.0
-        cum = np.cumsum(restricted, axis=1)
+        scale = np.where(degenerate, 1.0, 1.0 - hazard).reshape(n_chains, size, 1)
+        restricted = transition / scale
+        restricted[..., o] = 0.0
+        cum = np.cumsum(restricted, axis=-1).reshape(-1, size)
         cum[~degenerate, -1] = 1.0
         keep = 1.0 - hazard
-        surv = np.ones(n)
+        surv = np.ones(rows)
     else:
         stop_after[o] = True
-        cum = np.cumsum(t, axis=1)
+        cum = np.cumsum(transition, axis=-1).reshape(-1, size)
         cum[:, -1] = 1.0
-        hsum = np.zeros(n)
-    table = _bucket_table(cum) if n >= _BINS else None
+        hsum = np.zeros(rows)
+    table = _bucket_table(cum) if n_chains == 1 and n >= _BINS else None
     for _ in range(steps):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
         st = states[idx]
+        row = st if offset is None else offset[idx] + st
         if excluded:
-            dead = degenerate[st]
+            dead = degenerate[row]
             if dead.any():
                 surv[idx[dead]] = 0.0
                 alive[idx[dead]] = False
-                idx = idx[~dead]
-                st = states[idx]
+                live = ~dead
+                idx, st, row = idx[live], st[live], row[live]
             if idx.size == 0:
                 continue
-            surv[idx] *= keep[st]
+            surv[idx] *= keep[row]
         else:
-            hsum[idx] += hazard[st]
-        u = rng.random(idx.size)
+            hsum[idx] += hazard[row]
+        u = np.empty(idx.size)
+        bounds = np.searchsorted(idx, first_rows).tolist()
+        for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+            if hi > lo:
+                rng.random(out=u[lo:hi])
         if table is None:
-            nxt = (cum[st] <= u[:, None]).sum(axis=1)
+            # (cum[row] <= u).sum() a column at a time keeps the temporaries at
+            # one entry per row; the last column, 1 in every row that draws,
+            # never counts
+            nxt = np.zeros(idx.size, dtype=np.intp)
+            for column in cum.T[:-1]:
+                nxt += column[row] <= u
         else:
             key = (u * _BINS).astype(np.intp)
             key += st * _BINS
             nxt = table[key]
             split = np.flatnonzero(nxt < 0)
             if split.size:
+                # about S / _BINS of the rows: gathering their whole rows is cheap
                 nxt[split] = (cum[st[split]] <= u[split, None]).sum(axis=1)
         states[idx] = nxt
         stop = stop_after[nxt]
@@ -565,11 +613,12 @@ def sample_markov_batch(
             stop |= elapsed[idx] > limit
         alive[idx[stop]] = False
         # free the per-row temporaries before the next step allocates its own
-        del st, u, nxt, stop
+        del st, row, u, nxt, stop
+    shape = (n_chains, n)
     if excluded:
-        return (1.0 - surv,)
+        return ((1.0 - surv).reshape(shape),)
     # every trajectory drew a token, and one ending on the outcome stopped there
-    return (states == o).astype(float), hsum
+    return (states == o).astype(float).reshape(shape), hsum.reshape(shape)
 
 
 def _bucket_table(cum: np.ndarray) -> np.ndarray:

@@ -89,6 +89,16 @@ class TestEstimateCommand:
                       "--n", "10", "--seed", "2")
         assert out.returncode == 4
 
+    @pytest.mark.parametrize("target", ["0.3", True])
+    def test_non_numeric_target_exit_2(self, tmp_path, capsys, target):
+        spec = {**ChainSpec(4, 1.0, 5).to_dict(), "target_probability": target}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["estimate", "--spec", str(path), "--kind", "mc",
+                         "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"target_probability must be a number or null, got {target!r}" in err
+
     def test_requires_model_or_spec(self):
         out = run_cli("estimate", "--kind", "mc", "--n", "10")
         assert out.returncode == 2
@@ -185,6 +195,17 @@ class TestCohortCommand:
         manifest = json.loads((tmp_path / "cohort.csv.manifest.json").read_text())
         assert manifest["duration_seconds"] >= 0.2
         assert "started" not in manifest["config"]
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        out_path = tmp_path / "cohort.csv"
+        assert cli.main(["cohort", "--patients", "30", "--timelines", "6",
+                         "--rounds", "3", "--states", "4", "--horizon", "5",
+                         "--seed", "9", "--format", "svg", "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "cohort.csv.manifest.json").read_text())
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"calibrate", "sample", "bootstrap", "summary", "write"}
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) <= manifest["duration_seconds"]
 
 
 def test_import_leaves_scipy_unloaded():

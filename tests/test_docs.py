@@ -1,4 +1,4 @@
-"""The README's library tour and the first demo run as written."""
+"""The README's library tour and the demos that run in seconds work as written."""
 
 import os
 import re
@@ -29,3 +29,10 @@ def test_estimator_tour_demo_runs():
     out = run_python("demos/01_estimator_tour.py")
     assert out.returncode == 0, out.stderr
     assert "shared-pool estimates" in out.stdout
+
+
+def test_cohort_demo_runs():
+    out = run_python("demos/04_cohort_evaluation.py")
+    assert out.returncode == 0, out.stderr
+    matched = [line for line in out.stdout.splitlines() if "matches it with" in line]
+    assert [line.split(":")[0].strip() for line in matched] == ["scope", "reach"]

@@ -1,5 +1,7 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,14 @@ from seqrisk import (
     validate,
     variance_sweep,
 )
-from seqrisk.experiments import MetricRow, _auroc_columns, _equivalence
+from seqrisk.experiments import (
+    MetricRow,
+    _auroc_columns,
+    _calibrated_chains,
+    _cohort_metrics,
+    _equivalence,
+    _StageClock,
+)
 from seqrisk.rng import substream
 
 
@@ -83,6 +92,31 @@ class TestRandomChain:
         block = chain.transition[:-1, :-1]
         # uniform residual mass over non-outcome states
         assert np.allclose(block, block[0, 0])
+
+
+class TestCalibratedStack:
+    @pytest.mark.parametrize("shape", [(6, 1.0, 12), (6, 0.6, 12), (11, 0.5, 20)])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_each_chain_is_random_chain_bit_for_bit(self, shape, equal):
+        tpl = ChainSpec(*shape, equal_transitions=equal)
+        targets = substream(4, 5, 0).uniform(0.03, 0.55, size=40)
+        stack = _calibrated_chains(tpl, targets, [substream(4, 6, i) for i in range(40)])
+        for i, target in enumerate(targets):
+            alone = random_chain(replace(tpl, target_probability=float(target)),
+                                 rng=substream(4, 6, i))
+            assert np.array_equal(stack[i], alone.transition)
+
+    def test_infeasible_target_raises_as_alone_for_the_first_such_chain(self):
+        # a target of 0 is never achievable; random transitions give every
+        # chain its own achievable interval, so the message names the chain
+        tpl = ChainSpec(5, 0.5, 3)
+        targets = [0.1, 0.1, 0.0, 0.1, 0.0]
+        with pytest.raises(CalibrationError) as stacked:
+            _calibrated_chains(tpl, targets, [substream(2, 6, i) for i in range(5)])
+        with pytest.raises(CalibrationError) as alone:
+            random_chain(replace(tpl, target_probability=0.0), rng=substream(2, 6, 2))
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.achievable == alone.value.achievable
 
 
 class TestSpontaneityMeasure:
@@ -412,6 +446,29 @@ class TestExperimentTable:
             table.single(task="t", kind=MC, statistic="variance")
 
 
+def per_patient_cohort_csv(spec):
+    """The cohort table with every patient calibrated and sampled on its own,
+    one ``random_chain`` and two ``sample_markov_batch`` calls each."""
+    seed, tpl = spec.seed, spec.chain_template
+    n_pat, n = spec.n_patients, spec.n_timelines
+    (a, b), (lo, hi) = spec.risk_beta, spec.risk_range
+    targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
+    p_exact = np.empty(n_pat)
+    pools = {kind: np.empty((n_pat, n)) for kind in (MC, SCOPE, REACH)}
+    for i in range(n_pat):
+        chain = random_chain(replace(tpl, target_probability=float(targets[i])),
+                             rng=substream(seed, 6, i))
+        p_exact[i] = exact_outcome_probability(chain)
+        vocab, horizon = chain.vocabulary, chain.horizon
+        pools[MC][i], pools[SCOPE][i] = sample_markov_batch(
+            chain, vocab, horizon, STANDARD, n, substream(seed, 7, i))
+        (pools[REACH][i],) = sample_markov_batch(
+            chain, vocab, horizon, OUTCOME_EXCLUDED, n, substream(seed, 8, i))
+    labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
+    rows = _cohort_metrics(spec, seed, pools, labels, _StageClock())
+    return ExperimentTable(rows).to_csv_text()
+
+
 @pytest.fixture(scope="module")
 def small_cohort():
     spec = CohortSpec(
@@ -444,6 +501,17 @@ class TestSyntheticCohort:
             assert table.rows_where(kind=kind, statistic="brier")
             assert table.rows_where(kind=kind, statistic="cal_event_rate")
         assert table.rows_where(kind=SCOPE, statistic="n_clipped")
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_equals_patient_by_patient_reference(self, equal):
+        spec = CohortSpec(
+            n_patients=60,
+            chain_template=ChainSpec(5, 0.75, 8, equal_transitions=equal),
+            n_timelines=12,
+            bootstrap_rounds=6,
+            seed=31,
+        )
+        assert synthetic_cohort_eval(spec).to_csv_text() == per_patient_cohort_csv(spec)
 
     def test_reproducible(self, small_cohort):
         spec, table = small_cohort

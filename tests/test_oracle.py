@@ -18,7 +18,7 @@ from seqrisk import (
     exact_outcome_probability,
 )
 
-from seqrisk.oracle import _binomial_pmf, _binomial_sf
+from seqrisk.oracle import _binomial_pmf, _binomial_sf, outcome_probability_dp
 
 from conftest import make_random_model
 
@@ -40,6 +40,16 @@ def branch_coin_chain(p):
     t[heads, heads] = 1.0
     t[done, done] = 1.0
     return MarkovModel.step_mode(t, start, heads, 4)
+
+
+def matrix_vector_dp(transition, initial_state, outcome_state, steps):
+    """The outcome-probability recursion on one matrix, one product a step."""
+    keep = np.arange(transition.shape[0]) != outcome_state
+    hazard, inner = transition[:, outcome_state], transition[:, keep]
+    p = np.zeros(transition.shape[0])
+    for _ in range(steps):
+        p = hazard + inner @ p[keep]
+    return float(min(1.0, p[initial_state]))
 
 
 class TestExactOutcomeProbability:
@@ -68,6 +78,22 @@ class TestExactOutcomeProbability:
                 for h in range(1, 8)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
+
+    def test_stack_matches_each_matrix_alone_bit_for_bit(self):
+        # a stack's matrices reach BLAS in the layout a lone matrix has, so no
+        # chain's probability depends on the stack (or sub-stack) it is in,
+        # and a lone matrix gets the bits of the plain matrix-vector loop
+        rng = np.random.default_rng(11)
+        for n_states in (2, 3, 4, 6, 11, 20):
+            for outcome in sorted({0, n_states // 2, n_states - 1}):
+                stack = rng.dirichlet(np.ones(n_states), size=(40, n_states))
+                alone = [outcome_probability_dp(t, 1, outcome, 12) for t in stack]
+                assert alone == [matrix_vector_dp(t, 1, outcome, 12) for t in stack]
+                assert outcome_probability_dp(stack, 1, outcome, 12).tolist() == alone
+                assert outcome_probability_dp(stack[::3], 1, outcome, 12).tolist() == alone[::3]
+                grid = outcome_probability_dp(
+                    stack.reshape(4, 10, n_states, n_states), 1, outcome, 12)
+                assert grid.ravel().tolist() == alone
 
     def test_invalid_model_rejected(self):
         from seqrisk import HorizonPolicy, ModelValidationError

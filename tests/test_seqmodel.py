@@ -37,6 +37,7 @@ from seqrisk import (
     validate,
 )
 from seqrisk import seqmodel
+from seqrisk.rng import substream
 from seqrisk.seqmodel import read_jsonl, write_jsonl
 
 from conftest import make_random_model
@@ -48,23 +49,46 @@ def random_case(draw):
     rows, terminal sets, and token times that include zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_states = draw(st.integers(2, 5))
-    unit_times = draw(st.booleans())
-    max_steps = draw(st.integers(1, 8))
-    time_limit = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0, 6.0]))
-    mode = draw(st.sampled_from([STANDARD, OUTCOME_EXCLUDED]))
+    vocab, horizon, mode = draw(random_rules(rng, n_states))
+    m = MarkovModel.step_mode(random_rows(rng, n_states), int(rng.integers(n_states)),
+                              int(rng.integers(n_states)), horizon.max_steps)
+    return m, vocab, horizon, mode
+
+
+@st.composite
+def random_stack(draw):
+    """One to five random chains over one vocabulary, horizon and initial
+    state, as the stacked sampler takes them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states = draw(st.integers(2, 6))
+    n_chains = draw(st.integers(1, 5))
+    vocab, horizon, mode = draw(random_rules(rng, n_states))
+    stack = np.stack([random_rows(rng, n_states) for _ in range(n_chains)])
+    return stack, int(rng.integers(n_states)), vocab, horizon, mode
+
+
+def random_rows(rng, n_states):
+    """Row-stochastic matrix with zeros, one-hot rows and degenerate ones."""
     rows = rng.dirichlet(np.ones(n_states), size=n_states)
     rows[rng.random(rows.shape) < 0.3] = 0.0
     for s in np.nonzero(rows.sum(axis=1) == 0.0)[0]:
         rows[s, rng.integers(n_states)] = 1.0  # one-hot rows, degenerate ones too
-    rows /= rows.sum(axis=1, keepdims=True)
-    m = MarkovModel.step_mode(rows, int(rng.integers(n_states)),
-                              int(rng.integers(n_states)), max_steps)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def random_rules(draw, rng, n_states):
+    """Vocabulary (terminal set, token times that include zero), horizon and mode."""
+    unit_times = draw(st.booleans())
+    max_steps = draw(st.integers(1, 8))
+    time_limit = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0, 6.0]))
+    mode = draw(st.sampled_from([STANDARD, OUTCOME_EXCLUDED]))
     terminal = frozenset(int(t) for t in np.nonzero(rng.random(n_states) < 0.25)[0])
     times = np.ones(n_states) if unit_times else rng.choice(
         [0.0, 0.5, 1.0, 1.5], size=n_states)
     vocab = Vocabulary(size=n_states, outcome=int(rng.integers(n_states)),
                        terminal=terminal, time_map=times)
-    return m, vocab, HorizonPolicy(max_steps=max_steps, time_limit=time_limit), mode
+    return vocab, HorizonPolicy(max_steps=max_steps, time_limit=time_limit), mode
 
 
 def chain(rows, initial=0, outcome=None, steps=5):
@@ -398,6 +422,25 @@ class TestSampleMarkovBatch:
         for other in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=random_stack(),
+           n=st.one_of(st.integers(1, 40), st.just(seqmodel._BINS + 1)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_rows_equal_each_chain_alone(self, case, n, seed):
+        # each chain reads only its own stream, so its rows of the stack are
+        # exactly its batch alone; alone, n > _BINS uses the bucket table
+        stack, initial, vocab, horizon, mode = case
+        values = seqmodel._sample_stack(
+            stack, initial, vocab, horizon, mode, n,
+            [substream(seed, 30, c) for c in range(len(stack))])
+        for c, rows in enumerate(stack):
+            chain = MarkovModel.step_mode(rows, initial, vocab.outcome, horizon.max_steps)
+            alone = sample_markov_batch(chain, vocab, horizon, mode, n,
+                                        substream(seed, 30, c))
+            assert len(values) == len(alone)
+            for got, want in zip(values, alone):
+                assert np.array_equal(got[c], want)
+
 
 def _cum(row):
     """Cumulative row as the batch sampler builds it: last entry forced to 1."""
@@ -460,6 +503,12 @@ class TestValidate:
         rows = np.array([[np.nan, 1.0], [0.0, 1.0], [np.inf, 0.0]])
         assert validate(rows) == ["row 0 entry 0 = nan outside [0, 1]",
                                   "row 2 entry 0 = inf outside [0, 1]"]
+
+    def test_stack_diagnostics_name_the_chain(self):
+        stack = np.array([np.eye(2), [[0.5, 0.4], [np.nan, 1.0]], np.eye(2)])
+        assert validate(stack) == ["chain 1 row 0 sums to 0.9, expected 1",
+                                   "chain 1 row 1 entry 0 = nan outside [0, 1]"]
+        assert validate(np.stack([np.eye(3)] * 4)) == []
 
     def test_range_violation(self):
         rows = np.array([[1.1, -0.1], [0.0, 1.0]])
