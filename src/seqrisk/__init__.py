@@ -11,7 +11,6 @@ the package.
 
 from .errors import (
     CalibrationError,
-    DegenerateHazardError,
     InstanceTooLargeError,
     ModeMismatchError,
     ModelValidationError,
@@ -64,8 +63,6 @@ from .seqmodel import (
     SequenceModel,
     Trajectory,
     Vocabulary,
-    next_distribution,
-    restricted_distribution,
     sample_markov_batch,
     sample_trajectory,
     validate,

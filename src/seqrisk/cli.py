@@ -141,25 +141,12 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _default_sweep(args):
-    seed = args.seed
-    if args.axis == "probability":
-        spec = experiments.ChainSpec(
-            experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
-            seed=seed, equal_transitions=True,
-        )
-        return spec, list(experiments.PROBABILITY_GRID), experiments.DEFAULT_REPLICATIONS
-    if args.axis == "spontaneity":
-        spec = experiments.ChainSpec(
-            experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
-            seed=seed, target_probability=0.5, equal_transitions=True,
-        )
-        return spec, list(experiments.SPONTANEITY_GRID), experiments.DEFAULT_REPLICATIONS
-    spec = experiments.ChainSpec(
-        experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
-        seed=seed, target_probability=0.5, equal_transitions=True,
-    )
-    return spec, list(experiments.SAMPLE_COUNT_GRID), experiments.SAMPLE_COUNT_REPLICATIONS
+#: grid and replications of each sweep axis when no option sets them
+_SWEEP_DEFAULTS = {
+    "probability": (experiments.PROBABILITY_GRID, experiments.DEFAULT_REPLICATIONS),
+    "spontaneity": (experiments.SPONTANEITY_GRID, experiments.DEFAULT_REPLICATIONS),
+    "sample_count": (experiments.SAMPLE_COUNT_GRID, experiments.SAMPLE_COUNT_REPLICATIONS),
+}
 
 
 def _write_table(args, table, *, svg_kw=None) -> None:
@@ -183,14 +170,16 @@ def _write_table(args, table, *, svg_kw=None) -> None:
 def _cmd_sweep(args) -> int:
     if args.spec:
         base = _load_chain_spec(args.spec, args.seed)
-        grid = _parse_grid(args.grid) if args.grid else _default_sweep(args)[1]
-        replications = args.replications or experiments.DEFAULT_REPLICATIONS
     else:
-        base, grid, replications = _default_sweep(args)
-        if args.grid:
-            grid = _parse_grid(args.grid)
-        if args.replications:
-            replications = args.replications
+        # the probability axis calibrates each point to its grid value
+        base = experiments.ChainSpec(
+            experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
+            seed=args.seed, equal_transitions=True,
+            target_probability=None if args.axis == "probability" else 0.5,
+        )
+    grid, replications = _SWEEP_DEFAULTS[args.axis]
+    grid = _parse_grid(args.grid) if args.grid else list(grid)
+    replications = args.replications or replications
     table = experiments.variance_sweep(args.axis, grid, base, replications, args.seed)
     svg_kw = dict(
         task_prefix=f"{args.axis}=", statistic="variance",

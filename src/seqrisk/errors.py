@@ -15,11 +15,6 @@ class ModelValidationError(SeqriskError):
         super().__init__("; ".join(self.violations))
 
 
-class DegenerateHazardError(SeqriskError):
-    """The outcome token holds (essentially) all next-token mass, so the
-    outcome-excluded distribution is undefined."""
-
-
 class ModeMismatchError(SeqriskError):
     """A trajectory was sampled in the wrong mode for the requested sub-estimator."""
 

@@ -12,7 +12,9 @@ outcome token appears before the end of the timeline:
 ``mc`` and ``scope`` read standard-mode trajectories and can share one
 pool; ``reach`` requires outcome-excluded sampling.  Averaging any of them
 over independent trajectories is unbiased; the enumeration oracles in
-:mod:`seqrisk.oracle` verify this exactly on small models.
+:mod:`seqrisk.oracle` verify this exactly on small models.  The
+per-trajectory functions read a :class:`~seqrisk.seqmodel.Trajectory`'s
+``mode``, ``hit_index``, ``hazards`` and ``degenerate`` fields.
 
 :func:`estimate` and :func:`paired_estimates` ask about the model's own
 vocabulary and horizon, and read every trajectory from the one stream
@@ -224,14 +226,14 @@ def _sub_values(model, kinds, n, seed) -> list:
     if len(modes) != 1:
         raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
     mode = modes.pop()
-    vocab, horizon, rng = model.vocabulary, model.horizon, trajectory_stream(seed)
+    rng = trajectory_stream(seed)
     if isinstance(model, MarkovModel):
-        arrays = sample_markov_batch(model, vocab, horizon, mode, n, rng)
+        arrays = sample_markov_batch(model, mode, n, rng)
         pool = dict(zip(_BATCH_KINDS[mode], arrays))
         return [pool[k].tolist() for k in kinds]
     cols = [[] for _ in kinds]
     for _ in range(n):
-        traj = sample_trajectory(model, vocab, horizon, mode, rng, seed=seed)
+        traj = sample_trajectory(model, mode, rng)
         for col, k in zip(cols, kinds):
             col.append(_SUBS[k](traj))
     return cols

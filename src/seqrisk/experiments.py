@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,6 +50,8 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
+    _check_keys,
+    _check_number,
     _sample_stack,
     sample_markov_batch,
     validate,
@@ -94,6 +96,13 @@ class ChainSpec:
     equal_transitions: bool = False
 
     def __post_init__(self):
+        for name in ("n_states", "horizon_steps", "seed"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        _check_number("spontaneity", self.spontaneity)
+        if not isinstance(self.equal_transitions, bool):
+            raise ValueError(
+                f"equal_transitions must be true or false, got {self.equal_transitions!r}"
+            )
         if self.n_states < 2:
             raise ValueError("n_states must be >= 2")
         if not 0.0 < self.spontaneity <= 1.0:
@@ -125,13 +134,14 @@ class ChainSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainSpec":
+        _check_keys(d, [f.name for f in fields(cls)], "chain spec")
         return cls(
-            n_states=int(d["n_states"]),
-            spontaneity=float(d["spontaneity"]),
-            horizon_steps=int(d["horizon_steps"]),
-            seed=int(d.get("seed", 0)),
+            n_states=d["n_states"],
+            spontaneity=d["spontaneity"],
+            horizon_steps=d["horizon_steps"],
+            seed=d.get("seed", 0),
             target_probability=d.get("target_probability"),
-            equal_transitions=bool(d.get("equal_transitions", False)),
+            equal_transitions=d.get("equal_transitions", False),
         )
 
 
@@ -414,11 +424,8 @@ def spontaneity(model: MarkovModel) -> float:
 
 def _sample_pools(chain: MarkovModel, n: int, standard_rng, excluded_rng) -> dict:
     """``n`` sub-values of every kind: MC and SCOPE share the standard batch."""
-    vocab, horizon = chain.vocabulary, chain.horizon
-    mc_v, scope_v = sample_markov_batch(chain, vocab, horizon, STANDARD, n, standard_rng)
-    (reach_v,) = sample_markov_batch(
-        chain, vocab, horizon, OUTCOME_EXCLUDED, n, excluded_rng
-    )
+    mc_v, scope_v = sample_markov_batch(chain, STANDARD, n, standard_rng)
+    (reach_v,) = sample_markov_batch(chain, OUTCOME_EXCLUDED, n, excluded_rng)
     return {MC: mc_v, SCOPE: scope_v, REACH: reach_v}
 
 

@@ -14,17 +14,19 @@ step cap.  In ``outcome_excluded`` mode the outcome token is removed from
 the candidate pool and the remaining mass renormalized; the hazards still
 come from the unrestricted distribution.
 
-Two samplers implement these rules.  :func:`sample_trajectory` builds one
-:class:`Trajectory` at a time from any :class:`SequenceModel`; it is the
-reference.  It reads one uniform per token from the stream it is given, so
-trajectories drawn one after another from one stream follow each other in
-it without a gap.  :func:`sample_markov_batch` advances a whole batch of
-:class:`MarkovModel` trajectories at once and returns only their
-sub-estimator values; with one trajectory it reproduces the reference on
-the same stream.  It is the one-chain case of a stacked core that advances
-the trajectories of many chains together, each chain drawing from its own
-stream exactly what it draws alone; the synthetic cohort samples all of
-its patients this way.  Both samplers draw a token by one inverse-CDF
+Two samplers implement these rules, both on the model's own
+``vocabulary`` and ``horizon``.  :func:`sample_trajectory` builds one
+:class:`Trajectory` (tokens, hazards, outcome position, stop reason) at a
+time from any :class:`SequenceModel`; it is the reference.  It reads one
+uniform per token from the stream it is given, so trajectories drawn one
+after another from one stream follow each other in it without a gap.
+:func:`sample_markov_batch` advances a whole batch of :class:`MarkovModel`
+trajectories at once and returns only their sub-estimator values; with
+one trajectory it reproduces the reference on the same stream.  It is the
+one-chain case of a stacked core that takes its stop rules explicitly and
+advances the trajectories of many chains together, each chain drawing from
+its own stream exactly what it draws alone; the synthetic cohort samples
+all of its patients this way.  Both samplers draw a token by one inverse-CDF
 rule: the next token is the number of cumulative probabilities at or below
 the uniform ``u``.  A single chain's batch of at least ``_BINS`` rows looks
 that count up in an exact bucket table (Chen & Asau's guide table),
@@ -40,12 +42,13 @@ distribution over the vocabulary raises :class:`ModelValidationError`.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .errors import DegenerateHazardError, ModelValidationError
+from .errors import ModelValidationError
 
 STANDARD = "standard"
 OUTCOME_EXCLUDED = "outcome_excluded"
@@ -67,6 +70,20 @@ _BINS = 1024
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown trajectory mode {mode!r}; expected one of {MODES}")
+
+
+def _check_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise ValueError unless ``value`` is a ``kind`` number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def _check_keys(d: dict, known, what: str) -> None:
+    """Raise ValueError naming the keys of ``d`` outside ``known``."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +142,13 @@ class HorizonPolicy:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if int(self.max_steps) != self.max_steps or self.max_steps < 1:
+        _check_number("max_steps", self.max_steps, numbers.Integral)
+        if self.max_steps < 1:
             raise ValueError("max_steps must be a positive integer")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise ValueError("time_limit must be >= 0 when set")
+        if self.time_limit is not None:
+            _check_number("time_limit", self.time_limit)
+            if not self.time_limit >= 0:
+                raise ValueError("time_limit must be >= 0 when set")
 
     def to_dict(self) -> dict:
         d = {"max_steps": self.max_steps}
@@ -138,7 +158,8 @@ class HorizonPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HorizonPolicy":
-        return cls(max_steps=int(d["max_steps"]), time_limit=d.get("time_limit"))
+        _check_keys(d, ("max_steps", "time_limit"), "horizon")
+        return cls(max_steps=d["max_steps"], time_limit=d.get("time_limit"))
 
 
 @runtime_checkable
@@ -179,6 +200,7 @@ class MarkovModel:
     _vocab: Vocabulary = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_number("n_states", self.n_states, numbers.Integral)
         t = np.asarray(self.transition, dtype=float)
         if t.shape != (self.n_states, self.n_states):
             raise ValueError(
@@ -186,6 +208,7 @@ class MarkovModel:
             )
         for name in ("initial_state", "outcome_state"):
             v = getattr(self, name)
+            _check_number(name, v, numbers.Integral)
             if not 0 <= v < self.n_states:
                 raise ValueError(f"{name} {v} outside [0, {self.n_states})")
         violations = validate(t)
@@ -236,15 +259,22 @@ class MarkovModel:
     @classmethod
     def from_json(cls, text: str) -> "MarkovModel":
         d = json.loads(text)
-        n = int(d["n_states"])
-        flat = np.asarray(d["transition"], dtype=float)
-        if flat.size != n * n:
-            raise ValueError(f"transition has {flat.size} entries, expected {n * n}")
+        _check_keys(
+            d, ("n_states", "transition", "initial_state", "outcome_state", "horizon"),
+            "model",
+        )
+        n = d["n_states"]
+        _check_number("n_states", n, numbers.Integral)
+        entries = np.asarray(d["transition"], dtype=object).ravel()
+        for x in entries:
+            _check_number("transition entry", x)
+        if entries.size != n * n:
+            raise ValueError(f"transition has {entries.size} entries, expected {n * n}")
         return cls(
             n_states=n,
-            transition=flat.reshape(n, n),
-            initial_state=int(d["initial_state"]),
-            outcome_state=int(d["outcome_state"]),
+            transition=entries.astype(float).reshape(n, n),
+            initial_state=d["initial_state"],
+            outcome_state=d["outcome_state"],
             horizon=HorizonPolicy.from_dict(d["horizon"]),
         )
 
@@ -253,63 +283,22 @@ class MarkovModel:
 class Trajectory:
     """One sampled timeline plus the hazards recorded while generating it.
 
-    ``hazards`` has one entry per generation step; ``end_index`` equals
-    ``len(hazards)``.  When an outcome-excluded sample hits a degenerate
-    hazard, the hazard of the impossible step is still recorded but no
-    token is drawn for it, so ``len(tokens) == end_index - 1`` there and
-    the trajectory is flagged ``degenerate``.
+    ``hazards`` has one entry per generation step, the stopping step
+    included; ``hit_index`` is the position of the outcome token in
+    ``tokens`` (standard mode only) or None.  When an outcome-excluded
+    sample hits a degenerate hazard, the hazard of the impossible step is
+    still recorded but no token is drawn for it, so
+    ``len(tokens) == len(hazards) - 1`` there and the trajectory is flagged
+    ``degenerate``.
     """
 
     tokens: tuple
     hazards: tuple
     hit_index: int | None
-    end_index: int
     mode: str
     elapsed_time: float
     degenerate: bool = False
     stop_reason: str = ""
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "hazards": list(self.hazards),
-            "hit_index": self.hit_index,
-            "end_index": self.end_index,
-            "mode": self.mode,
-            "elapsed_time": self.elapsed_time,
-            "degenerate": self.degenerate,
-            "stop_reason": self.stop_reason,
-            "seed": self.seed,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Trajectory":
-        return cls(
-            tokens=tuple(d["tokens"]),
-            hazards=tuple(d["hazards"]),
-            hit_index=d.get("hit_index"),
-            end_index=int(d["end_index"]),
-            mode=d["mode"],
-            elapsed_time=float(d["elapsed_time"]),
-            degenerate=bool(d.get("degenerate", False)),
-            stop_reason=d.get("stop_reason", ""),
-            seed=d.get("seed"),
-        )
-
-
-def write_jsonl(trajectories, path) -> None:
-    with open(path, "w") as fh:
-        for t in trajectories:
-            fh.write(t.to_json_line() + "\n")
-
-
-def read_jsonl(path) -> list:
-    with open(path) as fh:
-        return [Trajectory.from_dict(json.loads(line)) for line in fh if line.strip()]
 
 
 def validate(transition) -> list[str]:
@@ -361,37 +350,6 @@ def _read_distribution(model, prefix: Sequence[int], size: int) -> np.ndarray:
     return dist
 
 
-def next_distribution(model: SequenceModel, prefix: Sequence[int]) -> np.ndarray:
-    """Next-token distribution for ``prefix``, with pre/post checks."""
-    vocab = model.vocabulary
-    for tok in prefix:
-        if not 0 <= tok < vocab.size:
-            raise ValueError(f"invalid token id {tok} in prefix")
-    try:
-        return _read_distribution(model, prefix, vocab.size)
-    except ModelValidationError as err:
-        raise ValueError(f"model returned an invalid probability vector: {err}") from err
-
-
-def restricted_distribution(dist: np.ndarray, outcome: int) -> np.ndarray:
-    """Remove the outcome token's mass and renormalize the rest.
-
-    Raises :class:`DegenerateHazardError` when the outcome holds essentially
-    all mass, in which case no restricted draw exists.
-    """
-    dist = np.asarray(dist, dtype=float)
-    if validate(dist):
-        raise ValueError("dist is not a valid probability vector")
-    h = float(dist[outcome])
-    if h >= DEGENERATE_HAZARD:
-        raise DegenerateHazardError(
-            f"outcome mass {h} leaves nothing to renormalize"
-        )
-    out = dist / (1.0 - h)
-    out[outcome] = 0.0
-    return out
-
-
 def _stop_reason(vocab, horizon, mode, token, elapsed, n_tokens):
     """Why generation stops after appending ``token``, or None to continue."""
     if mode == STANDARD and token == vocab.outcome:
@@ -405,32 +363,21 @@ def _stop_reason(vocab, horizon, mode, token, elapsed, n_tokens):
     return None
 
 
-def sample_trajectory(
-    model: SequenceModel,
-    vocab: Vocabulary,
-    horizon: HorizonPolicy,
-    mode: str,
-    rng: np.random.Generator,
-    *,
-    seed: int | None = None,
-) -> Trajectory:
+def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator) -> Trajectory:
     """Draw one trajectory, recording the unrestricted hazard at every step.
 
-    Inverse-CDF draws consume exactly one uniform per generated token, in
-    order, and nothing more, so a trajectory is reproducible from the
-    stream that produced it and the next one drawn from that stream starts
-    right after it.  The model's distributions are checked as they are read
-    (:class:`ModelValidationError`).  ``seed`` is carried as metadata only.
-    This is the reference sampler; :func:`sample_markov_batch` reproduces
-    its values for Markov chains without building trajectories.
+    The outcome, terminal tokens, token times and bounds are the model's
+    own ``vocabulary`` and ``horizon``.  Inverse-CDF draws consume exactly
+    one uniform per generated token, in order, and nothing more, so a
+    trajectory is reproducible from the stream that produced it and the
+    next one drawn from that stream starts right after it.  The model's
+    distributions are checked as they are read
+    (:class:`ModelValidationError`).  This is the reference sampler;
+    :func:`sample_markov_batch` reproduces its values for Markov chains
+    without building trajectories.
     """
     _check_mode(mode)
-    if vocab.size != model.vocabulary.size:
-        raise ValueError("vocabulary size does not match the model")
-    return _sample_generic(model, vocab, horizon, mode, rng, seed)
-
-
-def _sample_generic(model, vocab, horizon, mode, rng, seed):
+    vocab, horizon = model.vocabulary, model.horizon
     excluded = mode == OUTCOME_EXCLUDED
     o = vocab.outcome
     times = vocab._time_list
@@ -468,33 +415,26 @@ def _sample_generic(model, vocab, horizon, mode, rng, seed):
         tokens=tuple(prefix),
         hazards=tuple(hazards),
         hit_index=hit,
-        end_index=len(hazards),
         mode=mode,
         elapsed_time=elapsed,
         degenerate=degenerate,
         stop_reason=reason,
-        seed=seed,
     )
 
 
 def sample_markov_batch(
-    model: MarkovModel,
-    vocab: Vocabulary,
-    horizon: HorizonPolicy,
-    mode: str,
-    n: int,
-    rng: np.random.Generator,
+    model: MarkovModel, mode: str, n: int, rng: np.random.Generator
 ) -> tuple:
     """Sub-estimator values of ``n`` chain trajectories drawn from one stream.
 
-    Outcome, terminal tokens, token times and bounds come from ``vocab``
-    and ``horizon``, with the stop rules of :func:`sample_trajectory`.  All
-    trajectories advance together; each step draws ``rng.random(k)`` for
-    the ``k`` still running, in index order, so at ``n = 1`` the draws are
-    those of :func:`sample_trajectory` on the same stream and the values
-    equal its sub-estimators (``scope`` up to rounding: hazards are summed
-    in step order, not with ``fsum``).  Standard mode returns the arrays
-    ``(mc, scope)``, outcome-excluded mode ``(reach,)``.
+    The stop rules are those of :func:`sample_trajectory` on the chain's
+    own ``vocabulary`` and ``horizon``.  All trajectories advance together;
+    each step draws ``rng.random(k)`` for the ``k`` still running, in index
+    order, so at ``n = 1`` the draws are those of :func:`sample_trajectory`
+    on the same stream and the values equal its sub-estimators (``scope``
+    up to rounding: hazards are summed in step order, not with ``fsum``).
+    Standard mode returns the arrays ``(mc, scope)``, outcome-excluded mode
+    ``(reach,)``.
 
     A row in state ``s`` drawing ``u`` moves to token
     ``(cum[s] <= u).sum()``, as in the reference.  When ``n >= _BINS`` that
@@ -506,7 +446,8 @@ def sample_markov_batch(
     the one-chain case of :func:`_sample_stack`.
     """
     values = _sample_stack(
-        model.transition[None], model.initial_state, vocab, horizon, mode, n, [rng]
+        model.transition[None], model.initial_state, model.vocabulary, model.horizon,
+        mode, n, [rng],
     )
     return tuple(v[0] for v in values)
 

@@ -28,6 +28,29 @@ def chain_file(tmp_path):
     return path
 
 
+#: one wrong entry of a chain spec file, and the error it gets
+SPEC_ERRORS = {
+    "string_states": ({"n_states": "5"}, "n_states must be an integer, got '5'"),
+    "bool_spontaneity": ({"spontaneity": True}, "spontaneity must be a number, got True"),
+    "fractional_horizon": ({"horizon_steps": 4.9},
+                           "horizon_steps must be an integer, got 4.9"),
+    "string_flag": ({"equal_transitions": "no"},
+                    "equal_transitions must be true or false, got 'no'"),
+    "misspelled_key": ({"target_probabilty": 0.3},
+                       "unknown chain spec keys ['target_probabilty']"),
+}
+
+#: one wrong entry of a model file, and the error it gets
+MODEL_ERRORS = {
+    "string_time_limit": ({"horizon": {"max_steps": 10, "time_limit": "10"}},
+                          "time_limit must be a number, got '10'"),
+    "fractional_initial_state": ({"initial_state": 0.7},
+                                 "initial_state must be an integer, got 0.7"),
+    "fractional_max_steps": ({"horizon": {"max_steps": 10.9}},
+                             "max_steps must be an integer, got 10.9"),
+}
+
+
 class TestValidateCommand:
     def test_ok(self, chain_file):
         out = run_cli("validate", "--model", str(chain_file))
@@ -47,6 +70,18 @@ class TestValidateCommand:
     def test_missing_file_exit_2(self):
         out = run_cli("validate", "--model", "/nonexistent/chain.json")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("command", [["validate"], ["oracle", "prob"]],
+                             ids=["validate", "oracle_prob"])
+    @pytest.mark.parametrize("entry,message", MODEL_ERRORS.values(), ids=MODEL_ERRORS)
+    def test_mistyped_model_exit_2(self, tmp_path, capsys, command, entry, message):
+        doc = {"n_states": 2, "transition": [0.8, 0.2, 0.0, 1.0],
+               "initial_state": 0, "outcome_state": 1,
+               "horizon": {"max_steps": 10, "time_limit": 10.0}, **entry}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([*command, "--model", str(path)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -99,6 +134,15 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert f"target_probability must be a number or null, got {target!r}" in err
 
+    @pytest.mark.parametrize("entry,message", SPEC_ERRORS.values(), ids=SPEC_ERRORS)
+    def test_mistyped_spec_exit_2(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_states": 5, "spontaneity": 1.0, "horizon_steps": 4,
+                                    **entry}))
+        assert cli.main(["estimate", "--spec", str(path), "--kind", "mc",
+                         "--n", "10"]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
     def test_requires_model_or_spec(self):
         out = run_cli("estimate", "--kind", "mc", "--n", "10")
         assert out.returncode == 2
@@ -150,6 +194,20 @@ class TestSweepCommand:
         assert svg.startswith("<svg")
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"sweep.csv", "sweep.svg"}
+
+    def test_spec_keeps_the_axis_default_replications(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(axis, grid, base, replications, seed):
+            seen.append((axis, grid, replications))
+            return experiments.ExperimentTable([])
+
+        monkeypatch.setattr(experiments, "variance_sweep", record)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ChainSpec(11, 1.0, 20, target_probability=0.5).to_dict()))
+        assert cli.main(["sweep", "--axis", "sample_count", "--spec", str(spec),
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert seen == [("sample_count", list(experiments.SAMPLE_COUNT_GRID), 2_000)]
 
 
 class TestDistributionCommand:

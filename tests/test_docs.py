@@ -25,10 +25,33 @@ def test_readme_library_tour_runs():
     assert abs(mean - truth) <= 4 * std_error
 
 
+def test_readme_model_file_validates(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    doc = re.search(r"Model files are JSON:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "chain.json"
+    path.write_text(doc)
+    out = run_python("-m", "seqrisk", "validate", "--model", str(path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
 def test_estimator_tour_demo_runs():
     out = run_python("demos/01_estimator_tour.py")
     assert out.returncode == 0, out.stderr
     assert "shared-pool estimates" in out.stdout
+
+
+def test_variance_panels_demo_runs():
+    out = run_python("demos/02_variance_panels.py")
+    assert out.returncode == 0, out.stderr
+    assert "(1/n scaling)" in out.stdout
+
+
+def test_exact_oracles_demo_runs():
+    # the README quotes this number for `seqrisk oracle dispersion`
+    out = run_python("demos/03_exact_oracles.py")
+    assert out.returncode == 0, out.stderr
+    assert "outranks a baseline case only 9.43% of the time" in out.stdout
 
 
 def test_cohort_demo_runs():

@@ -33,8 +33,7 @@ from conftest import make_random_model
 
 def traj(mode=STANDARD, tokens=(1, 1), hazards=(0.1, 0.1), hit=None, degenerate=False):
     return Trajectory(tokens=tuple(tokens), hazards=tuple(hazards), hit_index=hit,
-                      end_index=len(hazards), mode=mode, elapsed_time=float(len(tokens)),
-                      degenerate=degenerate)
+                      mode=mode, elapsed_time=float(len(tokens)), degenerate=degenerate)
 
 
 class TestSubEstimators:
@@ -165,8 +164,7 @@ class TestEstimate:
         for kind, sub in ((MC, mc_sub), (SCOPE, scope_sub), (REACH, reach_sub)):
             rep = estimate(m, kind, n, seed=seed)
             rng = trajectory_stream(seed)
-            expected = [sub(sample_trajectory(m, m.vocabulary, m.horizon,
-                                              required_mode(kind), rng))
+            expected = [sub(sample_trajectory(m, required_mode(kind), rng))
                         for _ in range(n)]
             assert list(rep.sub_values) == expected
 
@@ -191,7 +189,7 @@ class TestPairedEstimates:
         mc_rep, scope_rep = paired_estimates(m, n, seed=seed)
         rng = trajectory_stream(seed)
         for i in range(n):
-            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng)
+            t = sample_trajectory(m, STANDARD, rng)
             assert mc_rep.sub_values[i] == mc_sub(t)
             assert scope_rep.sub_values[i] == scope_sub(t)
 

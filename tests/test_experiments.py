@@ -135,10 +135,8 @@ class TestBatchSampler:
     def test_agrees_with_per_trajectory_estimates(self):
         chain = random_chain(ChainSpec(5, 0.75, 10, seed=8, target_probability=0.35))
         p = exact_outcome_probability(chain)
-        vocab, horizon = chain.vocabulary, chain.horizon
-        mc_v, scope_v = sample_markov_batch(chain, vocab, horizon, STANDARD, 40_000,
-                                            substream(1, 20, 0))
-        (reach_v,) = sample_markov_batch(chain, vocab, horizon, OUTCOME_EXCLUDED, 40_000,
+        mc_v, scope_v = sample_markov_batch(chain, STANDARD, 40_000, substream(1, 20, 0))
+        (reach_v,) = sample_markov_batch(chain, OUTCOME_EXCLUDED, 40_000,
                                          substream(1, 20, 1))
         for vals in (mc_v, scope_v, reach_v):
             se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -152,8 +150,7 @@ class TestBatchSampler:
         from seqrisk import MarkovModel
 
         m = MarkovModel.step_mode([[1.0 - h, h], [0.0, 1.0]], 0, 1, steps)
-        (reach_v,) = sample_markov_batch(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED,
-                                         50, substream(2, 20, 2))
+        (reach_v,) = sample_markov_batch(m, OUTCOME_EXCLUDED, 50, substream(2, 20, 2))
         expected = 1.0
         for _ in range(steps):
             expected *= 1.0 - h
@@ -164,8 +161,7 @@ class TestBatchSampler:
 
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 5)
-        (reach_v,) = sample_markov_batch(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED,
-                                         20, substream(3, 20, 3))
+        (reach_v,) = sample_markov_batch(m, OUTCOME_EXCLUDED, 20, substream(3, 20, 3))
         assert np.all(reach_v == 1.0)
 
 
@@ -459,11 +455,10 @@ def per_patient_cohort_csv(spec):
         chain = random_chain(replace(tpl, target_probability=float(targets[i])),
                              rng=substream(seed, 6, i))
         p_exact[i] = exact_outcome_probability(chain)
-        vocab, horizon = chain.vocabulary, chain.horizon
         pools[MC][i], pools[SCOPE][i] = sample_markov_batch(
-            chain, vocab, horizon, STANDARD, n, substream(seed, 7, i))
+            chain, STANDARD, n, substream(seed, 7, i))
         (pools[REACH][i],) = sample_markov_batch(
-            chain, vocab, horizon, OUTCOME_EXCLUDED, n, substream(seed, 8, i))
+            chain, OUTCOME_EXCLUDED, n, substream(seed, 8, i))
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
     rows = _cohort_metrics(spec, seed, pools, labels, _StageClock())
     return ExperimentTable(rows).to_csv_text()

@@ -1,8 +1,9 @@
-"""Model types, restricted distributions, and trajectory sampling."""
+"""Model types, distribution checks, and trajectory sampling."""
 
 import json
 
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from seqrisk import (
     KINDS,
     OUTCOME_EXCLUDED,
     STANDARD,
-    DegenerateHazardError,
     HorizonPolicy,
     MarkovModel,
     ModelValidationError,
@@ -25,11 +25,9 @@ from seqrisk import (
     enumerate_sub_distribution,
     estimate,
     exact_bijection_check,
-    next_distribution,
     paired_estimates,
     mc_sub,
     reach_sub,
-    restricted_distribution,
     sample_markov_batch,
     sample_trajectory,
     scope_sub,
@@ -38,21 +36,43 @@ from seqrisk import (
 )
 from seqrisk import seqmodel
 from seqrisk.rng import substream
-from seqrisk.seqmodel import read_jsonl, write_jsonl
 
 from conftest import make_random_model
 
 
+class RuledChain:
+    """Chain with the stop rules it is given: rows, an initial state, a
+    vocabulary (any outcome token, terminal set and token times) and a
+    horizon.  It is not a :class:`MarkovModel`, so the reference sampler
+    reads and checks its rows like any model's distributions."""
+
+    def __init__(self, rows, initial, vocabulary, horizon):
+        self.rows = np.asarray(rows, dtype=float)
+        self.initial = initial
+        self.vocabulary = vocabulary
+        self.horizon = horizon
+
+    def next_distribution(self, prefix):
+        return self.rows[prefix[-1] if prefix else self.initial]
+
+
+def ruled_batch(m, mode, n, rng):
+    """Batch values of a :class:`RuledChain` from the stacked sampler core,
+    which takes the stop rules explicitly."""
+    values = seqmodel._sample_stack(m.rows[None], m.initial, m.vocabulary, m.horizon,
+                                    mode, n, [rng])
+    return tuple(v[0] for v in values)
+
+
 @st.composite
 def random_case(draw):
-    """Random chain, vocabulary, horizon and mode: one-hot and degenerate
-    rows, terminal sets, and token times that include zero."""
+    """Random chain with its vocabulary and horizon, and a mode: one-hot and
+    degenerate rows, terminal sets, and token times that include zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_states = draw(st.integers(2, 5))
     vocab, horizon, mode = draw(random_rules(rng, n_states))
-    m = MarkovModel.step_mode(random_rows(rng, n_states), int(rng.integers(n_states)),
-                              int(rng.integers(n_states)), horizon.max_steps)
-    return m, vocab, horizon, mode
+    m = RuledChain(random_rows(rng, n_states), int(rng.integers(n_states)), vocab, horizon)
+    return m, mode
 
 
 @st.composite
@@ -133,46 +153,82 @@ class TestHorizonPolicy:
 class TestNextDistribution:
     def test_markov_row(self):
         m = chain([[0.3, 0.7], [0.0, 1.0]], steps=3)
-        assert np.allclose(next_distribution(m, [0]), [0.3, 0.7])
+        assert np.allclose(m.next_distribution([0]), [0.3, 0.7])
 
     def test_empty_prefix_uses_initial_state(self):
         m = chain([[0.3, 0.7], [0.0, 1.0]], initial=0, steps=3)
-        assert np.allclose(next_distribution(m, []), [0.3, 0.7])
+        assert np.allclose(m.next_distribution([]), [0.3, 0.7])
 
     def test_counterexample_first_branch(self):
         m = counterexample_model(0.5)
-        assert np.allclose(next_distribution(m, []), [0.5, 0.5, 0.0, 0.0])
+        dist = seqmodel._read_distribution(m, [], m.vocabulary.size)
+        assert np.allclose(dist, [0.5, 0.5, 0.0, 0.0])
 
     def test_invalid_prefix_token(self):
         m = chain([[0.3, 0.7], [0.0, 1.0]])
         with pytest.raises(ValueError, match="invalid token"):
-            next_distribution(m, [7])
+            m.next_distribution([7])
 
     def test_vectors_are_normalized_on_random_models(self):
         for seed in range(50):
             m = make_random_model(seed)
             prefix = [] if seed % 2 else [seed % m.n_states]
-            dist = next_distribution(m, prefix)
+            dist = seqmodel._read_distribution(m, prefix, m.n_states)
             assert abs(float(dist.sum()) - 1.0) <= 1e-12
             assert np.all(dist >= 0) and np.all(dist <= 1)
 
 
+class ScriptedStream:
+    """Stand-in for a generator whose ``random()`` returns the given
+    uniforms in order (and fails when asked for more)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def one_step_model(row, outcome):
+    """Model whose next-token vector is always ``row``, stopped after one token."""
+    size = len(row)
+    return RuledChain([row] * size, 0, Vocabulary(size=size, outcome=outcome),
+                      HorizonPolicy(max_steps=1))
+
+
+def first_step(row, outcome, mode, uniforms):
+    """One-step trajectories of :func:`one_step_model`, one per uniform."""
+    m = one_step_model(row, outcome)
+    return [sample_trajectory(m, mode, ScriptedStream([u])) for u in uniforms]
+
+
 class TestRestrictedDistribution:
+    """An outcome-excluded draw removes the outcome's mass and renormalizes
+    the rest; the recorded hazard stays unrestricted."""
+
     def test_renormalization(self):
-        out = restricted_distribution(np.array([0.2, 0.3, 0.5]), 0)
-        assert np.allclose(out, [0.0, 0.375, 0.625], atol=1e-15)
+        # restricted vector [0, 0.375, 0.625]: token 1 below u = 0.375
+        us = [0.0, 0.3749, 0.3751, 0.999]
+        trajs = first_step([0.2, 0.3, 0.5], 0, OUTCOME_EXCLUDED, us)
+        assert [t.tokens for t in trajs] == [(1,), (1,), (2,), (2,)]
+        assert all(t.hazards == (0.2,) for t in trajs)
 
     def test_zero_hazard_identity(self):
-        out = restricted_distribution(np.array([0.0, 0.4, 0.6]), 0)
-        assert np.array_equal(out, [0.0, 0.4, 0.6])
+        row, us = [0.0, 0.4, 0.6], np.linspace(0.0, 0.999, 50)
+        excluded = first_step(row, 0, OUTCOME_EXCLUDED, us)
+        standard = first_step(row, 0, STANDARD, us)
+        assert [t.tokens for t in excluded] == [t.tokens for t in standard]
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateHazardError):
-            restricted_distribution(np.array([1.0, 0.0, 0.0]), 0)
+        # the stream holds no uniform: a degenerate step must not draw one
+        m = one_step_model([1.0, 0.0, 0.0], 0)
+        t = sample_trajectory(m, OUTCOME_EXCLUDED, ScriptedStream([]))
+        assert t.degenerate and t.tokens == () and t.hazards == (1.0,)
 
     def test_invalid_vector_rejected(self):
-        with pytest.raises(ValueError):
-            restricted_distribution(np.array([0.5, 0.2]), 0)
+        m = one_step_model([0.5, 0.2], 0)
+        with pytest.raises(ModelValidationError):
+            sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(0))
 
     def test_closure_on_random_vectors(self):
         rng = np.random.default_rng(5)
@@ -181,10 +237,9 @@ class TestRestrictedDistribution:
             o = int(rng.integers(0, dist.size))
             if dist[o] >= 1.0 - 1e-15:
                 continue
-            out = restricted_distribution(dist, o)
-            assert out[o] == 0.0
-            assert abs(float(out.sum()) - 1.0) <= 1e-12
-            assert np.all(out >= 0.0)
+            for t in first_step(dist, o, OUTCOME_EXCLUDED, np.linspace(0.0, 0.999, 20)):
+                (tok,) = t.tokens
+                assert tok != o and dist[tok] > 0.0
 
 
 def reference_sample(model, mode, rng):
@@ -226,14 +281,14 @@ def reference_sample(model, mode, rng):
 class TestSampleTrajectory:
     def test_outcome_impossible(self):
         m = chain([[1.0, 0.0], [0.0, 1.0]], steps=6)
-        t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(1))
+        t = sample_trajectory(m, STANDARD, trajectory_stream(1))
         assert t.hit_index is None
         assert all(h == 0.0 for h in t.hazards)
-        assert t.end_index == 6
+        assert len(t.hazards) == 6
 
     def test_outcome_certain(self):
         m = chain([[0.0, 1.0], [0.0, 1.0]], steps=6)
-        t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(1))
+        t = sample_trajectory(m, STANDARD, trajectory_stream(1))
         assert t.tokens == (1,)
         assert t.hazards == (1.0,)
         assert t.hit_index == 0
@@ -249,7 +304,7 @@ class TestSampleTrajectory:
                 # use would fall out of step with the other
                 rng, ref_rng = trajectory_stream(seed), trajectory_stream(seed)
                 for _ in range(40):
-                    got = sample_trajectory(m, m.vocabulary, m.horizon, mode, rng)
+                    got = sample_trajectory(m, mode, rng)
                     tokens, hazards, hit, degenerate = reference_sample(m, mode, ref_rng)
                     assert got.tokens == tuple(tokens)
                     assert got.hazards == tuple(hazards)
@@ -260,24 +315,20 @@ class TestSampleTrajectory:
         m = make_random_model(12)
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(30):
-                traj = sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                         trajectory_stream(seed))
-                batch = sample_markov_batch(m, m.vocabulary, m.horizon, mode, 1,
-                                            trajectory_stream(seed))
+                traj = sample_trajectory(m, mode, trajectory_stream(seed))
+                batch = sample_markov_batch(m, mode, 1, trajectory_stream(seed))
                 assert_batch_matches(batch, traj)
 
     def test_seed_determinism(self):
         m = make_random_model(3)
-        a = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11))
-        b = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(11))
+        a = sample_trajectory(m, STANDARD, trajectory_stream(11))
+        b = sample_trajectory(m, STANDARD, trajectory_stream(11))
         assert a == b
 
     def test_outcome_excluded_never_contains_outcome(self):
         for seed in range(30):
             m = make_random_model(seed)
-            t = sample_trajectory(
-                m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED, trajectory_stream(seed)
-            )
+            t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(seed))
             assert m.outcome_state not in t.tokens
             assert t.hit_index is None
 
@@ -285,22 +336,20 @@ class TestSampleTrajectory:
         # both modes must record the same hazard at step one (same prefix)
         m = make_random_model(8)
         h0 = float(m.transition[m.initial_state, m.outcome_state])
-        t = sample_trajectory(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED, trajectory_stream(0))
+        t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(0))
         assert t.hazards[0] == h0
 
     def test_end_index_bounded_and_hazards_in_range(self):
         for seed in range(40):
             m = make_random_model(seed)
             for mode in (STANDARD, OUTCOME_EXCLUDED):
-                t = sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                      trajectory_stream(seed))
-                assert t.end_index <= m.horizon.max_steps
-                assert t.end_index == len(t.hazards)
+                t = sample_trajectory(m, mode, trajectory_stream(seed))
+                assert len(t.hazards) <= m.horizon.max_steps
                 assert all(0.0 <= h <= 1.0 for h in t.hazards)
 
     def test_terminal_token_stops_generation(self):
         m = counterexample_model(1.0)  # first token is always the terminal branch
-        t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, trajectory_stream(5))
+        t = sample_trajectory(m, STANDARD, trajectory_stream(5))
         assert t.tokens == (0,)
         assert t.stop_reason == "terminal"
 
@@ -309,12 +358,12 @@ class TestSampleTrajectory:
         # the second token pushes elapsed to 3.0 > 2.0
         class Loop:
             vocabulary = Vocabulary(size=2, outcome=1, time_map=[1.5, 1.5])
+            horizon = HorizonPolicy(max_steps=50, time_limit=2.0)
 
             def next_distribution(self, prefix):
                 return np.array([1.0, 0.0])
 
-        horizon = HorizonPolicy(max_steps=50, time_limit=2.0)
-        t = sample_trajectory(Loop(), Loop.vocabulary, horizon, STANDARD, trajectory_stream(2))
+        t = sample_trajectory(Loop(), STANDARD, trajectory_stream(2))
         assert len(t.tokens) == 2
         assert t.stop_reason == "time_limit"
         assert t.elapsed_time == 3.0
@@ -323,17 +372,17 @@ class TestSampleTrajectory:
         # outcome takes all mass from state 1; exclusion cannot continue there
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 5)
-        t = sample_trajectory(m, m.vocabulary, m.horizon, OUTCOME_EXCLUDED, trajectory_stream(1))
+        t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(1))
         assert t.degenerate
         assert t.stop_reason == "degenerate_hazard"
         assert t.tokens == (1,)
         assert t.hazards == (0.0, 1.0)
-        assert t.end_index == 2
+        assert len(t.hazards) == 2
 
     def test_unknown_mode_rejected(self):
         m = make_random_model(1)
         with pytest.raises(ValueError):
-            sample_trajectory(m, m.vocabulary, m.horizon, "other", trajectory_stream(0))
+            sample_trajectory(m, "other", trajectory_stream(0))
 
     def test_hazard_consistency_chi_square(self):
         # empirical outcome frequency at the first two steps vs recorded hazards
@@ -344,7 +393,7 @@ class TestSampleTrajectory:
         second = {0: [0, 0], 1: [0, 0]}  # state after step 1 -> [count, hits]
         rng = trajectory_stream(424242)
         for _ in range(n):
-            t = sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng)
+            t = sample_trajectory(m, STANDARD, rng)
             if t.hit_index == 0:
                 first_hits += 1
             else:
@@ -380,31 +429,28 @@ class TestSampleMarkovBatch:
     ROWS = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]
 
     def test_outcome_comes_from_the_vocabulary(self):
-        # the chain's own outcome is state 2; the vocabulary names token 1,
-        # so hazards are column 1 and drawing token 1 ends a standard timeline
-        m = MarkovModel.step_mode(self.ROWS, 0, 2, 4)
-        vocab = Vocabulary.unit_steps(3, 1)
+        # the vocabulary names token 1, not the last state: hazards are
+        # column 1 and drawing token 1 ends a standard timeline
+        m = RuledChain(self.ROWS, 0, Vocabulary.unit_steps(3, 1),
+                       HorizonPolicy(max_steps=4, time_limit=4.0))
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(40):
-                traj = sample_trajectory(m, vocab, m.horizon, mode,
-                                         trajectory_stream(seed))
+                traj = sample_trajectory(m, mode, trajectory_stream(seed))
                 assert all(h in (0.3, 0.6, 0.2) for h in traj.hazards)
-                batch = sample_markov_batch(m, vocab, m.horizon, mode, 1,
-                                            trajectory_stream(seed))
+                batch = ruled_batch(m, mode, 1, trajectory_stream(seed))
                 assert_batch_matches(batch, traj)
 
     def test_vocabulary_size_must_match(self):
-        m = MarkovModel.step_mode(self.ROWS, 0, 2, 4)
+        m = RuledChain(self.ROWS, 0, Vocabulary.unit_steps(4, 1), HorizonPolicy(max_steps=4))
         with pytest.raises(ValueError):
-            sample_markov_batch(m, Vocabulary.unit_steps(4, 1), m.horizon,
-                                STANDARD, 1, trajectory_stream(0))
+            ruled_batch(m, STANDARD, 1, trajectory_stream(0))
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
     def test_single_trajectory_matches_reference(self, case, seed):
-        m, vocab, horizon, mode = case
-        traj = sample_trajectory(m, vocab, horizon, mode, trajectory_stream(seed))
-        batch = sample_markov_batch(m, vocab, horizon, mode, 1, trajectory_stream(seed))
+        m, mode = case
+        traj = sample_trajectory(m, mode, trajectory_stream(seed))
+        batch = ruled_batch(m, mode, 1, trajectory_stream(seed))
         assert_batch_matches(batch, traj)
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -412,13 +458,12 @@ class TestSampleMarkovBatch:
     def test_bucket_table_draws_match_comparison(self, case, seed):
         # a batch of 2 * _BINS rows uses the table; with 4 buckets most rows
         # fall back to the comparison, with _BINS above n the table is off
-        m, vocab, horizon, mode = case
+        m, mode = case
         n = 2 * seqmodel._BINS
         runs = []
         for bins in (seqmodel._BINS, 4, 4 * n):
             with mock.patch.object(seqmodel, "_BINS", bins):
-                runs.append(sample_markov_batch(m, vocab, horizon, mode, n,
-                                                trajectory_stream(seed)))
+                runs.append(ruled_batch(m, mode, n, trajectory_stream(seed)))
         for other in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
 
@@ -434,9 +479,8 @@ class TestSampleMarkovBatch:
             stack, initial, vocab, horizon, mode, n,
             [substream(seed, 30, c) for c in range(len(stack))])
         for c, rows in enumerate(stack):
-            chain = MarkovModel.step_mode(rows, initial, vocab.outcome, horizon.max_steps)
-            alone = sample_markov_batch(chain, vocab, horizon, mode, n,
-                                        substream(seed, 30, c))
+            alone = ruled_batch(RuledChain(rows, initial, vocab, horizon), mode, n,
+                                substream(seed, 30, c))
             assert len(values) == len(alone)
             for got, want in zip(values, alone):
                 assert np.array_equal(got[c], want)
@@ -541,8 +585,7 @@ class TestNonMarkovDistributionsChecked:
     @pytest.mark.parametrize("row,size,message", BAD_ROWS.values(), ids=BAD_ROWS)
     def test_samplers_and_oracles_reject(self, row, size, message):
         m = FixedRowModel(row, size)
-        calls = [lambda mode=mode: sample_trajectory(m, m.vocabulary, m.horizon, mode,
-                                                     trajectory_stream(0))
+        calls = [lambda mode=mode: sample_trajectory(m, mode, trajectory_stream(0))
                  for mode in (STANDARD, OUTCOME_EXCLUDED)]
         calls += [lambda kind=kind: estimate(m, kind, 20, seed=0) for kind in KINDS]
         calls += [lambda kind=kind: enumerate_sub_distribution(m, kind) for kind in KINDS]
@@ -553,10 +596,10 @@ class TestNonMarkovDistributionsChecked:
             assert err.value.violations == [f"next_distribution([]): {message}"]
 
     def test_helpers_reject_non_finite_entries(self):
-        with pytest.raises(ValueError, match="invalid probability vector"):
-            next_distribution(FixedRowModel([np.nan, 0.5, 0.5]), [])
-        with pytest.raises(ValueError, match="not a valid probability vector"):
-            restricted_distribution(np.array([np.nan, 0.5, 0.5]), 2)
+        message = r"next_distribution\(\[5\]\): entry 0 = nan"
+        with pytest.raises(ModelValidationError, match=message):
+            seqmodel._read_distribution(FixedRowModel([np.nan, 0.5, 0.5]), [5], 3)
+        assert validate(np.array([0.5, np.inf, 0.5])) == ["entry 1 = inf outside [0, 1]"]
 
 
 class TestSerialization:
@@ -573,20 +616,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             MarkovModel.from_json(json.dumps(doc))
 
-    def test_trajectory_jsonl_round_trip(self, tmp_path):
-        m = make_random_model(4)
-        rng = trajectory_stream(100)
-        trajs = [
-            sample_trajectory(m, m.vocabulary, m.horizon, STANDARD, rng, seed=100)
-            for _ in range(5)
-        ]
-        path = tmp_path / "trajs.jsonl"
-        write_jsonl(trajs, path)
-        assert read_jsonl(path) == trajs
-
     def test_trajectory_dict_fields(self):
         t = Trajectory(tokens=(1, 2), hazards=(0.1, 0.2), hit_index=None,
-                       end_index=2, mode=STANDARD, elapsed_time=2.0,
-                       stop_reason="max_steps", seed=7)
-        d = t.to_dict()
-        assert d["tokens"] == [1, 2] and d["seed"] == 7 and d["mode"] == "standard"
+                       mode=STANDARD, elapsed_time=2.0, stop_reason="max_steps")
+        assert asdict(t) == {"tokens": (1, 2), "hazards": (0.1, 0.2), "hit_index": None,
+                             "mode": "standard", "elapsed_time": 2.0,
+                             "degenerate": False, "stop_reason": "max_steps"}
