@@ -43,16 +43,29 @@ def _load_model(path: str) -> MarkovModel:
     return MarkovModel.from_json(Path(path).read_text())
 
 
-def _load_chain_spec(path: str, seed: int) -> experiments.ChainSpec:
-    spec = experiments.ChainSpec.from_dict(json.loads(Path(path).read_text()))
-    return replace(spec, seed=seed)
+def _chain_spec(args, default=None) -> experiments.ChainSpec:
+    """The chain of the ``--spec`` file, else ``default``.
+
+    ``--seed``, when given, replaces the chain's seed; otherwise the chain
+    keeps its own (a spec file's ``seed``, else 0).  ``args.seed`` becomes
+    the seed used, which the command and its manifest read.
+    """
+    spec = default
+    if args.spec:
+        spec = experiments.ChainSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    args.seed = spec.seed
+    return spec
 
 
 def _resolve_model(args) -> MarkovModel:
-    if getattr(args, "model", None):
+    if args.model:
+        if args.seed is None:
+            args.seed = 0
         return _load_model(args.model)
-    if getattr(args, "spec", None):
-        return experiments.random_chain(_load_chain_spec(args.spec, args.seed))
+    if args.spec:
+        return experiments.random_chain(_chain_spec(args))
     raise ValueError("one of --model / --spec is required")
 
 
@@ -168,15 +181,12 @@ def _write_table(args, table, *, svg_kw=None) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    if args.spec:
-        base = _load_chain_spec(args.spec, args.seed)
-    else:
-        # the probability axis calibrates each point to its grid value
-        base = experiments.ChainSpec(
-            experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
-            seed=args.seed, equal_transitions=True,
-            target_probability=None if args.axis == "probability" else 0.5,
-        )
+    # the probability axis calibrates each point to its grid value
+    base = _chain_spec(args, experiments.ChainSpec(
+        experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
+        equal_transitions=True,
+        target_probability=None if args.axis == "probability" else 0.5,
+    ))
     grid, replications = _SWEEP_DEFAULTS[args.axis]
     grid = _parse_grid(args.grid) if args.grid else list(grid)
     replications = args.replications or replications
@@ -192,13 +202,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    if args.spec:
-        spec = _load_chain_spec(args.spec, args.seed)
-    else:
-        spec = experiments.ChainSpec(
-            experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
-            seed=args.seed, target_probability=0.2, equal_transitions=False,
-        )
+    spec = _chain_spec(args, experiments.ChainSpec(
+        experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
+        target_probability=0.2, equal_transitions=False,
+    ))
     result = experiments.estimate_distribution_experiment(
         spec, args.n_estimates, args.samples, args.seed
     )
@@ -237,8 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # commands that read --spec fall back on the file's seed
+    spec_seed = dict(type=int, default=None,
+                     help="random seed (default: the --spec file's seed, else 0)")
+
     def artifact(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="artifact path")
 
     def table(p):
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--clip", choices=CLIP_POLICIES, default=CLIP_NONE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", **spec_seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 
@@ -278,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--spec", help="base ChainSpec JSON")
     p.add_argument("--replications", type=int)
+    p.add_argument("--seed", **spec_seed)
     table(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -286,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-estimates", type=int, default=10_000, dest="n_estimates")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--seed", **spec_seed)
     artifact(p)
     p.set_defaults(func=_cmd_distribution)
 
@@ -297,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spontaneity", type=float, default=1.0)
     p.add_argument("--horizon", type=int, default=12)
     p.add_argument("--transitions", choices=("equal", "random"), default="equal")
+    p.add_argument("--seed", type=int, default=0)
     table(p)
     p.set_defaults(func=_cmd_cohort)
 

@@ -166,6 +166,21 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_patients", "n_timelines", "bootstrap_rounds",
+                     "calibration_bins", "seed"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        if not isinstance(self.chain_template, ChainSpec):
+            raise ValueError(
+                f"chain_template must be a ChainSpec, got {self.chain_template!r}"
+            )
+        for name in ("risk_beta", "risk_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, Sequence) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair of numbers, got {pair!r}")
+            for x in pair:
+                _check_number(name, x)
+        if not all(0.0 < x < math.inf for x in self.risk_beta):
+            raise ValueError("risk_beta must be two positive finite numbers")
         if self.n_patients < 2:
             raise ValueError("n_patients must be >= 2")
         if self.n_timelines < 1:
@@ -590,38 +605,58 @@ def auroc(scores, labels) -> float:
         raise ValueError("scores and labels must have the same length")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return float(_auroc_columns(scores[:, None], labels)[0])
+    # dense ranks keep every tie (``-0.0 == 0.0`` included) and are >= 0
+    _, ranks = np.unique(scores, return_inverse=True)
+    return float(_auroc_columns(ranks.reshape(-1, 1), labels)[0])
 
 
 def _auroc_columns(score_matrix, labels) -> np.ndarray:
     """AUROC of every column of ``score_matrix`` against shared labels.
 
-    U statistic from average 1-based ranks (Hanley & McNeil, 1982).  Each
-    column is sorted as one contiguous row; a tie group gets the mean of its
-    first and last positions, so the order inside a tie (and with it the
-    sort's stability) does not matter.  Ranks are half-integers, so the
-    rank sums are exact.
+    The exact average-rank U statistic (Hanley & McNeil, 1982), from two
+    sorts of integer keys and no permutation or pass over tie groups.
+
+    Contract: scores are nonnegative; a negative or NaN score raises
+    ValueError.  Adding ``0.0`` turns ``-0.0`` into ``0.0``.
+
+    Keys: each column becomes one contiguous row of ``uint64`` keys
+    ``bits << 1 | label``.  The bit pattern of a nonnegative double read as
+    an unsigned integer increases with its value and has a zero top bit,
+    so the shift cannot overflow and the keys order exactly like the
+    scores, breaking each tie by label.
+
+    Tie orders: the first sort puts the negatives first inside every tie
+    group; the second, with the label bit flipped, puts the positives
+    first.  A tie group at 0-based positions ``f..l`` with ``k`` positives
+    thus gives them position sums ``k*l - k*(k-1)/2`` and
+    ``k*f + k*(k-1)/2``, together ``k * (f + l)``: twice the sum of their
+    average 1-based ranks ``(f + l)/2 + 1``, less ``2 * k``.
+
+    Exactness: with ``ua`` and ``ub`` the positives' int64 position sums
+    in the two sorts, ``U = (ua + ub - n_pos * (n_pos - 1)) / 2`` is an
+    exact half-integer, so ``U / (n_pos * n_neg)`` has the bits of the
+    rank-sum formula.
     """
     pos = labels == 1
+    n = labels.size
     n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both a positive and a negative label")
-    rows = np.ascontiguousarray(score_matrix.T)
-    order = np.argsort(rows, axis=1)
-    ranked = np.take_along_axis(rows, order, axis=1)
-    n = labels.size
-    idx = np.arange(n)
-    new_group = np.ones(ranked.shape, dtype=bool)
-    new_group[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    last_of_group = np.ones(ranked.shape, dtype=bool)
-    last_of_group[:, :-1] = new_group[:, 1:]
-    first = np.maximum.accumulate(np.where(new_group, idx, 0), axis=1)
-    last = np.minimum.accumulate(
-        np.where(last_of_group, idx, n - 1)[:, ::-1], axis=1
-    )[:, ::-1]
-    ranks = (first + last) / 2.0 + 1.0
-    u = (ranks * pos[order]).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    rows = np.add(np.asarray(score_matrix, dtype=float).T, 0.0, order="C")
+    if not (rows >= 0).all():
+        raise ValueError("scores must be nonnegative numbers")
+    keys = rows.view(np.uint64)
+    keys <<= np.uint64(1)  # the top bit of a nonnegative double is 0
+    keys |= pos.astype(np.uint64)
+    at = np.arange(n, dtype=np.int64)
+    keys.sort(axis=1)
+    ua = (keys & np.uint64(1)).view(np.int64) @ at
+    keys ^= np.uint64(1)
+    keys.sort(axis=1)
+    # bit 0 now marks the negatives
+    ub = n * (n - 1) // 2 - (keys & np.uint64(1)).view(np.int64) @ at
+    u = (ua + ub - n_pos * (n_pos - 1)) / 2
     return u / (n_pos * n_neg)
 
 
@@ -840,37 +875,33 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
     """
     n_pat, pool_n, rounds = spec.n_patients, spec.n_timelines, spec.bootstrap_rounds
     denom = np.arange(1, pool_n + 1, dtype=float)
-    auc = {k: np.full((pool_n, rounds), np.nan) for k in KINDS}
-    dropped = {k: 0 for k in KINDS}
-    for r in range(rounds):
+    # every round shares the labels: with one class, no round has an AUROC
+    one_class = labels.min() == labels.max()
+    auc = {k: np.empty((pool_n, rounds)) for k in KINDS}
+    for r in range(0 if one_class else rounds):
         rr = substream(seed, 9, r)
         idx_std = rr.integers(0, pool_n, size=(n_pat, pool_n))
         idx_rea = rr.integers(0, pool_n, size=(n_pat, pool_n))
         for kind in KINDS:
             idx = idx_rea if kind == REACH else idx_std
-            scores = np.take_along_axis(pools[kind], idx, axis=1).cumsum(axis=1) / denom
-            try:
-                auc[kind][:, r] = _auroc_columns(scores, labels)
-            except UndefinedMetricError:
-                dropped[kind] += 1
+            scores = np.take_along_axis(pools[kind], idx, axis=1).cumsum(axis=1)
+            scores /= denom
+            auc[kind][:, r] = _auroc_columns(scores, labels)
     clock.lap("bootstrap")
 
     rows: list[MetricRow] = []
     replicate_table: dict = {}
     for kind in KINDS:
-        for j in range(pool_n):
-            reps = auc[kind][j]
-            reps = reps[~np.isnan(reps)]
-            if reps.size == 0:
-                continue
+        if one_class:
+            rows.append(
+                MetricRow("cohort", kind, 0, "auroc_rounds_dropped", float(rounds),
+                          seed=seed)
+            )
+            continue
+        for j, reps in enumerate(auc[kind]):
             replicate_table[(kind, j + 1)] = reps
             rows.append(
                 _ci_row("cohort", kind, j + 1, "auroc", float(reps.mean()), reps, seed)
-            )
-        if dropped[kind]:
-            rows.append(
-                MetricRow("cohort", kind, 0, "auroc_rounds_dropped",
-                          float(dropped[kind]), seed=seed)
             )
 
     eq_count = {MC: pool_n}

@@ -148,6 +148,47 @@ class TestEstimateCommand:
         assert out.returncode == 2
 
 
+#: a small run of each command that reads --spec
+SPEC_COMMANDS = {
+    "estimate": ["estimate", "--kind", "reach", "--n", "200"],
+    "sweep": ["sweep", "--axis", "sample_count", "--grid", "1,2", "--replications", "50"],
+    "distribution": ["distribution", "--n-estimates", "50", "--samples", "5"],
+}
+
+
+class TestSpecSeed:
+    @pytest.fixture()
+    def specs(self, tmp_path):
+        spec = ChainSpec(4, 1.0, 5, target_probability=0.4).to_dict()
+        del spec["seed"]
+        seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+        seeded.write_text(json.dumps({**spec, "seed": 5}))
+        unseeded.write_text(json.dumps(spec))
+        return seeded, unseeded
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, spec, *seed):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--spec", str(spec), *seed, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        return capsys.readouterr().out + out.read_text(), manifest["seed"]
+
+    @pytest.mark.parametrize("argv", SPEC_COMMANDS.values(), ids=SPEC_COMMANDS)
+    def test_file_seed_is_used(self, tmp_path, capsys, specs, argv):
+        seeded, unseeded = specs
+        from_file = self.run(tmp_path, capsys, argv, seeded)
+        assert from_file == self.run(tmp_path, capsys, argv, unseeded, "--seed", "5")
+        assert from_file[1] == 5
+        assert from_file != self.run(tmp_path, capsys, argv, unseeded)
+
+    @pytest.mark.parametrize("argv", SPEC_COMMANDS.values(), ids=SPEC_COMMANDS)
+    def test_seed_option_overrides_the_file(self, tmp_path, capsys, specs, argv):
+        seeded, unseeded = specs
+        overridden = self.run(tmp_path, capsys, argv, seeded, "--seed", "0")
+        assert overridden == self.run(tmp_path, capsys, argv, unseeded)
+        assert overridden[1] == 0
+
+
 class TestOracleCommands:
     def test_dispersion_reference_value(self):
         out = run_cli("oracle", "dispersion", "--n", "100",

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seqrisk import (
     CalibrationError,
@@ -30,6 +33,7 @@ from seqrisk import (
     validate,
     variance_sweep,
 )
+from seqrisk import experiments
 from seqrisk.experiments import (
     MetricRow,
     _auroc_columns,
@@ -49,6 +53,31 @@ class TestChainSpec:
     def test_round_trip(self):
         spec = ChainSpec(6, 0.5, 10, seed=3, target_probability=0.4)
         assert ChainSpec.from_dict(spec.to_dict()) == spec
+
+
+#: one wrong CohortSpec field, and the error it gets
+COHORT_SPEC_ERRORS = {
+    "fractional_timelines": ({"n_timelines": 10.7}, "n_timelines must be an integer"),
+    "fractional_patients": ({"n_patients": 20.9}, "n_patients must be an integer"),
+    "float_rounds": ({"bootstrap_rounds": 3.0}, "bootstrap_rounds must be an integer"),
+    "bool_bins": ({"calibration_bins": True}, "calibration_bins must be an integer"),
+    "float_seed": ({"seed": 1.5}, "seed must be an integer"),
+    "short_beta": ({"risk_beta": (1.0,)}, "risk_beta must be a pair of numbers"),
+    "string_beta": ({"risk_beta": (1.0, "2")}, "risk_beta must be a number"),
+    "zero_beta": ({"risk_beta": (0.0, 2.0)}, "risk_beta must be two positive"),
+    "string_range": ({"risk_range": ("0.1", 0.5)}, "risk_range must be a number"),
+    "dict_template": ({"chain_template": {"n_states": 4}},
+                      "chain_template must be a ChainSpec"),
+}
+
+
+class TestCohortSpec:
+    @pytest.mark.parametrize("entry,message", COHORT_SPEC_ERRORS.values(),
+                             ids=COHORT_SPEC_ERRORS)
+    def test_mistyped_field_rejected(self, entry, message):
+        fields = {"n_patients": 20, "chain_template": ChainSpec(4, 1.0, 5), **entry}
+        with pytest.raises(ValueError, match=message):
+            CohortSpec(**fields)
 
 
 class TestRandomChain:
@@ -239,6 +268,68 @@ class TestDistributionExperiment:
             assert float(lo) < float(hi) and int(count) >= 0
 
 
+def reference_auroc_columns(score_matrix, labels):
+    """Average-rank AUROC of every column (Hanley & McNeil, 1982), by an
+    argsort per column and passes over the tie groups: a tie group gets the
+    mean of its first and last 1-based positions."""
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    rows = np.ascontiguousarray(score_matrix.T)
+    order = np.argsort(rows, axis=1)
+    ranked = np.take_along_axis(rows, order, axis=1)
+    n = labels.size
+    idx = np.arange(n)
+    new_group = np.ones(ranked.shape, dtype=bool)
+    new_group[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    last_of_group = np.ones(ranked.shape, dtype=bool)
+    last_of_group[:, :-1] = new_group[:, 1:]
+    first = np.maximum.accumulate(np.where(new_group, idx, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(last_of_group, idx, n - 1)[:, ::-1], axis=1
+    )[:, ::-1]
+    ranks = (first + last) / 2.0 + 1.0
+    u = (ranks * pos[order]).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def pairwise_auroc(scores, labels):
+    """AUROC of one column by comparing every positive with every negative."""
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def cohort_like_scores(kind, rng, n_pat, n_timelines):
+    """Patients x sample counts running means like a cohort's, with labels."""
+    risk = rng.uniform(0.02, 0.5, size=(n_pat, 1))
+    if kind == MC:  # 0/1 outcomes
+        values = (rng.random((n_pat, n_timelines)) < risk).astype(float)
+    elif kind == SCOPE:  # skewed, mostly small, some well above 1
+        values = risk * rng.pareto(1.5, size=(n_pat, n_timelines))
+    else:  # [0, 1] on a coarse grid, so ties cross the labels
+        values = np.round(risk + 0.3 * rng.random((n_pat, n_timelines)), 1)
+    labels = (rng.random(n_pat) < risk[:, 0]).astype(int)
+    labels[:2] = 0, 1
+    return values.cumsum(axis=1) / np.arange(1, n_timelines + 1), labels
+
+
+#: nonnegative scores at the edges of the key layout
+EDGE_SCORES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1.0, 2.0, 3.0,
+               1e300, np.nextafter(1e300, 0.0), np.nextafter(1e300, np.inf),
+               1.7976931348623157e308)
+
+
+@st.composite
+def labelled_matrix(draw, scores, max_cols=4):
+    n = draw(st.integers(2, 20))
+    cols = draw(st.integers(1, max_cols))
+    n_pos = draw(st.integers(1, n - 1))
+    labels = draw(st.permutations([1] * n_pos + [0] * (n - n_pos)))
+    return draw(hnp.arrays(float, (n, cols), elements=scores)), np.array(labels)
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert auroc([0.9, 0.1], [1, 0]) == 1.0
@@ -302,6 +393,39 @@ class TestAuroc:
             want = u / (n_pos * (n - n_pos))
             np.testing.assert_array_equal(_auroc_columns(scores, labels), want)
             assert auroc(scores[:, 0], labels) == want[0]
+
+    @pytest.mark.parametrize("kind", [MC, SCOPE, REACH])
+    def test_equals_the_rank_reference(self, kind):
+        rng = np.random.default_rng([MC, SCOPE, REACH].index(kind))
+        for _ in range(20):
+            n_pat, n_timelines = (int(x) for x in rng.integers(2, 300, size=2))
+            scores, labels = cohort_like_scores(kind, rng, n_pat, n_timelines)
+            np.testing.assert_array_equal(
+                _auroc_columns(scores, labels), reference_auroc_columns(scores, labels))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(labelled_matrix(st.one_of(st.sampled_from(EDGE_SCORES),
+                                     st.floats(0.0, 4.0), st.floats(0.0, 1e300))))
+    def test_columns_equal_the_pairwise_oracle(self, case):
+        scores, labels = case
+        want = [pairwise_auroc(scores[:, j], labels) for j in range(scores.shape[1])]
+        np.testing.assert_array_equal(_auroc_columns(scores, labels), want)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(labelled_matrix(st.one_of(
+        st.sampled_from((-1e300, 1e300, -0.0, 0.0, -1.0, -5e-324)),
+        st.floats(-4.0, 4.0), st.floats(-1e300, 1e300)), max_cols=1))
+    @example((np.array([[1e300], [-1e300], [0.0], [-0.0], [1e300]]),
+              np.array([1, 0, 1, 0, 0])))
+    def test_scalar_handles_any_finite_scores(self, case):
+        scores, labels = case
+        assert auroc(scores[:, 0], labels) == pairwise_auroc(scores[:, 0], labels)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan])
+    def test_columns_reject_negative_and_nan(self, bad):
+        scores = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            _auroc_columns(scores, np.array([0, 1, 1]))
 
 
 class TestBrierAndCalibration:
@@ -513,7 +637,11 @@ class TestSyntheticCohort:
         again = synthetic_cohort_eval(spec)
         assert again.to_csv_text() == table.to_csv_text()
 
-    def test_degenerate_labels_drop_rounds(self):
+    def test_degenerate_labels_drop_rounds(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a single-class round reached the AUROC")
+
+        monkeypatch.setattr(experiments, "_auroc_columns", unreachable)
         spec = CohortSpec(
             n_patients=40,
             chain_template=ChainSpec(4, 1.0, 6, seed=0, equal_transitions=True),
@@ -528,3 +656,5 @@ class TestSyntheticCohort:
                                    statistic="auroc_rounds_dropped")
             assert dropped.value == 4.0
         assert not table.rows_where(statistic="auroc")
+        # every label is 0
+        assert {r.value for r in table.rows_where(statistic="cal_event_rate")} == {0.0}
