@@ -2,14 +2,15 @@
 
 Subcommands: ``validate``, ``estimate``, ``oracle`` (``prob`` /
 ``dispersion`` / ``bijection``), ``sweep``, ``distribution``, ``cohort``.
-Single-value queries print to standard output; tables and plots go to
+Single-value queries print to standard output; tables, plots and
+``estimate`` reports (``<out>`` and its ``<out>.f64`` values) go to
 files named by ``--out``, written atomically (temp file + rename) and
 accompanied by a ``<out>.manifest.json`` recording the configuration,
 seed, artifact checksums, the wall-clock duration of the whole command,
 the seqrisk and numpy versions, and the peak resident set size of the
 process.  A ``cohort`` manifest adds ``stage_seconds``: the seconds spent
-calibrating, sampling, in the AUROC bootstrap, in the summary metrics and
-writing the artifacts.
+calibrating, sampling, in the AUROC bootstrap, in the summary metrics
+and writing the artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 4 infeasible experiment point, 5 I/O failure.
@@ -60,13 +61,11 @@ def _chain_spec(args, default=None) -> experiments.ChainSpec:
 
 
 def _resolve_model(args) -> MarkovModel:
-    if args.model:
+    if args.model is not None:
         if args.seed is None:
             args.seed = 0
         return _load_model(args.model)
-    if args.spec:
-        return experiments.random_chain(_chain_spec(args))
-    raise ValueError("one of --model / --spec is required")
+    return experiments.random_chain(_chain_spec(args))
 
 
 class _Artifacts:
@@ -79,14 +78,17 @@ class _Artifacts:
         self.files: dict[str, str] = {}
         self.t0 = args.started
 
-    def write_text(self, path: Path, text: str) -> None:
+    def write_bytes(self, path: Path, data: bytes) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
-        self.files[path.name] = hashlib.sha256(text.encode()).hexdigest()
+        self.files[path.name] = hashlib.sha256(data).hexdigest()
         print(f"wrote {path}", file=sys.stderr)
+
+    def write_text(self, path: Path, text: str) -> None:
+        self.write_bytes(path, text.encode())
 
     def finish(self, out: Path, stage_seconds=None) -> None:
         manifest = {
@@ -126,7 +128,8 @@ def _cmd_estimate(args) -> int:
     print(repr(report.mean))
     if args.out:
         art = _Artifacts(args)
-        art.write_text(Path(args.out), report.to_json())
+        for path, data in report.files(args.out).items():
+            art.write_bytes(path, data)
         art.finish(Path(args.out))
     return 0
 
@@ -260,13 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("estimate", help="run one estimator on a model")
-    p.add_argument("--model")
-    p.add_argument("--spec", help="ChainSpec JSON to generate a model from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model")
+    source.add_argument("--spec", help="ChainSpec JSON to generate a model from")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--clip", choices=CLIP_POLICIES, default=CLIP_NONE)
     p.add_argument("--seed", **spec_seed)
-    p.add_argument("--out")
+    p.add_argument("--out", help="report path; the values go to <out>.f64")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("oracle", help="exact queries")

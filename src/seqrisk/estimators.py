@@ -20,14 +20,17 @@ per-trajectory functions read a :class:`~seqrisk.seqmodel.Trajectory`'s
 vocabulary and horizon, and read every trajectory from the one stream
 ``trajectory_stream(seed)``: a :class:`~seqrisk.seqmodel.MarkovModel` with
 the batched sampler, any other model one trajectory after another with the
-reference sampler.  Both agree at ``n = 1``.
+reference sampler.  Both agree at ``n = 1``.  An :class:`EstimateReport`
+keeps the sub-values as one float64 array and saves as two files: metadata
+JSON and the values as a little-endian float64 ``.f64`` sidecar.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,8 @@ from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
     MarkovModel,
+    _check_keys,
+    _check_number,
     sample_markov_batch,
     sample_trajectory,
 )
@@ -101,13 +106,14 @@ _SUBS = {MC: mc_sub, SCOPE: scope_sub, REACH: reach_sub}
 _BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Aggregate of ``n`` sub-estimator values plus variance diagnostics.
 
     ``sample_variance`` uses divisor ``n - 1`` (defined as 0.0 when
     ``n == 1``); ``std_error = sqrt(sample_variance / n)``.  ``sub_values``
-    are retained post-clipping so downstream bootstraps can reuse them.
+    are retained post-clipping, as a read-only float64 array the report
+    owns, so downstream bootstraps can reuse them.
     """
 
     kind: str
@@ -115,77 +121,62 @@ class EstimateReport:
     mean: float
     sample_variance: float
     std_error: float
-    sub_values: tuple
+    sub_values: np.ndarray
     clip_policy: str = CLIP_NONE
     n_clipped: int = 0
     seed: int | None = None
 
-    def to_dict(self, *, include_sub_values: bool = True) -> dict:
-        d = {
-            "kind": self.kind,
-            "n": self.n,
-            "mean": self.mean,
-            "sample_variance": self.sample_variance,
-            "std_error": self.std_error,
-            "clip_policy": self.clip_policy,
-            "n_clipped": self.n_clipped,
-            "seed": self.seed,
-        }
-        if include_sub_values:
-            d["sub_values"] = list(self.sub_values)
-        return d
+    def __post_init__(self):
+        values = np.array(self.sub_values, dtype=np.float64)
+        values.flags.writeable = False
+        object.__setattr__(self, "sub_values", values)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def save(self, path, *, sidecar_at: int = 100_000) -> None:
-        """Write the report as JSON; large value vectors go to a binary sidecar.
-
-        The sidecar holds the sub-values as little-endian float64, in order.
-        """
+    def files(self, path) -> dict[Path, bytes]:
+        """The report's two files and their bytes: ``path`` holds the metadata
+        JSON, whose ``sub_values_file`` names the sidecar ``<path>.f64``, the
+        sub-values in order as little-endian float64."""
         path = Path(path)
-        if self.n >= sidecar_at:
-            side = path.with_suffix(path.suffix + ".f64")
-            side.write_bytes(np.asarray(self.sub_values, dtype="<f8").tobytes())
-            d = self.to_dict(include_sub_values=False)
-            d["sub_values_file"] = side.name
-        else:
-            d = self.to_dict()
-        path.write_text(json.dumps(d))
+        side = path.with_name(path.name + ".f64")
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sub_values"}
+        meta["sub_values_file"] = side.name
+        return {path: json.dumps(meta).encode(),
+                side: self.sub_values.astype("<f8", copy=False).tobytes()}
+
+    def save(self, path) -> None:
+        """Write the report's :meth:`files`."""
+        for file, data in self.files(path).items():
+            file.write_bytes(data)
 
     @classmethod
     def load(cls, path) -> "EstimateReport":
+        """Read a report :meth:`save` wrote; ValueError on an unknown key, or
+        unless the sidecar is a file in the report's directory holding
+        exactly ``n`` float64 values."""
         path = Path(path)
         d = json.loads(path.read_text())
-        if "sub_values_file" in d:
-            raw = (path.parent / d.pop("sub_values_file")).read_bytes()
-            values = tuple(float(x) for x in np.frombuffer(raw, dtype="<f8"))
-        else:
-            values = tuple(d.pop("sub_values"))
-        return cls(
-            kind=d["kind"],
-            n=d["n"],
-            mean=d["mean"],
-            sample_variance=d["sample_variance"],
-            std_error=d["std_error"],
-            sub_values=values,
-            clip_policy=d["clip_policy"],
-            n_clipped=d["n_clipped"],
-            seed=d.get("seed"),
-        )
+        name, n = d.pop("sub_values_file"), d["n"]
+        _check_keys(d, {f.name for f in fields(cls)} - {"sub_values"}, "report")
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"sub_values_file must name a file in the report's "
+                             f"directory, got {name!r}")
+        _check_number("n", n, numbers.Integral)
+        raw = (path.parent / name).read_bytes()
+        if len(raw) != 8 * n:
+            raise ValueError(f"{name} holds {len(raw)} bytes, expected {n} float64 values")
+        return cls(**d, sub_values=np.frombuffer(raw, dtype="<f8"))
 
 
 def apply_clip(values, clip_policy: str):
-    """Apply a clip policy; returns (clipped values, number clipped).
+    """Apply a clip policy; returns (clipped float64 values, number clipped).
 
     ``clip_to_unit`` caps values at 1 and never changes values <= 1.
     """
     if clip_policy not in CLIP_POLICIES:
         raise ValueError(f"unknown clip policy {clip_policy!r}")
+    values = np.asarray(values, dtype=np.float64)
     if clip_policy == CLIP_NONE:
-        return list(values), 0
-    clipped = [min(v, 1.0) for v in values]
-    return clipped, sum(1 for v in values if v > 1.0)
+        return values, 0
+    return np.minimum(values, 1.0), int((values > 1.0).sum())
 
 
 def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> EstimateReport:
@@ -195,15 +186,18 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
     depend on how the values were produced or partitioned.
     """
     values, n_clipped = apply_clip(values, clip_policy)
-    n = len(values)
+    n = values.size
     if n == 0:
         raise ValueError("cannot aggregate zero sub-values")
     mean = math.fsum(values) / n
     if n > 1:
         # corrected two-pass: the residual term cancels the rounding of the
-        # mean, so constant inputs give exactly zero variance
-        ss = math.fsum((v - mean) ** 2 for v in values)
-        residual = math.fsum(v - mean for v in values)
+        # mean, so constant inputs give exactly zero variance; float_power
+        # squares through libm pow, as ``d ** 2`` on floats does (``d * d``
+        # can differ in the last bit)
+        dev = values - mean
+        ss = math.fsum(np.float_power(dev, 2.0))
+        residual = math.fsum(dev)
         var = max(0.0, (ss - residual * residual / n) / (n - 1))
     else:
         var = 0.0
@@ -213,15 +207,18 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
         mean=mean,
         sample_variance=var,
         std_error=math.sqrt(var / n),
-        sub_values=tuple(values),
+        sub_values=values,
         clip_policy=clip_policy,
         n_clipped=n_clipped,
         seed=seed,
     )
 
 
-def _sub_values(model, kinds, n, seed) -> list:
-    """One list of ``n`` sub-values per kind, all from one trajectory pool."""
+def _sub_values(model, kinds, n, seed) -> list[np.ndarray]:
+    """One float64 array of ``n`` sub-values per kind, all from one trajectory pool."""
+    _check_number("n", n, numbers.Integral)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     modes = {required_mode(k) for k in kinds}
     if len(modes) != 1:
         raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
@@ -230,12 +227,12 @@ def _sub_values(model, kinds, n, seed) -> list:
     if isinstance(model, MarkovModel):
         arrays = sample_markov_batch(model, mode, n, rng)
         pool = dict(zip(_BATCH_KINDS[mode], arrays))
-        return [pool[k].tolist() for k in kinds]
-    cols = [[] for _ in kinds]
-    for _ in range(n):
+        return [pool[k] for k in kinds]
+    cols = [np.empty(n) for _ in kinds]
+    for i in range(n):
         traj = sample_trajectory(model, mode, rng)
         for col, k in zip(cols, kinds):
-            col.append(_SUBS[k](traj))
+            col[i] = _SUBS[k](traj)
     return cols
 
 
@@ -249,8 +246,6 @@ def estimate(
     ``horizon``, and the trajectories are read in order from
     ``trajectory_stream(seed)``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     (values,) = _sub_values(model, (kind,), n, seed)
     return aggregate(kind, values, clip_policy=clip_policy, seed=seed)
 
@@ -259,8 +254,6 @@ def paired_estimates(
     model, n: int, seed: int, *, clip_policy: str = CLIP_NONE
 ) -> tuple[EstimateReport, EstimateReport]:
     """MC and SCOPE reports computed from one shared standard-mode pool."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     mc_values, scope_values = _sub_values(model, (MC, SCOPE), n, seed)
     mc_report = aggregate(MC, mc_values, clip_policy=clip_policy, seed=seed)
     scope_report = aggregate(SCOPE, scope_values, clip_policy=clip_policy, seed=seed)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import seqrisk
-from seqrisk import ChainSpec, MarkovModel, cli, experiments, random_chain
+from seqrisk import ChainSpec, MarkovModel, cli, estimate, experiments, random_chain
 
 
 def run_cli(*args, cwd=None):
@@ -95,21 +95,23 @@ class TestEstimateCommand:
         args = ("estimate", "--model", str(chain_file), "--kind", "reach",
                 "--n", "500", "--seed", "7",
                 "--out", str(tmp_path / "report.json"))
+        names = ("report.json", "report.json.f64")
         first = run_cli(*args)
-        blob1 = (tmp_path / "report.json").read_bytes()
+        blobs1 = [(tmp_path / name).read_bytes() for name in names]
         second = run_cli(*args)
-        blob2 = (tmp_path / "report.json").read_bytes()
+        blobs2 = [(tmp_path / name).read_bytes() for name in names]
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
-        assert blob1 == blob2
+        assert blobs1 == blobs2
 
     def test_manifest_checksums(self, chain_file, tmp_path):
         out_path = tmp_path / "report.json"
         run_cli("estimate", "--model", str(chain_file), "--kind", "mc",
                 "--n", "100", "--seed", "1", "--out", str(out_path))
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        assert manifest["artifacts"]["report.json"] == digest
+        assert manifest["artifacts"] == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.json", "report.json.f64")}
         assert manifest["seed"] == 1
         assert manifest["config"]["n"] == 100
         assert manifest["versions"] == {"seqrisk": seqrisk.__version__,
@@ -143,9 +145,25 @@ class TestEstimateCommand:
                          "--n", "10"]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
-    def test_requires_model_or_spec(self):
+    def test_requires_model_or_spec(self, chain_file, tmp_path):
         out = run_cli("estimate", "--kind", "mc", "--n", "10")
         assert out.returncode == 2
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ChainSpec(4, 1.0, 5).to_dict()))
+        out = run_cli("estimate", "--model", str(chain_file), "--spec", str(spec),
+                      "--kind", "mc", "--n", "10")
+        assert out.returncode == 2
+        assert "not allowed with argument" in out.stderr
+
+    def test_writes_the_files_of_the_report(self, chain_file, tmp_path):
+        out_path = tmp_path / "report.json"
+        assert cli.main(["estimate", "--model", str(chain_file), "--kind", "scope",
+                         "--n", "300", "--seed", "2", "--clip", "clip_to_unit",
+                         "--out", str(out_path)]) == 0
+        model = MarkovModel.from_json(chain_file.read_text())
+        report = estimate(model, "scope", 300, 2, clip_policy="clip_to_unit")
+        files = report.files(out_path)
+        assert {path: path.read_bytes() for path in files} == files
 
 
 #: a small run of each command that reads --spec

@@ -1,9 +1,13 @@
 """Sub-estimators, aggregation, and report invariants."""
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrisk import (
     CLIP_TO_UNIT,
@@ -26,9 +30,54 @@ from seqrisk import (
     scope_sub,
     trajectory_stream,
 )
-from seqrisk.estimators import aggregate, apply_clip, required_mode
+from seqrisk.estimators import (
+    CLIP_NONE, CLIP_POLICIES, KINDS, aggregate, apply_clip, required_mode,
+)
 
 from conftest import make_random_model
+
+
+def reference_aggregate(values, clip_policy=CLIP_NONE):
+    """The list-based aggregation the array code must match bit for bit:
+    ``(mean, sample_variance, std_error, n_clipped)``."""
+    if clip_policy == CLIP_NONE:
+        values, n_clipped = list(values), 0
+    else:
+        values, n_clipped = [min(v, 1.0) for v in values], sum(1 for v in values if v > 1.0)
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n > 1:
+        ss = math.fsum((v - mean) ** 2 for v in values)
+        residual = math.fsum(v - mean for v in values)
+        var = max(0.0, (ss - residual * residual / n) / (n - 1))
+    else:
+        var = 0.0
+    return mean, var, math.sqrt(var / n), n_clipped
+
+
+def assert_same_report(a, b):
+    """Every field equal; the sub-values bit for bit."""
+    for f in fields(EstimateReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "sub_values":
+            assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+        else:
+            assert x == y, f.name
+
+
+def summary(rep):
+    return rep.mean, rep.sample_variance, rep.std_error, rep.n_clipped
+
+
+#: bounded floats, so that no square or sum overflows
+_VALUE_LISTS = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=200),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200),
+    # Pareto-skewed scope-like values, many above 1
+    st.lists(st.floats(1e-6, 1.0).map(lambda u: u ** -1.5), min_size=1, max_size=200),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(1, 200)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=1),
+)
 
 
 def traj(mode=STANDARD, tokens=(1, 1), hazards=(0.1, 0.1), hit=None, degenerate=False):
@@ -112,15 +161,79 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate(MC, [])
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=_VALUE_LISTS, clip_policy=st.sampled_from(CLIP_POLICIES))
+    def test_matches_the_list_reference(self, values, clip_policy):
+        rep = aggregate(SCOPE, np.array(values), clip_policy=clip_policy)
+        assert summary(rep) == reference_aggregate(values, clip_policy)
+        expected = [min(v, 1.0) for v in values] if clip_policy == CLIP_TO_UNIT else values
+        assert rep.sub_values.tolist() == expected
+
+    @pytest.mark.parametrize("x", [0.5491046120679859, 15.640057591216767,
+                                   0.20111836581123388, 3.7208132707691375])
+    def test_squares_match_the_list_reference(self, x):
+        # the deviations of [0, 2x] are -x and x, so the variance is 2 x**2;
+        # on glibc, ``x * x`` differs from ``x ** 2`` in the last bit here
+        values = [0.0, 2.0 * x]
+        assert summary(aggregate(SCOPE, values)) == reference_aggregate(values)
+
+    def test_report_owns_read_only_values(self):
+        values = np.array([0.25, 1.5, 0.5])
+        rep = aggregate(SCOPE, values)
+        assert values.flags.writeable and not rep.sub_values.flags.writeable
+        assert not np.shares_memory(values, rep.sub_values)
+        values[0] = 9.0
+        assert rep.sub_values[0] == 0.25
+
     def test_report_round_trip_with_sidecar(self, tmp_path):
         rep = aggregate(SCOPE, [0.25, 1.5, 0.5], seed=9)
-        small = tmp_path / "report.json"
-        rep.save(small)
-        assert EstimateReport.load(small) == rep
-        big = tmp_path / "report_side.json"
-        rep.save(big, sidecar_at=2)
-        assert (tmp_path / "report_side.json.f64").exists()
-        assert EstimateReport.load(big) == rep
+        path = tmp_path / "report.json"
+        rep.save(path)
+        side = tmp_path / "report.json.f64"
+        assert side.read_bytes() == np.array([0.25, 1.5, 0.5], dtype="<f8").tobytes()
+        assert json.loads(path.read_text())["sub_values_file"] == side.name
+        assert_same_report(EstimateReport.load(path), rep)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 3, 100_000])
+    def test_save_load_round_trip(self, tmp_path, kind, n):
+        rep = estimate(make_random_model(3), kind, n, seed=4)
+        path = tmp_path / "report.json"
+        rep.save(path)
+        assert set(rep.files(path)) == {path, tmp_path / "report.json.f64"}
+        loaded = EstimateReport.load(path)
+        assert_same_report(loaded, rep)
+        assert not loaded.sub_values.flags.writeable
+
+    def test_load_rejects_a_truncated_sidecar(self, tmp_path):
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0, 1.0, 0.0]).save(path)
+        side = tmp_path / "report.json.f64"
+        side.write_bytes(side.read_bytes()[:16])
+        with pytest.raises(ValueError, match="16 bytes, expected 4 float64 values"):
+            EstimateReport.load(path)
+
+    def test_load_rejects_an_unknown_key(self, tmp_path):
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0]).save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "meen": 0.5}))
+        with pytest.raises(ValueError, match=r"unknown report keys \['meen'\]"):
+            EstimateReport.load(path)
+
+    @pytest.mark.parametrize("name", ["../report.json.f64", "{absolute}",
+                                      "sub/report.json.f64", "..", ""])
+    def test_load_rejects_a_sidecar_outside_the_directory(self, tmp_path, name):
+        # a well-formed sidecar sits where each bad name points
+        path = tmp_path / "sub" / "report.json"
+        path.parent.mkdir()
+        aggregate(MC, [0.0, 1.0]).save(path)
+        outside = tmp_path / "report.json.f64"
+        outside.write_bytes(path.with_name("report.json.f64").read_bytes())
+        meta = json.loads(path.read_text())
+        name = name.format(absolute=outside)
+        path.write_text(json.dumps({**meta, "sub_values_file": name}))
+        with pytest.raises(ValueError, match="sub_values_file"):
+            EstimateReport.load(path)
 
 
 class TestEstimate:
@@ -146,11 +259,25 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(m, MC, 0, seed=0)
 
+    @pytest.mark.parametrize("model", [make_random_model(0), counterexample_model(0.3)],
+                             ids=["markov", "non_markov"])
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integral_n_rejected(self, model, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimate(model, MC, n, seed=0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            paired_estimates(model, n, seed=0)
+
+    def test_numpy_integer_n(self):
+        m = make_random_model(0)
+        assert_same_report(estimate(m, MC, np.int64(3), seed=0), estimate(m, MC, 3, seed=0))
+        assert paired_estimates(m, np.int64(3), seed=0)[1].n == 3
+
     def test_seed_determinism(self):
         m = make_random_model(5)
         a = estimate(m, REACH, 50, seed=3)
         b = estimate(m, REACH, 50, seed=3)
-        assert a == b
+        assert_same_report(a, b)
 
     def test_mc_matches_oracle_at_large_n(self):
         m = make_random_model(21)
