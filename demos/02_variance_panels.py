@@ -35,7 +35,7 @@ def save(name, text):
 
 print("(a) distribution of estimates: 10 samples per estimate, p = 0.2")
 spec_a = ChainSpec(11, 1.0, 20, seed=SEED, target_probability=0.2)
-result = estimate_distribution_experiment(spec_a, 10_000, 10, seed=SEED)
+result = estimate_distribution_experiment(spec_a, 10_000, 10)
 result.write_csv(OUT / "panel_a_histograms.csv", bins=60)
 print(f"  wrote {OUT / 'panel_a_histograms.csv'}")
 series = []
@@ -52,7 +52,7 @@ print(f"  mc support restricted to multiples of 1/10: {mc_support[:6]}...\n")
 print("(b) variance vs probability, spontaneity 1.0")
 spec_b = ChainSpec(11, 1.0, 20, seed=SEED, equal_transitions=True)
 table_b = variance_sweep("probability", PROBABILITY_GRID, spec_b,
-                         DEFAULT_REPLICATIONS, SEED)
+                         DEFAULT_REPLICATIONS)
 save("panel_b_probability.csv", table_b.to_csv_text())
 save("panel_b_probability.svg", table_plot(
     table_b, task_prefix="probability=", statistic="variance",
@@ -69,7 +69,7 @@ print("(c) variance vs spontaneity at fixed probability 0.5")
 spec_c = ChainSpec(11, 1.0, 20, seed=SEED + 1, target_probability=0.5,
                    equal_transitions=True)
 table_c = variance_sweep("spontaneity", SPONTANEITY_GRID, spec_c,
-                         DEFAULT_REPLICATIONS, SEED + 1)
+                         DEFAULT_REPLICATIONS)
 save("panel_c_spontaneity.csv", table_c.to_csv_text())
 save("panel_c_spontaneity.svg", table_plot(
     table_c, task_prefix="spontaneity=", statistic="variance",
@@ -85,7 +85,7 @@ print("(d) estimator variance vs sample count")
 spec_d = ChainSpec(11, 1.0, 20, seed=SEED + 2, target_probability=0.5,
                    equal_transitions=True)
 table_d = variance_sweep("sample_count", SAMPLE_COUNT_GRID, spec_d,
-                         SAMPLE_COUNT_REPLICATIONS, SEED + 2)
+                         SAMPLE_COUNT_REPLICATIONS)
 save("panel_d_sample_count.csv", table_d.to_csv_text())
 save("panel_d_sample_count.svg", table_plot(
     table_d, task_prefix="sample_count=", statistic="variance",

@@ -193,7 +193,7 @@ def _cmd_sweep(args) -> int:
     grid, replications = _SWEEP_DEFAULTS[args.axis]
     grid = _parse_grid(args.grid) if args.grid else list(grid)
     replications = args.replications or replications
-    table = experiments.variance_sweep(args.axis, grid, base, replications, args.seed)
+    table = experiments.variance_sweep(args.axis, grid, base, replications)
     svg_kw = dict(
         task_prefix=f"{args.axis}=", statistic="variance",
         title=f"estimator variance vs {args.axis}",
@@ -210,7 +210,7 @@ def _cmd_distribution(args) -> int:
         target_probability=0.2, equal_transitions=False,
     ))
     result = experiments.estimate_distribution_experiment(
-        spec, args.n_estimates, args.samples, args.seed
+        spec, args.n_estimates, args.samples
     )
     out = Path(args.out)
     art = _Artifacts(args)
@@ -221,7 +221,7 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_cohort(args) -> int:
     template = experiments.ChainSpec(
-        args.states, args.spontaneity, args.horizon, seed=args.seed,
+        args.states, args.spontaneity, args.horizon,
         equal_transitions=args.transitions == "equal",
     )
     spec = experiments.CohortSpec(

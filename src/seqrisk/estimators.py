@@ -149,13 +149,20 @@ class EstimateReport:
 
     @classmethod
     def load(cls, path) -> "EstimateReport":
-        """Read a report :meth:`save` wrote; ValueError on an unknown key, or
-        unless the sidecar is a file in the report's directory holding
-        exactly ``n`` float64 values."""
+        """Read a report :meth:`save` wrote; ValueError on inline sub-values,
+        on a missing or unknown key, or unless the sidecar is a file in the
+        report's directory holding exactly ``n`` float64 values."""
         path = Path(path)
         d = json.loads(path.read_text())
+        if "sub_values" in d:
+            raise ValueError(f"{path.name} lists its sub_values inline; a report "
+                             f"keeps them in the .f64 file its sub_values_file names")
+        keys = ({f.name for f in fields(cls)} - {"sub_values"}) | {"sub_values_file"}
+        missing = sorted(keys - set(d))
+        if missing:
+            raise ValueError(f"{path.name} lacks the report keys {missing}")
+        _check_keys(d, keys, "report")
         name, n = d.pop("sub_values_file"), d["n"]
-        _check_keys(d, {f.name for f in fields(cls)} - {"sub_values"}, "report")
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"sub_values_file must name a file in the report's "
                              f"directory, got {name!r}")

@@ -14,10 +14,11 @@ Sweeps and repeated-estimate histograms sample each chain with
 A cohort is one stack of chains: one bisection calibrates all of them and
 one stacked sampler call per mode draws every patient's timelines, each
 patient from its own stage streams, so every patient's numbers are those
-it gets alone.  Results are reproducible bit-for-bit from
-``(spec, seed)``.  Default sweep parameters: 11-state chains, 20-step
-horizon, 10,000 replications, probability grid 0.05..0.95 (step 0.05),
-spontaneity grid 0.1..1.0 (step 0.1).
+it gets alone.  Each experiment reads one seed, its spec's ``seed``, and
+derives every stage stream from it, so results are reproducible
+bit-for-bit from the spec.  Default sweep parameters: 11-state chains,
+20-step horizon, 10,000 replications, probability grid 0.05..0.95 (step
+0.05), spontaneity grid 0.1..1.0 (step 0.1).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .oracle import (
     exact_outcome_probability,
     outcome_probability_dp,
 )
-from .rng import as_generator, substream
+from .rng import substream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
@@ -86,6 +87,9 @@ class ChainSpec:
     row weights and hazard weights are drawn from the supplied stream.
     When ``target_probability`` is set, the hazard masses are scaled by
     bisection until the exact outcome probability matches it to 1e-6.
+    ``seed`` keys :func:`random_chain`'s stream when it is given none, and
+    every stage stream of :func:`variance_sweep` and
+    :func:`estimate_distribution_experiment`.
     """
 
     n_states: int
@@ -153,7 +157,9 @@ class CohortSpec:
     ``lo + (hi - lo) * Beta(a, b)`` with ``(a, b) = risk_beta`` and
     ``(lo, hi) = risk_range``; labels come from the exact outcome
     probability of each patient's chain, so cohort ground truth carries no
-    estimation noise.
+    estimation noise.  ``seed`` keys every stage stream of
+    :func:`synthetic_cohort_eval`; ``chain_template.seed`` is not read, as
+    each patient's chain draws its parts from its own stage stream.
     """
 
     n_patients: int
@@ -232,7 +238,10 @@ class MetricRow:
 
 
 def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
-    """Row with a percentile 95% CI, widened if needed to contain the value."""
+    """Row with a percentile 95% CI, widened if needed to contain the value;
+    without samples, a row without a CI."""
+    if len(samples) == 0:
+        return MetricRow(task, kind, n, statistic, value, seed=seed)
     lo, hi = (float(x) for x in np.percentile(samples, [2.5, 97.5]))
     if math.isfinite(value):
         lo, hi = min(lo, value), max(hi, value)
@@ -407,15 +416,27 @@ def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
     return transitions
 
 
-def random_chain(spec: ChainSpec, rng=None) -> MarkovModel:
+def random_chain(spec: ChainSpec, rng: np.random.Generator | None = None) -> MarkovModel:
     """Random chain with the requested spontaneity and outcome probability.
 
     The outcome state is the highest-numbered state and is absorbing; the
     initial state is state 0.  Exactly ``round(spontaneity * (n-1))``
     non-outcome states carry hazard mass.  Infeasible targets raise
-    :class:`CalibrationError` naming the achievable interval.
+    :class:`CalibrationError` naming the achievable interval.  Random
+    parts are drawn from ``rng``, a numpy Generator, else from
+    ``substream(spec.seed, 0, 0)``.  Anything else raises ValueError, an
+    integer too: a chain with equal transitions and a target reads no
+    stream, so an integer seed there would be ignored without a word.
     """
-    gen = as_generator(rng, spec.seed, 0, 0)
+    if rng is None:
+        gen = substream(spec.seed, 0, 0)
+    elif isinstance(rng, np.random.Generator):
+        gen = rng
+    else:
+        raise ValueError(
+            f"rng must be a numpy Generator or None, got {rng!r}; "
+            "set the chain's seed in its spec"
+        )
     if spec.target_probability is None:
         W, weights = _chain_parts(spec, gen)
         theta = gen.uniform(0.05, 0.9) * (1.0 / weights.max())
@@ -454,7 +475,6 @@ def variance_sweep(
     grid: Sequence[float],
     base_spec: ChainSpec,
     replications: int,
-    seed: int,
 ) -> ExperimentTable:
     """Empirical estimator variances along one experimental axis.
 
@@ -465,7 +485,8 @@ def variance_sweep(
     the 1/n scaling inspectable.  Points whose chain construction fails
     are marked with a ``failed`` row and the sweep continues.  Exact
     (enumeration) variances are added wherever the instance is small
-    enough.
+    enough.  Every stream derives from ``base_spec.seed``, which every row
+    carries.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -475,6 +496,7 @@ def variance_sweep(
     if replications < 2:
         raise ValueError("replications must be >= 2")
     aid = _AXIS_ID[axis]
+    seed = base_spec.seed
     rows: list[MetricRow] = []
 
     if axis == "sample_count":
@@ -560,16 +582,16 @@ def estimate_distribution_experiment(
     spec: ChainSpec,
     n_estimates: int,
     samples_per_estimate: int,
-    seed: int | None = None,
 ) -> DistributionResult:
     """Repeat every estimator ``n_estimates`` times at a fixed sample count.
 
     Monte Carlo estimates land on multiples of ``1/samples_per_estimate``
-    by construction; the other two fill in between.
+    by construction; the other two fill in between.  Every stream derives
+    from ``spec.seed``.
     """
     if n_estimates < 1 or samples_per_estimate < 1:
         raise ValueError("n_estimates and samples_per_estimate must be >= 1")
-    seed = spec.seed if seed is None else int(seed)
+    seed = spec.seed
     chain = random_chain(spec, rng=substream(seed, 4, 0))
     total = n_estimates * samples_per_estimate
     pools = _sample_pools(chain, total, substream(seed, 4, 1), substream(seed, 4, 2))
@@ -756,13 +778,9 @@ def _equivalence(
             not_reached += 1
 
     value = reference_n / m_point if m_point is not None else float("nan")
-    if m_samples:
-        ratios = reference_n / np.asarray(m_samples, dtype=float)
-        row = _ci_row("equivalence", alt_kind, int(reference_n),
-                      "equivalence_ratio", value, ratios, seed_label)
-    else:
-        row = MetricRow("equivalence", alt_kind, int(reference_n),
-                        "equivalence_ratio", value, seed=seed_label)
+    ratios = reference_n / np.asarray(m_samples, dtype=float)
+    row = _ci_row("equivalence", alt_kind, int(reference_n),
+                  "equivalence_ratio", value, ratios, seed_label)
     return EquivalenceResult(row, m_point, tuple(m_samples), not_reached)
 
 
@@ -772,9 +790,7 @@ def equivalence_ratio(
     reference_n: int,
     alt_kind: str,
     bootstrap_rounds: int,
-    rng,
-    *,
-    seed_label: int = 0,
+    seed: int,
 ) -> MetricRow:
     """Smallest-equivalent-sample-count ratio with a percentile bootstrap CI.
 
@@ -784,12 +800,12 @@ def equivalence_ratio(
     alternative's mean AUROC *strictly* exceeds the reference mean (ties
     never qualify); the round's ratio is ``reference_n / m``.  Rounds where
     no count qualifies are dropped from the CI and tallied in
-    ``not_reached`` (see :func:`synthetic_cohort_eval` rows).
+    ``not_reached`` (see :func:`synthetic_cohort_eval` rows).  The rounds
+    draw from ``substream(seed, 10, 0)``, and the row carries ``seed``.
     """
-    gen = as_generator(rng, 0, 10, 0)
     return _equivalence(
-        auc_table, reference_kind, reference_n, alt_kind, bootstrap_rounds, gen,
-        seed_label=seed_label,
+        auc_table, reference_kind, reference_n, alt_kind, bootstrap_rounds,
+        substream(seed, 10, 0), seed_label=seed,
     ).row
 
 
@@ -811,7 +827,7 @@ class _StageClock:
         self._last = now
 
 
-def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> ExperimentTable:
+def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     """Score a synthetic cohort with all three estimators and evaluate.
 
     Every patient gets a chain calibrated to a drawn target risk, one label
@@ -827,13 +843,13 @@ def synthetic_cohort_eval(spec: CohortSpec, rng: int | None = None) -> Experimen
 
     The whole cohort runs as one stack: one bisection calibrates every
     chain, and one sampler call per mode draws every pool, patient ``i``
-    from its own streams ``substream(seed, 6 | 7 | 8, i)``, so the table is
-    the one patient-by-patient runs give.  The table's ``stage_seconds``
-    times the stages ``calibrate``, ``sample``, ``bootstrap`` (the AUROC
+    from its own streams ``substream(spec.seed, 6 | 7 | 8, i)``, so the
+    table is the one patient-by-patient runs give.  The table's
+    ``stage_seconds`` times the stages ``calibrate``, ``sample``, ``bootstrap`` (the AUROC
     rounds) and ``summary`` (equivalence, Brier, calibration).
     """
     clock = _StageClock()
-    seed = spec.seed if rng is None else int(rng)
+    seed = spec.seed
     tpl = spec.chain_template
     n_pat, pool_n = spec.n_patients, spec.n_timelines
     a, b = spec.risk_beta
@@ -916,15 +932,10 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
             continue
         rows.append(res.row)
         m_value = float(res.m_point) if res.m_point is not None else float("nan")
-        if res.m_samples:
-            rows.append(
-                _ci_row("equivalence", alt, pool_n, "equivalence_m",
-                        m_value, np.asarray(res.m_samples, dtype=float), seed)
-            )
-        else:
-            rows.append(
-                MetricRow("equivalence", alt, pool_n, "equivalence_m", m_value, seed=seed)
-            )
+        rows.append(
+            _ci_row("equivalence", alt, pool_n, "equivalence_m",
+                    m_value, np.asarray(res.m_samples, dtype=float), seed)
+        )
         rows.append(
             MetricRow("equivalence", alt, pool_n, "equivalence_not_reached",
                       float(res.not_reached), seed=seed)

@@ -29,14 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError
-from .estimators import MC, REACH, SCOPE
+from .estimators import MC, required_mode
 from .seqmodel import (
-    DEGENERATE_HAZARD,
     OUTCOME_EXCLUDED,
     STANDARD,
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
+    _degenerate,
     _read_distribution,
     _stop_reason,
     effective_steps,
@@ -147,86 +147,56 @@ def _static_guard(vocab: Vocabulary, horizon: HorizonPolicy) -> None:
         )
 
 
-def _walk_standard(model):
-    """Yield (path probability, outcome hit, hazard sum) for every standard path."""
-    vocab, horizon = model.vocabulary, model.horizon
-    _static_guard(vocab, horizon)
-    o = vocab.outcome
-    times = vocab._time_list
-    leaves = 0
-    stack = [((), 1.0, 0.0, 0.0)]
-    while stack:
-        prefix, prob, elapsed, hsum = stack.pop()
-        dist = _read_distribution(model, list(prefix), vocab.size)
-        hsum2 = hsum + float(dist[o])
-        n_tok = len(prefix) + 1
-        for tok in range(vocab.size):
-            p = float(dist[tok])
-            if p <= 0.0:
-                continue
-            prob2 = prob * p
-            elapsed2 = elapsed + times[tok]
-            stop = _stop_reason(vocab, horizon, STANDARD, tok, elapsed2, n_tok)
-            if stop is None:
-                stack.append((prefix + (tok,), prob2, elapsed2, hsum2))
-            else:
-                leaves += 1
-                if leaves > LEAF_GUARD:
-                    raise InstanceTooLargeError("enumeration exceeded the leaf guard")
-                yield prob2, stop == "outcome", hsum2
+def _walk(model, mode: str):
+    """Yield (path probability, stop reason, value) for every path of ``mode``.
 
-
-def _walk_restricted(model):
-    """Yield (path probability, survival-complement value) under exclusion.
-
-    Paths reaching a degenerate hazard terminate immediately with value
-    exactly 1.
+    The value is the path's hazard sum in standard mode and its
+    survival complement ``1 - prod(1 - h)`` in outcome-excluded mode, where
+    a path that reaches a degenerate step (:func:`_degenerate`) stops there
+    with value exactly 1.
     """
     vocab, horizon = model.vocabulary, model.horizon
     _static_guard(vocab, horizon)
     o = vocab.outcome
     times = vocab._time_list
-    leaves = 0
-    stack = [((), 1.0, 0.0, 1.0)]
+    excluded = mode == OUTCOME_EXCLUDED
+    # acc: the hazard sum (standard) or the survival product (excluded)
+    stack = [((), 1.0, 0.0, 1.0 if excluded else 0.0)]
     while stack:
-        prefix, prob, elapsed, surv = stack.pop()
-        dist = _read_distribution(model, list(prefix), vocab.size)
-        h = float(dist[o])
-        if h >= DEGENERATE_HAZARD:
-            leaves += 1
-            yield prob, 1.0
-            continue
-        surv2 = surv * (1.0 - h)
-        n_tok = len(prefix) + 1
-        scale = 1.0 - h
-        for tok in range(vocab.size):
-            if tok == o:
+        prefix, prob, elapsed, acc = stack.pop()
+        probs = _read_distribution(model, list(prefix), vocab.size).tolist()
+        h = probs[o]
+        if excluded:
+            # the outcome is no candidate; the largest other probability is
+            # 0 exactly when their total is
+            probs[o] = 0.0
+            if _degenerate(h, max(probs)):
+                yield prob, "degenerate_hazard", 1.0
                 continue
-            p = float(dist[tok])
+            acc, scale = acc * (1.0 - h), 1.0 - h
+        else:
+            # p / 1.0 is p exactly
+            acc, scale = acc + h, 1.0
+        n_tok = len(prefix) + 1
+        for tok, p in enumerate(probs):
             if p <= 0.0:
                 continue
             prob2 = prob * (p / scale)
             elapsed2 = elapsed + times[tok]
-            stop = _stop_reason(vocab, horizon, OUTCOME_EXCLUDED, tok, elapsed2, n_tok)
+            stop = _stop_reason(vocab, horizon, mode, tok, elapsed2, n_tok)
             if stop is None:
-                stack.append((prefix + (tok,), prob2, elapsed2, surv2))
+                stack.append((prefix + (tok,), prob2, elapsed2, acc))
             else:
-                leaves += 1
-                if leaves > LEAF_GUARD:
-                    raise InstanceTooLargeError("enumeration exceeded the leaf guard")
-                yield prob2, 1.0 - surv2
+                yield prob2, stop, 1.0 - acc if excluded else acc
 
 
 def enumerate_sub_distribution(model, kind: str) -> ValueDistribution:
     """Exact distribution of one sub-estimator by full sequence enumeration."""
-    if kind == REACH:
-        pairs = [(value, prob) for prob, value in _walk_restricted(model)]
-    elif kind == MC:
-        pairs = [(1.0 if hit else 0.0, prob) for prob, hit, _ in _walk_standard(model)]
-    elif kind == SCOPE:
-        pairs = [(hsum, prob) for prob, _, hsum in _walk_standard(model)]
+    walk = _walk(model, required_mode(kind))
+    if kind == MC:
+        pairs = [(1.0 if stop == "outcome" else 0.0, prob) for prob, stop, _ in walk]
     else:
-        raise ValueError(f"unknown estimator kind {kind!r}")
+        pairs = [(value, prob) for prob, _, value in walk]
     return ValueDistribution.from_pairs(pairs)
 
 
@@ -238,8 +208,8 @@ def exact_bijection_check(model) -> tuple[float, float]:
     outcome-free standard paths and all-failure excluded paths carry the
     same probability.
     """
-    p_a = math.fsum(prob for prob, hit, _ in _walk_standard(model) if hit)
-    p_b = math.fsum(prob * value for prob, value in _walk_restricted(model))
+    p_a = math.fsum(prob for prob, stop, _ in _walk(model, STANDARD) if stop == "outcome")
+    p_b = math.fsum(prob * value for prob, _, value in _walk(model, OUTCOME_EXCLUDED))
     return p_a, p_b
 
 

@@ -6,7 +6,8 @@ independent stream identified by ``(seed, key...)`` alone.  A query
 (``estimate``, ``paired_estimates``) reads all of its trajectories, in
 order, from the one stream ``trajectory_stream(seed)``, keyed ``(0,)``.
 Experiment stages use keys of length >= 2 and therefore never collide
-with it.
+with it.  An experiment reads its seed from its spec alone and derives
+every stage stream from it with :func:`substream`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,3 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
     )
 
-
-def as_generator(rng: np.random.Generator | int | None, seed: int, *key: int) -> np.random.Generator:
-    """Accept an explicit generator, an integer seed, or None (derive from ``seed``)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return substream(seed, *key)
-    return substream(int(rng), *key)

@@ -12,7 +12,8 @@ Generation stops after the first token that is the outcome (standard mode
 only), is terminal, pushes cumulative time past the limit, or fills the
 step cap.  In ``outcome_excluded`` mode the outcome token is removed from
 the candidate pool and the remaining mass renormalized; the hazards still
-come from the unrestricted distribution.
+come from the unrestricted distribution.  A step with no remaining mass to
+speak of (:func:`_degenerate`) draws no token and ends the trajectory.
 
 Two samplers implement these rules, both on the model's own
 ``vocabulary`` and ``horizon``.  :func:`sample_trajectory` builds one
@@ -55,7 +56,7 @@ OUTCOME_EXCLUDED = "outcome_excluded"
 MODES = (STANDARD, OUTCOME_EXCLUDED)
 
 #: outcome mass at or above this is treated as degenerate (restricted
-#: distribution undefined)
+#: distribution undefined); see :func:`_degenerate`
 DEGENERATE_HAZARD = 1.0 - 1e-15
 
 #: tolerance for "sums to one" checks on probability vectors
@@ -286,8 +287,8 @@ class Trajectory:
     ``hazards`` has one entry per generation step, the stopping step
     included; ``hit_index`` is the position of the outcome token in
     ``tokens`` (standard mode only) or None.  When an outcome-excluded
-    sample hits a degenerate hazard, the hazard of the impossible step is
-    still recorded but no token is drawn for it, so
+    sample hits a degenerate step (:func:`_degenerate`), the hazard of the
+    impossible step is still recorded but no token is drawn for it, so
     ``len(tokens) == len(hazards) - 1`` there and the trajectory is flagged
     ``degenerate``.
     """
@@ -350,6 +351,14 @@ def _read_distribution(model, prefix: Sequence[int], size: int) -> np.ndarray:
     return dist
 
 
+def _degenerate(hazard, rest_mass):
+    """Whether an outcome-excluded step has nothing to draw from: its
+    ``hazard`` is at least ``DEGENERATE_HAZARD``, or ``rest_mass``, the total
+    probability of the other tokens (or any number that is 0 exactly when
+    that total is), is 0.  Takes floats, or arrays with one entry per row."""
+    return (hazard >= DEGENERATE_HAZARD) | (rest_mass <= 0.0)
+
+
 def _stop_reason(vocab, horizon, mode, token, elapsed, n_tokens):
     """Why generation stops after appending ``token``, or None to continue."""
     if mode == STANDARD and token == vocab.outcome:
@@ -392,15 +401,16 @@ def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator)
         h = float(dist[o])
         hazards.append(h)
         if excluded:
-            if h >= DEGENERATE_HAZARD:
-                degenerate = True
-                reason = "degenerate_hazard"
-                break
-            draw_from = dist / (1.0 - h)
+            # a degenerate step draws nothing, whatever its row's scale
+            draw_from = dist / (1.0 - h if h < DEGENERATE_HAZARD else 1.0)
             draw_from[o] = 0.0
         else:
             draw_from = dist
         cum = np.cumsum(draw_from)
+        if excluded and _degenerate(h, cum[-1]):
+            degenerate = True
+            reason = "degenerate_hazard"
+            break
         cum[-1] = 1.0
         tok = int(np.searchsorted(cum, rng.random(), side="right"))
         prefix.append(tok)
@@ -495,11 +505,12 @@ def _sample_stack(transition, initial_state, vocab, horizon, mode, n, rngs) -> t
     first_rows = np.arange(n_chains + 1) * n
     excluded = mode == OUTCOME_EXCLUDED
     if excluded:
-        degenerate = hazard >= DEGENERATE_HAZARD
-        scale = np.where(degenerate, 1.0, 1.0 - hazard).reshape(n_chains, size, 1)
-        restricted = transition / scale
+        # a degenerate row draws nothing, whatever its scale
+        scale = np.where(hazard >= DEGENERATE_HAZARD, 1.0, 1.0 - hazard)
+        restricted = transition / scale.reshape(n_chains, size, 1)
         restricted[..., o] = 0.0
         cum = np.cumsum(restricted, axis=-1).reshape(-1, size)
+        degenerate = _degenerate(hazard, cum[:, -1])
         cum[~degenerate, -1] = 1.0
         keep = 1.0 - hazard
         surv = np.ones(rows)

@@ -132,7 +132,7 @@ def test_figure_panels_qualitative():
     # (b) sign flip of Var(SCOPE) - Var(MC) across the probability grid
     spec_b = ChainSpec(11, 1.0, 20, seed=PANEL_B_SEED, equal_transitions=True)
     table_b = variance_sweep("probability", PROBABILITY_GRID, spec_b,
-                             replications, PANEL_B_SEED)
+                             replications)
     diffs = []
     for g in PROBABILITY_GRID:
         task = f"probability={g:g}"
@@ -180,7 +180,7 @@ def test_figure_panels_qualitative():
     spec_d = ChainSpec(11, 1.0, 20, seed=PANEL_D_SEED, target_probability=0.5,
                        equal_transitions=True)
     table_d = variance_sweep("sample_count", SAMPLE_COUNT_GRID, spec_d,
-                             2_000, PANEL_D_SEED)
+                             2_000)
     ns = np.asarray(SAMPLE_COUNT_GRID, dtype=float)
     mc_var = np.array([
         table_d.single(task=f"sample_count={int(n)}", kind=MC,

@@ -257,7 +257,7 @@ class TestSweepCommand:
     def test_spec_keeps_the_axis_default_replications(self, tmp_path, monkeypatch):
         seen = []
 
-        def record(axis, grid, base, replications, seed):
+        def record(axis, grid, base, replications):
             seen.append((axis, grid, replications))
             return experiments.ExperimentTable([])
 

@@ -220,6 +220,26 @@ class TestAggregation:
         with pytest.raises(ValueError, match=r"unknown report keys \['meen'\]"):
             EstimateReport.load(path)
 
+    @pytest.mark.parametrize("key", ["mean", "seed", "sub_values_file"])
+    def test_load_rejects_a_missing_key(self, tmp_path, key):
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0]).save(path)
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"lacks the report keys \['{key}'\]"):
+            EstimateReport.load(path)
+
+    def test_load_rejects_inline_sub_values(self, tmp_path):
+        # the format before the sidecar: the values listed in the metadata
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0]).save(path)
+        meta = json.loads(path.read_text())
+        del meta["sub_values_file"]
+        path.write_text(json.dumps({**meta, "sub_values": [0.0, 1.0]}))
+        with pytest.raises(ValueError, match="lists its sub_values inline"):
+            EstimateReport.load(path)
+
     @pytest.mark.parametrize("name", ["../report.json.f64", "{absolute}",
                                       "sub/report.json.f64", "..", ""])
     def test_load_rejects_a_sidecar_outside_the_directory(self, tmp_path, name):

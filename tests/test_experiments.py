@@ -115,6 +115,16 @@ class TestRandomChain:
         lo, hi = err.value.achievable
         assert lo == 0.0 and hi < 0.999
 
+    def test_seed_comes_from_the_spec(self):
+        # a chain with equal transitions and a target reads no stream, so an
+        # integer in place of a generator would be ignored without a word
+        spec = ChainSpec(5, 1.0, 6, seed=6, target_probability=0.5, equal_transitions=True)
+        with pytest.raises(ValueError, match="rng must be a numpy Generator or None"):
+            random_chain(spec, rng=5)
+        spec = ChainSpec(5, 0.5, 6, seed=6)
+        assert np.array_equal(random_chain(spec).transition,
+                              random_chain(spec, rng=substream(6, 0, 0)).transition)
+
     def test_equal_transitions_uniform_rows(self):
         chain = random_chain(ChainSpec(5, 1.0, 6, seed=6, target_probability=0.5,
                                        equal_transitions=True))
@@ -198,7 +208,7 @@ class TestVarianceSweep:
     def test_mc_variance_matches_bernoulli(self):
         p = 0.3
         base = ChainSpec(6, 1.0, 12, seed=10, equal_transitions=True)
-        table = variance_sweep("probability", [p], base, 20_000, seed=10)
+        table = variance_sweep("probability", [p], base, 20_000)
         var = table.single(task="probability=0.3", kind=MC, statistic="variance").value
         # spread of the variance estimate for a Bernoulli sample of this size
         se = np.sqrt(2.0 / 20_000) * p * (1 - p) + 0.25 / 20_000
@@ -206,14 +216,14 @@ class TestVarianceSweep:
 
     def test_failed_point_marked_and_sweep_continues(self):
         base = ChainSpec(4, 0.67, 1, seed=2, equal_transitions=False)
-        table = variance_sweep("probability", [0.3, 0.999], base, 100, seed=2)
+        table = variance_sweep("probability", [0.3, 0.999], base, 100)
         assert table.rows_where(task="probability=0.3", statistic="variance")
         failed = table.rows_where(task="probability=0.999", statistic="failed")
         assert len(failed) == 1
 
     def test_exact_variance_rows_present_for_small_chains(self):
         base = ChainSpec(4, 1.0, 5, seed=11, equal_transitions=True)
-        table = variance_sweep("probability", [0.4], base, 200, seed=11)
+        table = variance_sweep("probability", [0.4], base, 200)
         exact_mc = table.single(task="probability=0.4", kind=MC,
                                 statistic="exact_variance").value
         p = table.single(task="probability=0.4", statistic="exact_probability").value
@@ -222,7 +232,7 @@ class TestVarianceSweep:
     def test_sample_count_axis_reports_scaled_variance(self):
         base = ChainSpec(5, 1.0, 8, seed=12, target_probability=0.5,
                          equal_transitions=True)
-        table = variance_sweep("sample_count", [1, 4, 16], base, 800, seed=12)
+        table = variance_sweep("sample_count", [1, 4, 16], base, 800)
         for n in (1, 4, 16):
             var = table.single(task=f"sample_count={n}", kind=MC,
                                statistic="variance").value
@@ -230,19 +240,30 @@ class TestVarianceSweep:
                                   statistic="variance_times_n").value
             assert abs(scaled - var * n) <= 1e-12
 
+    @pytest.mark.parametrize("axis, grid", [("probability", [0.3, 0.6]),
+                                            ("spontaneity", [0.5, 1.0]),
+                                            ("sample_count", [1, 4])])
+    def test_seed_comes_from_the_spec(self, axis, grid):
+        base = ChainSpec(4, 1.0, 5, seed=3, target_probability=0.4)
+        table = variance_sweep(axis, grid, base, 200)
+        assert variance_sweep(axis, grid, base, 200) == table
+        assert {r.seed for r in table.rows} == {3}
+        other = variance_sweep(axis, grid, replace(base, seed=4), 200)
+        assert [r.value for r in other.rows] != [r.value for r in table.rows]
+
     def test_bad_axis_and_empty_grid(self):
         base = ChainSpec(4, 1.0, 5, seed=0)
         with pytest.raises(ValueError):
-            variance_sweep("other", [0.5], base, 100, seed=0)
+            variance_sweep("other", [0.5], base, 100)
         with pytest.raises(ValueError):
-            variance_sweep("probability", [], base, 100, seed=0)
+            variance_sweep("probability", [], base, 100)
 
 
 class TestDistributionExperiment:
     def test_mc_support_and_reach_mean(self):
         spec = ChainSpec(6, 1.0, 12, seed=13, target_probability=0.3,
                          equal_transitions=True)
-        result = estimate_distribution_experiment(spec, 3000, 10, seed=13)
+        result = estimate_distribution_experiment(spec, 3000, 10)
         mc_scaled = result.estimates[MC] * 10
         assert np.allclose(mc_scaled, np.round(mc_scaled), atol=1e-9)
         reach = result.estimates[REACH]
@@ -252,12 +273,24 @@ class TestDistributionExperiment:
     def test_scope_mass_above_one_on_high_probability_chain(self):
         spec = ChainSpec(11, 1.0, 20, seed=5, target_probability=0.9,
                          equal_transitions=True)
-        result = estimate_distribution_experiment(spec, 2000, 10, seed=5)
+        result = estimate_distribution_experiment(spec, 2000, 10)
         assert float((result.estimates[SCOPE] > 1.0).mean()) > 0.05
+
+    def test_seed_comes_from_the_spec(self):
+        spec = ChainSpec(5, 1.0, 8, seed=3, target_probability=0.4)
+        result = estimate_distribution_experiment(spec, 100, 5)
+        again = estimate_distribution_experiment(spec, 100, 5)
+        other = estimate_distribution_experiment(replace(spec, seed=4), 100, 5)
+        assert result.seed == again.seed == 3 and other.seed == 4
+        for kind, values in result.estimates.items():
+            assert np.array_equal(again.estimates[kind], values)
+            assert not np.array_equal(other.estimates[kind], values)
+        with pytest.raises(TypeError):
+            estimate_distribution_experiment(spec, 100, 5, seed=4)
 
     def test_csv_schema(self, tmp_path):
         spec = ChainSpec(4, 1.0, 5, seed=14, target_probability=0.4)
-        result = estimate_distribution_experiment(spec, 200, 5, seed=14)
+        result = estimate_distribution_experiment(spec, 200, 5)
         path = tmp_path / "hist.csv"
         result.write_csv(path, bins=10)
         lines = path.read_text().strip().splitlines()
@@ -481,7 +514,7 @@ class TestEquivalenceRatio:
             "reach": np.linspace(0.8, 0.85, 10),
         }
         table = make_auc_table(curves)
-        row = equivalence_ratio(table, "mc", 10, "reach", 20, rng=1)
+        row = equivalence_ratio(table, "mc", 10, "reach", 20, seed=1)
         assert row.value == 10.0
         assert row.ci_low == row.ci_high == 10.0
 
@@ -506,9 +539,21 @@ class TestEquivalenceRatio:
     def test_missing_cells_rejected(self):
         table = make_auc_table({"mc": np.linspace(0.6, 0.7, 5)})
         with pytest.raises(ValueError):
-            equivalence_ratio(table, "mc", 5, "reach", 10, rng=0)
+            equivalence_ratio(table, "mc", 5, "reach", 10, seed=0)
         with pytest.raises(ValueError):
-            equivalence_ratio(table, "scope", 5, "mc", 10, rng=0)
+            equivalence_ratio(table, "scope", 5, "mc", 10, seed=0)
+
+    def test_seed_draws_the_rounds_and_labels_the_row(self):
+        curves = {
+            "mc": np.linspace(0.60, 0.75, 8),
+            "alt": np.linspace(0.63, 0.78, 8),
+        }
+        table = make_auc_table(curves, reps=40, noise=0.03, seed=5)
+        row = equivalence_ratio(table, "mc", 8, "alt", 60, seed=1)
+        assert (row.value, row.ci_low, row.ci_high) == (8 / 7, 1.0, 4 / 3)
+        assert row.seed == 1
+        twin = _equivalence(table, "mc", 8, "alt", 60, substream(1, 10, 0), seed_label=1)
+        assert row == twin.row
 
     def test_bootstrap_ci_matches_independent_reimplementation(self):
         curves = {
@@ -631,6 +676,17 @@ class TestSyntheticCohort:
             seed=31,
         )
         assert synthetic_cohort_eval(spec).to_csv_text() == per_patient_cohort_csv(spec)
+
+    def test_seed_comes_from_the_spec(self):
+        spec = CohortSpec(n_patients=20, chain_template=ChainSpec(4, 1.0, 5, seed=0),
+                          n_timelines=5, bootstrap_rounds=3, seed=8)
+        table = synthetic_cohort_eval(spec).to_csv_text()
+        # the template's seed is not read
+        template = replace(spec.chain_template, seed=1)
+        assert synthetic_cohort_eval(replace(spec, chain_template=template)).to_csv_text() == table
+        assert synthetic_cohort_eval(replace(spec, seed=9)).to_csv_text() != table
+        with pytest.raises(TypeError):
+            synthetic_cohort_eval(spec, 8)
 
     def test_reproducible(self, small_cohort):
         spec, table = small_cohort

@@ -242,6 +242,44 @@ class TestRestrictedDistribution:
                 assert tok != o and dist[tok] > 0.0
 
 
+class TestOutcomeOnlyStep:
+    """A step on which only the outcome has positive probability is
+    degenerate in the outcome-excluded mode, although its hazard falls short
+    of ``DEGENERATE_HAZARD``: it draws no token, and ``reach`` reads 1."""
+
+    ROW = [1.0 - 1e-13, 0.0, 0.0]
+
+    def models(self):
+        generic = RuledChain([self.ROW] * 3, 0, Vocabulary(size=3, outcome=0),
+                             HorizonPolicy(max_steps=2))
+        return generic, MarkovModel.step_mode([self.ROW] * 3, 0, 0, 2)
+
+    def test_row_passes_validate(self):
+        assert validate(self.ROW) == []
+
+    def test_reference_sampler_draws_nothing(self):
+        generic, markov = self.models()
+        for m in (generic, markov):
+            t = sample_trajectory(m, OUTCOME_EXCLUDED, ScriptedStream([]))
+            assert t.degenerate and t.stop_reason == "degenerate_hazard"
+            assert t.tokens == () and t.hazards == (1.0 - 1e-13,)
+            assert reach_sub(t) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
+    def test_batch_reads_no_uniform(self, n):
+        _, markov = self.models()
+        rng = substream(0, 20, 0)
+        (reach,) = sample_markov_batch(markov, OUTCOME_EXCLUDED, n, rng)
+        assert np.all(reach == 1.0)
+        assert rng.random() == substream(0, 20, 0).random()
+
+    def test_oracles(self):
+        for m in self.models():
+            assert enumerate_sub_distribution(m, "reach").atoms == ((1.0, 1.0),)
+            p_a, p_b = exact_bijection_check(m)
+            assert p_b == 1.0 and abs(p_a - p_b) <= 1e-12
+
+
 def reference_sample(model, mode, rng):
     """Straight-line sampler written directly against the documented
     semantics: one uniform per drawn token read from ``rng`` and nothing
