@@ -63,7 +63,7 @@ from .seqmodel import (
     SequenceModel,
     Trajectory,
     Vocabulary,
-    sample_markov_batch,
+    sample_batch,
     sample_trajectory,
     validate,
 )

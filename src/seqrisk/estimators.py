@@ -18,11 +18,12 @@ per-trajectory functions read a :class:`~seqrisk.seqmodel.Trajectory`'s
 
 :func:`estimate` and :func:`paired_estimates` ask about the model's own
 vocabulary and horizon, and read every trajectory from the one stream
-``trajectory_stream(seed)``: a :class:`~seqrisk.seqmodel.MarkovModel` with
-the batched sampler, any other model one trajectory after another with the
-reference sampler.  Both agree at ``n = 1``.  An :class:`EstimateReport`
-keeps the sub-values as one float64 array and saves as two files: metadata
-JSON and the values as a little-endian float64 ``.f64`` sidecar.
+``trajectory_stream(seed)`` with the one batched sampler,
+:func:`~seqrisk.seqmodel.sample_batch`, whatever the model's class: a
+model whose distributions equal a chain's gives that chain's sub-values
+bit for bit.  An :class:`EstimateReport` keeps the sub-values as one
+float64 array and saves as two files: metadata JSON and the values as a
+little-endian float64 ``.f64`` sidecar.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ from .rng import trajectory_stream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
-    MarkovModel,
     _check_keys,
     _check_number,
-    sample_markov_batch,
-    sample_trajectory,
+    sample_batch,
 )
 
 MC = "mc"
@@ -100,9 +99,7 @@ def reach_sub(traj) -> float:
     return 1.0 - surv
 
 
-_SUBS = {MC: mc_sub, SCOPE: scope_sub, REACH: reach_sub}
-
-#: kinds of the arrays :func:`sample_markov_batch` returns in each mode
+#: kinds of the arrays :func:`sample_batch` returns in each mode
 _BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
 
 
@@ -230,17 +227,8 @@ def _sub_values(model, kinds, n, seed) -> list[np.ndarray]:
     if len(modes) != 1:
         raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
     mode = modes.pop()
-    rng = trajectory_stream(seed)
-    if isinstance(model, MarkovModel):
-        arrays = sample_markov_batch(model, mode, n, rng)
-        pool = dict(zip(_BATCH_KINDS[mode], arrays))
-        return [pool[k] for k in kinds]
-    cols = [np.empty(n) for _ in kinds]
-    for i in range(n):
-        traj = sample_trajectory(model, mode, rng)
-        for col, k in zip(cols, kinds):
-            col[i] = _SUBS[k](traj)
-    return cols
+    pool = dict(zip(_BATCH_KINDS[mode], sample_batch(model, mode, n, trajectory_stream(seed))))
+    return [pool[k] for k in kinds]
 
 
 def estimate(

@@ -10,7 +10,7 @@ per-patient probability, bootstrapped over timeline resamples, plus Brier
 scores, calibration curves, and sample-count equivalence ratios.
 
 Sweeps and repeated-estimate histograms sample each chain with
-:func:`seqrisk.seqmodel.sample_markov_batch`, one stage stream per batch.
+:func:`seqrisk.seqmodel.sample_batch`, one stage stream per batch.
 A cohort is one stack of chains: one bisection calibrates all of them and
 one stacked sampler call per mode draws every patient's timelines, each
 patient from its own stage streams, so every patient's numbers are those
@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,10 +51,10 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
-    _check_keys,
     _check_number,
+    _from_dict,
     _sample_stack,
-    sample_markov_batch,
+    sample_batch,
     validate,
 )
 
@@ -127,26 +127,11 @@ class ChainSpec:
                 raise ValueError("target_probability must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_states": self.n_states,
-            "spontaneity": self.spontaneity,
-            "horizon_steps": self.horizon_steps,
-            "seed": self.seed,
-            "target_probability": self.target_probability,
-            "equal_transitions": self.equal_transitions,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainSpec":
-        _check_keys(d, [f.name for f in fields(cls)], "chain spec")
-        return cls(
-            n_states=d["n_states"],
-            spontaneity=d["spontaneity"],
-            horizon_steps=d["horizon_steps"],
-            seed=d.get("seed", 0),
-            target_probability=d.get("target_probability"),
-            equal_transitions=d.get("equal_transitions", False),
-        )
+        return _from_dict(cls, d, "chain spec")
 
 
 @dataclass(frozen=True)
@@ -225,16 +210,7 @@ class MetricRow:
             )
 
     def as_record(self) -> dict:
-        return {
-            "task": self.task,
-            "kind": self.kind,
-            "n": self.n,
-            "statistic": self.statistic,
-            "value": self.value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
@@ -460,8 +436,8 @@ def spontaneity(model: MarkovModel) -> float:
 
 def _sample_pools(chain: MarkovModel, n: int, standard_rng, excluded_rng) -> dict:
     """``n`` sub-values of every kind: MC and SCOPE share the standard batch."""
-    mc_v, scope_v = sample_markov_batch(chain, STANDARD, n, standard_rng)
-    (reach_v,) = sample_markov_batch(chain, OUTCOME_EXCLUDED, n, excluded_rng)
+    mc_v, scope_v = sample_batch(chain, STANDARD, n, standard_rng)
+    (reach_v,) = sample_batch(chain, OUTCOME_EXCLUDED, n, excluded_rng)
     return {MC: mc_v, SCOPE: scope_v, REACH: reach_v}
 
 
@@ -870,11 +846,11 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     vocab = Vocabulary.unit_steps(tpl.n_states, m)
     horizon = HorizonPolicy(max_steps=steps, time_limit=float(steps))
     mc_v, scope_v = _sample_stack(
-        transitions, 0, vocab, horizon, STANDARD, pool_n,
+        (transitions, 0), vocab, horizon, STANDARD, pool_n,
         [substream(seed, 7, i) for i in range(n_pat)],
     )
     (reach_v,) = _sample_stack(
-        transitions, 0, vocab, horizon, OUTCOME_EXCLUDED, pool_n,
+        (transitions, 0), vocab, horizon, OUTCOME_EXCLUDED, pool_n,
         [substream(seed, 8, i) for i in range(n_pat)],
     )
     clock.lap("sample")

@@ -37,7 +37,7 @@ from .seqmodel import (
     MarkovModel,
     Vocabulary,
     _degenerate,
-    _read_distribution,
+    _read_rows,
     _stop_reason,
     effective_steps,
 )
@@ -164,7 +164,7 @@ def _walk(model, mode: str):
     stack = [((), 1.0, 0.0, 1.0 if excluded else 0.0)]
     while stack:
         prefix, prob, elapsed, acc = stack.pop()
-        probs = _read_distribution(model, list(prefix), vocab.size).tolist()
+        probs = _read_rows(model, [list(prefix)], vocab.size)[0].tolist()
         h = probs[o]
         if excluded:
             # the outcome is no candidate; the largest other probability is

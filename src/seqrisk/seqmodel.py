@@ -21,30 +21,35 @@ Two samplers implement these rules, both on the model's own
 time from any :class:`SequenceModel`; it is the reference.  It reads one
 uniform per token from the stream it is given, so trajectories drawn one
 after another from one stream follow each other in it without a gap.
-:func:`sample_markov_batch` advances a whole batch of :class:`MarkovModel`
-trajectories at once and returns only their sub-estimator values; with
-one trajectory it reproduces the reference on the same stream.  It is the
-one-chain case of a stacked core that takes its stop rules explicitly and
-advances the trajectories of many chains together, each chain drawing from
-its own stream exactly what it draws alone; the synthetic cohort samples
-all of its patients this way.  Both samplers draw a token by one inverse-CDF
-rule: the next token is the number of cumulative probabilities at or below
-the uniform ``u``.  A single chain's batch of at least ``_BINS`` rows looks
-that count up in an exact bucket table (Chen & Asau's guide table),
-falling back to the comparison only where a cumulative probability lies
-inside ``u``'s bucket.
+:func:`sample_batch` advances a whole batch of trajectories of any model at
+once and returns only their sub-estimator values; with one trajectory it
+reproduces the reference on the same stream.  Its values depend only on
+the model's distributions, not on its class: a :class:`MarkovModel` has
+its per-state draw tables built once, any other model the same tables
+built at each step from the running trajectories' prefixes.  It is the
+one-model case of a core that also advances the trajectories of a stack of
+chains together, each chain drawing from its own stream exactly what it
+draws alone; the synthetic cohort samples all of its patients this way.
+Both samplers draw a token by one inverse-CDF rule: the next token is the
+number of cumulative probabilities at or below the uniform ``u``, where
+every entry from the last token that can be drawn onward is 1, so no ``u``
+draws a token of probability 0.  A single chain's batch of at least
+``_BINS`` rows looks that count up in an exact bucket table (Chen & Asau's
+guide table), falling back to the comparison only where a cumulative
+probability lies inside ``u``'s bucket.
 
 A :class:`MarkovModel` is validated once, at construction.  The
-distributions of any other model are checked as the reference sampler and
-the enumeration oracles read them: a vector that is not a probability
-distribution over the vocabulary raises :class:`ModelValidationError`.
+distributions of any other model are checked as the samplers and the
+enumeration oracles read them (:func:`_read_rows`): a vector that is not a
+probability distribution over the vocabulary raises
+:class:`ModelValidationError`.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -62,8 +67,8 @@ DEGENERATE_HAZARD = 1.0 - 1e-15
 #: tolerance for "sums to one" checks on probability vectors
 PROBABILITY_TOL = 1e-12
 
-#: buckets per state of the inverse-CDF table in :func:`sample_markov_batch`,
-#: which uses it for batches of at least this many rows; a power of two, so
+#: buckets per state of the inverse-CDF table in :func:`_sample_stack`, which
+#: a single chain uses for batches of at least this many rows; a power of two, so
 #: ``u * _BINS`` and ``cum * _BINS`` are exact
 _BINS = 1024
 
@@ -87,6 +92,17 @@ def _check_keys(d: dict, known, what: str) -> None:
         raise ValueError(f"unknown {what} keys {unknown}")
 
 
+def _from_dict(cls, d: dict, what: str):
+    """``cls(**d)`` for a dataclass; ValueError naming the keys of ``d`` that
+    are not fields of ``cls``, or the required fields it lacks."""
+    _check_keys(d, [f.name for f in fields(cls)], what)
+    missing = [f.name for f in fields(cls)
+               if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what} lacks the required keys {missing}")
+    return cls(**d)
+
+
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
     """Token universe: size, outcome token, terminal tokens, per-token times.
@@ -103,6 +119,10 @@ class Vocabulary:
     _time_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("size", "outcome"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        for t in self.terminal:
+            _check_number("terminal token", t, numbers.Integral)
         if self.size < 1:
             raise ValueError("vocabulary size must be positive")
         if not 0 <= self.outcome < self.size:
@@ -159,8 +179,7 @@ class HorizonPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HorizonPolicy":
-        _check_keys(d, ("max_steps", "time_limit"), "horizon")
-        return cls(max_steps=d["max_steps"], time_limit=d.get("time_limit"))
+        return _from_dict(cls, d, "horizon")
 
 
 @runtime_checkable
@@ -330,25 +349,39 @@ def _violations(dist: np.ndarray) -> list[str]:
     return out
 
 
-def _read_distribution(model, prefix: Sequence[int], size: int) -> np.ndarray:
-    """``model.next_distribution(prefix)`` as floats, checked by :func:`validate`.
+def _read_rows(model, prefixes: Sequence[list], size: int) -> np.ndarray:
+    """``model.next_distribution(prefix)`` for every prefix, as a ``(k, size)``
+    float array checked by :func:`validate`.
 
-    Raises :class:`ModelValidationError`, naming the prefix, unless it is a
-    probability vector with ``size`` entries.  A :class:`MarkovModel`'s rows
-    were checked at construction and are returned as they are.
+    Calls the model once per prefix, in order, and checks the whole matrix
+    at once.  Raises :class:`ModelValidationError`, naming the first prefix
+    whose vector is not a probability vector with ``size`` entries.  A
+    :class:`MarkovModel`'s rows were checked at construction and are not
+    checked again.
     """
-    dist = np.asarray(model.next_distribution(prefix), dtype=float)
-    if isinstance(model, MarkovModel):
-        return dist
-    if dist.shape != (size,):
-        violations = [f"shape {dist.shape}, expected ({size},)"]
-    else:
-        violations = validate(dist)
-    if violations:
-        raise ModelValidationError(
-            [f"next_distribution({list(prefix)}): {v}" for v in violations]
-        )
-    return dist
+    rows = np.empty((len(prefixes), size))
+    for i, prefix in enumerate(prefixes):
+        dist = np.asarray(model.next_distribution(prefix), dtype=float)
+        if dist.shape != (size,):
+            _check_rows(model, prefixes[:i], rows[:i])
+            raise ModelValidationError(
+                [f"next_distribution({list(prefix)}): shape {dist.shape}, expected ({size},)"]
+            )
+        rows[i] = dist
+    _check_rows(model, prefixes, rows)
+    return rows
+
+
+def _check_rows(model, prefixes, rows) -> None:
+    """Raise ModelValidationError for the first prefix whose row fails :func:`validate`."""
+    if isinstance(model, MarkovModel) or not validate(rows):
+        return
+    for prefix, row in zip(prefixes, rows):
+        violations = validate(row)
+        if violations:
+            raise ModelValidationError(
+                [f"next_distribution({list(prefix)}): {v}" for v in violations]
+            )
 
 
 def _degenerate(hazard, rest_mass):
@@ -382,8 +415,8 @@ def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator)
     next one drawn from that stream starts right after it.  The model's
     distributions are checked as they are read
     (:class:`ModelValidationError`).  This is the reference sampler;
-    :func:`sample_markov_batch` reproduces its values for Markov chains
-    without building trajectories.
+    :func:`sample_batch` reproduces its values without building
+    trajectories.
     """
     _check_mode(mode)
     vocab, horizon = model.vocabulary, model.horizon
@@ -397,7 +430,7 @@ def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator)
     degenerate = False
     reason = ""
     while True:
-        dist = _read_distribution(model, prefix, vocab.size)
+        (dist,) = _read_rows(model, [prefix], vocab.size)
         h = float(dist[o])
         hazards.append(h)
         if excluded:
@@ -411,8 +444,12 @@ def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator)
             degenerate = True
             reason = "degenerate_hazard"
             break
-        cum[-1] = 1.0
         tok = int(np.searchsorted(cum, rng.random(), side="right"))
+        if tok == vocab.size:
+            # u is at or above the last cumulative probability, which rounding
+            # left below 1: the count is that of a row whose entries are 1 from
+            # the last token that can be drawn on, never a token of probability 0
+            tok = int(np.flatnonzero(draw_from)[-1])
         prefix.append(tok)
         elapsed += times[tok]
         stop = _stop_reason(vocab, horizon, mode, tok, elapsed, len(prefix))
@@ -432,12 +469,10 @@ def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator)
     )
 
 
-def sample_markov_batch(
-    model: MarkovModel, mode: str, n: int, rng: np.random.Generator
-) -> tuple:
-    """Sub-estimator values of ``n`` chain trajectories drawn from one stream.
+def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generator) -> tuple:
+    """Sub-estimator values of ``n`` trajectories of any model, from one stream.
 
-    The stop rules are those of :func:`sample_trajectory` on the chain's
+    The stop rules are those of :func:`sample_trajectory` on the model's
     own ``vocabulary`` and ``horizon``.  All trajectories advance together;
     each step draws ``rng.random(k)`` for the ``k`` still running, in index
     order, so at ``n = 1`` the draws are those of :func:`sample_trajectory`
@@ -446,49 +481,95 @@ def sample_markov_batch(
     Standard mode returns the arrays ``(mc, scope)``, outcome-excluded mode
     ``(reach,)``.
 
-    A row in state ``s`` drawing ``u`` moves to token
-    ``(cum[s] <= u).sum()``, as in the reference.  When ``n >= _BINS`` that
-    count is read from :func:`_bucket_table` at ``floor(u * _BINS)``; rows
-    whose bucket holds a cumulative probability (at most one bucket per
-    token) compare against the row instead.
-    Smaller batches always compare: building the table would cost more
-    than it saves.  Both ways give the same token for every ``u``.  This is
-    the one-chain case of :func:`_sample_stack`.
+    The values depend only on the model's distributions.  A
+    :class:`MarkovModel`'s draw tables are built once per state; any other
+    model's are built at each step from one ``next_distribution`` call per
+    running trajectory, and that path keeps every trajectory's tokens, ``n``
+    lists of at most ``max_steps`` ints.  This is the one-model case of
+    :func:`_sample_stack`.
     """
-    values = _sample_stack(
-        model.transition[None], model.initial_state, model.vocabulary, model.horizon,
-        mode, n, [rng],
-    )
+    if isinstance(model, MarkovModel):
+        source = (model.transition[None], model.initial_state)
+    else:
+        source = model
+    values = _sample_stack(source, model.vocabulary, model.horizon, mode, n, [rng])
     return tuple(v[0] for v in values)
 
 
-def _sample_stack(transition, initial_state, vocab, horizon, mode, n, rngs) -> tuple:
-    """Sub-estimator values of ``n`` trajectories of every chain in a stack.
+def _draw_tables(dist: np.ndarray, outcome: int, excluded: bool) -> tuple:
+    """``(hazard, cum, degenerate, keep)`` of every row of an ``(R, V)`` array
+    of next-token distributions, as the batch draw reads them.
 
-    ``transition`` is a ``(P, S, S)`` stack of row-stochastic matrices that
-    share ``initial_state``, ``vocab`` and ``horizon``; chain ``c`` reads
-    its uniforms from ``rngs[c]`` alone.  Rows ``c * n`` up to
-    ``(c + 1) * n`` are chain ``c``'s trajectories, and each step draws
-    ``rngs[c].random(k)`` for the ``k`` of them still running, chain after
-    chain, so every chain gets exactly the values :func:`sample_markov_batch`
-    gives for it alone on its stream.  Returns ``(P, n)`` arrays in the
-    order of :func:`sample_markov_batch`.
+    ``cum`` holds the cumulative rows a uniform is compared with: of the
+    distribution in standard mode, of the rest renormalized without the
+    outcome in outcome-excluded mode.  Every entry from the last token with
+    positive draw probability onward is 1, so no uniform draws a token of
+    probability 0, except in the rows ``degenerate`` flags
+    (:func:`_degenerate`; none in standard mode), which draw nothing.
+    ``keep`` is ``1 - hazard``, a row's survival factor.
+    """
+    hazard = dist[:, outcome]
+    if excluded:
+        # a degenerate row draws nothing, whatever its scale
+        scale = np.where(hazard >= DEGENERATE_HAZARD, 1.0, 1.0 - hazard)
+        draw = dist / scale[:, None]
+        draw[:, outcome] = 0.0
+    else:
+        draw = dist
+    cum = np.cumsum(draw, axis=1)
+    degenerate = _degenerate(hazard, cum[:, -1]) if excluded else np.zeros(len(dist), bool)
+    size = dist.shape[1]
+    last = size - 1 - np.argmax(draw[:, ::-1] > 0.0, axis=1)
+    cum[(np.arange(size) >= last[:, None]) & ~degenerate[:, None]] = 1.0
+    return hazard, cum, degenerate, 1.0 - hazard
 
-    Per-step temporaries stay at one entry per row for any ``S``: the
-    comparison runs one column of the cumulative rows at a time.  Only a
-    single chain of at least ``_BINS`` rows builds the bucket table; a
-    stack's table would take ``P * S * _BINS`` entries.
+
+def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
+    """Sub-estimator values of ``n`` trajectories of every chain in a stack,
+    or of one model.
+
+    ``source`` is a pair ``(transition, initial_state)``, a ``(P, S, S)``
+    stack of row-stochastic matrices sharing the initial state, whose
+    :func:`_draw_tables` are built once per (chain, state); or any other
+    model (``P = 1``), whose tables are built at every step from the
+    running trajectories' prefixes (:func:`_read_rows`).  Both share
+    ``vocab`` and ``horizon``; chain ``c`` reads its uniforms from
+    ``rngs[c]`` alone.  Rows ``c * n`` up to ``(c + 1) * n`` are chain
+    ``c``'s trajectories, and each step draws ``rngs[c].random(k)`` for the
+    ``k`` of them still running, chain after chain, so every chain gets
+    exactly the values :func:`sample_batch` gives for it alone on its
+    stream.  Returns ``(P, n)`` arrays in the order of :func:`sample_batch`.
+
+    A row moves to token ``(cum[row] <= u).sum()``, as in the reference.  A
+    single chain of at least ``_BINS`` rows reads that count from
+    :func:`_bucket_table` at ``floor(u * _BINS)``; rows whose bucket holds a
+    cumulative probability (at most one bucket per token) compare against
+    the row instead.  Both ways give the same token for every ``u``.
+    Smaller batches, stacks and other models always compare, one column of
+    the cumulative rows at a time, so per-step temporaries stay at one entry
+    per row for any ``S``; a stack's table would take ``P * S * _BINS``
+    entries.
     """
     _check_mode(mode)
-    n_chains, size = transition.shape[0], transition.shape[-1]
-    if vocab.size != size:
-        raise ValueError("vocabulary size does not match the model")
-    o = vocab.outcome
-    # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
-    hazard = transition[:, :, o].ravel()
+    size, o = vocab.size, vocab.outcome
+    excluded = mode == OUTCOME_EXCLUDED
+    if isinstance(source, tuple):
+        transition, initial_state = source
+        n_chains, model = transition.shape[0], None
+        if transition.shape[-1] != size:
+            raise ValueError("vocabulary size does not match the model")
+        # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
+        hazard, cum, degenerate, keep = _draw_tables(transition.reshape(-1, size), o, excluded)
+        table = _bucket_table(cum) if n_chains == 1 and n >= _BINS else None
+    else:
+        # the initial state only fills ``states``, which holds each row's last token
+        model, n_chains, initial_state, table = source, 1, 0, None
+        prefixes = [[] for _ in range(n)]
     # tokens after which a trajectory stops, whatever the time or step count
     stop_after = np.zeros(size, dtype=bool)
     stop_after[list(vocab.terminal)] = True
+    if not excluded:
+        stop_after[o] = True
     times = vocab.time_map
     if np.all(times == 1.0):
         # elapsed time is the token count: the time limit is a step cap
@@ -503,29 +584,18 @@ def _sample_stack(transition, initial_state, vocab, horizon, mode, n, rngs) -> t
     # index them directly), and each chain's first row
     offset = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
     first_rows = np.arange(n_chains + 1) * n
-    excluded = mode == OUTCOME_EXCLUDED
-    if excluded:
-        # a degenerate row draws nothing, whatever its scale
-        scale = np.where(hazard >= DEGENERATE_HAZARD, 1.0, 1.0 - hazard)
-        restricted = transition / scale.reshape(n_chains, size, 1)
-        restricted[..., o] = 0.0
-        cum = np.cumsum(restricted, axis=-1).reshape(-1, size)
-        degenerate = _degenerate(hazard, cum[:, -1])
-        cum[~degenerate, -1] = 1.0
-        keep = 1.0 - hazard
-        surv = np.ones(rows)
-    else:
-        stop_after[o] = True
-        cum = np.cumsum(transition, axis=-1).reshape(-1, size)
-        cum[:, -1] = 1.0
-        hsum = np.zeros(rows)
-    table = _bucket_table(cum) if n_chains == 1 and n >= _BINS else None
+    surv, hsum = (np.ones(rows), None) if excluded else (None, np.zeros(rows))
     for _ in range(steps):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
         st = states[idx]
-        row = st if offset is None else offset[idx] + st
+        if model is not None:
+            dist = _read_rows(model, [prefixes[i] for i in idx.tolist()], size)
+            hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
+            row = np.arange(idx.size)
+        else:
+            row = st if offset is None else offset[idx] + st
         if excluded:
             dead = degenerate[row]
             if dead.any():
@@ -559,6 +629,9 @@ def _sample_stack(transition, initial_state, vocab, horizon, mode, n, rngs) -> t
                 # about S / _BINS of the rows: gathering their whole rows is cheap
                 nxt[split] = (cum[st[split]] <= u[split, None]).sum(axis=1)
         states[idx] = nxt
+        if model is not None:
+            for i, token in zip(idx.tolist(), nxt.tolist()):
+                prefixes[i].append(token)
         stop = stop_after[nxt]
         if limit is not None:
             elapsed[idx] += times[nxt]

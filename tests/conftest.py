@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded random-model suites and their exact statistics."""
+"""Shared fixtures: seeded random-model suites and their exact statistics, and
+a chain that is not a :class:`MarkovModel`."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from seqrisk import (
     enumerate_sub_distribution,
     exact_bijection_check,
     exact_outcome_probability,
+    seqmodel,
 )
 
 SUITE_SEED_BASE = 1000
@@ -46,6 +48,30 @@ def make_random_model(seed: int, max_states: int = 5, max_horizon: int = 6) -> M
     t = t / t.sum(axis=1, keepdims=True)
     initial = int(rng.integers(0, n))
     return MarkovModel.step_mode(t, initial, outcome, horizon)
+
+
+class RuledChain:
+    """Chain with the stop rules it is given: rows, an initial state, a
+    vocabulary (any outcome token, terminal set and token times) and a
+    horizon.  It is not a :class:`MarkovModel`, so both samplers read and
+    check its rows like any model's distributions, prefix by prefix."""
+
+    def __init__(self, rows, initial, vocabulary, horizon):
+        self.rows = np.asarray(rows, dtype=float)
+        self.initial = initial
+        self.vocabulary = vocabulary
+        self.horizon = horizon
+
+    def next_distribution(self, prefix):
+        return self.rows[prefix[-1] if prefix else self.initial]
+
+
+def ruled_batch(m, mode, n, rng):
+    """Batch values of a :class:`RuledChain` from the per-state tables of the
+    stacked sampler core, which takes the stop rules explicitly."""
+    values = seqmodel._sample_stack((m.rows[None], m.initial), m.vocabulary, m.horizon,
+                                    mode, n, [rng])
+    return tuple(v[0] for v in values)
 
 
 @dataclass(frozen=True)

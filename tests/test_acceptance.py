@@ -27,7 +27,7 @@ from seqrisk import (
     estimate,
     exact_outcome_probability,
     random_chain,
-    sample_markov_batch,
+    sample_batch,
     synthetic_cohort_eval,
     variance_sweep,
 )
@@ -162,9 +162,8 @@ def test_figure_panels_qualitative():
         point = ChainSpec(11, g, 20, seed=PANEL_C_SEED, target_probability=0.5,
                           equal_transitions=True)
         chain = random_chain(point, rng=substream(PANEL_C_SEED, 2, j, 0))
-        mc_v, _ = sample_markov_batch(chain, STANDARD, r, substream(PANEL_C_SEED, 2, j, 1))
-        (re_v,) = sample_markov_batch(chain, OUTCOME_EXCLUDED, r,
-                                      substream(PANEL_C_SEED, 2, j, 2))
+        mc_v, _ = sample_batch(chain, STANDARD, r, substream(PANEL_C_SEED, 2, j, 1))
+        (re_v,) = sample_batch(chain, OUTCOME_EXCLUDED, r, substream(PANEL_C_SEED, 2, j, 2))
         if abs(mc_v.var(ddof=1) - 0.25) > 3.0 * mc_se:
             panel_c_mc_ok = False
         s2 = re_v.var(ddof=1)

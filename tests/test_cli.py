@@ -48,6 +48,8 @@ MODEL_ERRORS = {
                                  "initial_state must be an integer, got 0.7"),
     "fractional_max_steps": ({"horizon": {"max_steps": 10.9}},
                              "max_steps must be an integer, got 10.9"),
+    "horizon_without_steps": ({"horizon": {"time_limit": 10.0}},
+                              "horizon lacks the required keys ['max_steps']"),
 }
 
 
@@ -144,6 +146,13 @@ class TestEstimateCommand:
         assert cli.main(["estimate", "--spec", str(path), "--kind", "mc",
                          "--n", "10"]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_spec_without_a_required_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"spontaneity": 1.0, "horizon_steps": 4}))
+        assert cli.main(["estimate", "--spec", str(path), "--kind", "mc", "--n", "10"]) == 2
+        assert ("configuration error: chain spec lacks the required keys ['n_states']"
+                in capsys.readouterr().err)
 
     def test_requires_model_or_spec(self, chain_file, tmp_path):
         out = run_cli("estimate", "--kind", "mc", "--n", "10")

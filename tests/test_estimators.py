@@ -16,6 +16,7 @@ from seqrisk import (
     REACH,
     SCOPE,
     STANDARD,
+    ChainSpec,
     EstimateReport,
     MarkovModel,
     ModeMismatchError,
@@ -25,16 +26,36 @@ from seqrisk import (
     exact_outcome_probability,
     mc_sub,
     paired_estimates,
+    random_chain,
     reach_sub,
-    sample_trajectory,
+    sample_batch,
     scope_sub,
+    seqmodel,
     trajectory_stream,
 )
 from seqrisk.estimators import (
     CLIP_NONE, CLIP_POLICIES, KINDS, aggregate, apply_clip, required_mode,
 )
 
-from conftest import make_random_model
+from conftest import RuledChain, make_random_model, ruled_batch
+
+
+class WrappedChain:
+    """A chain's distributions behind a plain class, not a MarkovModel."""
+
+    def __init__(self, chain):
+        self.chain = chain
+        self.vocabulary, self.horizon = chain.vocabulary, chain.horizon
+
+    def next_distribution(self, prefix):
+        return self.chain.next_distribution(prefix)
+
+
+@pytest.fixture(scope="module")
+def wrapped_chain():
+    """An 11-state, 20-step chain and the same chain wrapped."""
+    chain = random_chain(ChainSpec(11, 0.5, 20, seed=1, target_probability=0.3))
+    return chain, WrappedChain(chain)
 
 
 def reference_aggregate(values, clip_policy=CLIP_NONE):
@@ -305,15 +326,28 @@ class TestEstimate:
         rep = estimate(m, MC, 20_000, seed=4)
         assert abs(rep.mean - p) <= 4.0 * max(rep.std_error, 1e-9)
 
-    def test_non_markov_values_are_read_in_order_from_one_stream(self):
-        m = counterexample_model(0.3)
-        seed, n = 12, 300
-        for kind, sub in ((MC, mc_sub), (SCOPE, scope_sub), (REACH, reach_sub)):
-            rep = estimate(m, kind, n, seed=seed)
-            rng = trajectory_stream(seed)
-            expected = [sub(sample_trajectory(m, required_mode(kind), rng))
-                        for _ in range(n)]
-            assert list(rep.sub_values) == expected
+    @pytest.mark.parametrize("n", [1, 300, 2 * seqmodel._BINS])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
+    def test_counterexample_gives_its_chain_values(self, p, n):
+        # the counterexample model as a chain over its own tokens: the first
+        # row from the empty prefix, the coin row after any token
+        m = counterexample_model(p)
+        first, coin = m.next_distribution([]), m.next_distribution([1])
+        chain = RuledChain([first, coin, coin, coin], 0, m.vocabulary, m.horizon)
+        seed = 12
+        mc, scope = ruled_batch(chain, STANDARD, n, trajectory_stream(seed))
+        (reach,) = ruled_batch(chain, OUTCOME_EXCLUDED, n, trajectory_stream(seed))
+        for kind, values in ((MC, mc), (SCOPE, scope), (REACH, reach)):
+            assert estimate(m, kind, n, seed=seed).sub_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("n", [1, 5, 1023, 1024, 5000])
+    def test_wrapped_chain_gives_the_chain_report(self, wrapped_chain, n, seed):
+        # the same distributions behind a plain class give the same files
+        chain, wrapped = wrapped_chain
+        for kind in KINDS:
+            want = estimate(chain, kind, n, seed=seed).files("report.json")
+            assert estimate(wrapped, kind, n, seed=seed).files("report.json") == want
 
     def test_sub_value_ranges(self):
         m = make_random_model(13)
@@ -330,15 +364,13 @@ class TestPairedEstimates:
         mc_rep, scope_rep = paired_estimates(m, 20, seed=0)
         assert mc_rep.mean == 0.0 and scope_rep.mean == 0.0
 
-    def test_shared_pool_values_are_per_trajectory(self):
+    def test_shared_pool_values_are_the_batch_values(self):
         m = counterexample_model(0.3)
         seed, n = 11, 300
         mc_rep, scope_rep = paired_estimates(m, n, seed=seed)
-        rng = trajectory_stream(seed)
-        for i in range(n):
-            t = sample_trajectory(m, STANDARD, rng)
-            assert mc_rep.sub_values[i] == mc_sub(t)
-            assert scope_rep.sub_values[i] == scope_sub(t)
+        mc, scope = sample_batch(m, STANDARD, n, trajectory_stream(seed))
+        assert mc_rep.sub_values.tobytes() == mc.tobytes()
+        assert scope_rep.sub_values.tobytes() == scope.tobytes()
 
     def test_both_means_converge_to_exact_probability(self):
         p = 0.3

@@ -27,9 +27,9 @@ from seqrisk import (
     estimate_distribution_experiment,
     exact_outcome_probability,
     random_chain,
+    sample_batch,
     spontaneity,
     synthetic_cohort_eval,
-    sample_markov_batch,
     validate,
     variance_sweep,
 )
@@ -53,6 +53,17 @@ class TestChainSpec:
     def test_round_trip(self):
         spec = ChainSpec(6, 0.5, 10, seed=3, target_probability=0.4)
         assert ChainSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_lists_every_field_in_order(self):
+        spec = ChainSpec(6, 0.5, 10, seed=3, target_probability=0.4)
+        assert list(spec.to_dict().items()) == [
+            ("n_states", 6), ("spontaneity", 0.5), ("horizon_steps", 10), ("seed", 3),
+            ("target_probability", 0.4), ("equal_transitions", False)]
+
+    def test_from_dict_names_the_missing_keys(self):
+        with pytest.raises(ValueError, match=r"chain spec lacks the required keys "
+                                             r"\['n_states', 'horizon_steps'\]"):
+            ChainSpec.from_dict({"spontaneity": 0.5, "seed": 2})
 
 
 #: one wrong CohortSpec field, and the error it gets
@@ -174,9 +185,8 @@ class TestBatchSampler:
     def test_agrees_with_per_trajectory_estimates(self):
         chain = random_chain(ChainSpec(5, 0.75, 10, seed=8, target_probability=0.35))
         p = exact_outcome_probability(chain)
-        mc_v, scope_v = sample_markov_batch(chain, STANDARD, 40_000, substream(1, 20, 0))
-        (reach_v,) = sample_markov_batch(chain, OUTCOME_EXCLUDED, 40_000,
-                                         substream(1, 20, 1))
+        mc_v, scope_v = sample_batch(chain, STANDARD, 40_000, substream(1, 20, 0))
+        (reach_v,) = sample_batch(chain, OUTCOME_EXCLUDED, 40_000, substream(1, 20, 1))
         for vals in (mc_v, scope_v, reach_v):
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - p) <= 4.5 * max(se, 1e-12)
@@ -189,7 +199,7 @@ class TestBatchSampler:
         from seqrisk import MarkovModel
 
         m = MarkovModel.step_mode([[1.0 - h, h], [0.0, 1.0]], 0, 1, steps)
-        (reach_v,) = sample_markov_batch(m, OUTCOME_EXCLUDED, 50, substream(2, 20, 2))
+        (reach_v,) = sample_batch(m, OUTCOME_EXCLUDED, 50, substream(2, 20, 2))
         expected = 1.0
         for _ in range(steps):
             expected *= 1.0 - h
@@ -200,7 +210,7 @@ class TestBatchSampler:
 
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 5)
-        (reach_v,) = sample_markov_batch(m, OUTCOME_EXCLUDED, 20, substream(3, 20, 3))
+        (reach_v,) = sample_batch(m, OUTCOME_EXCLUDED, 20, substream(3, 20, 3))
         assert np.all(reach_v == 1.0)
 
 
@@ -613,7 +623,7 @@ class TestExperimentTable:
 
 def per_patient_cohort_csv(spec):
     """The cohort table with every patient calibrated and sampled on its own,
-    one ``random_chain`` and two ``sample_markov_batch`` calls each."""
+    one ``random_chain`` and two ``sample_batch`` calls each."""
     seed, tpl = spec.seed, spec.chain_template
     n_pat, n = spec.n_patients, spec.n_timelines
     (a, b), (lo, hi) = spec.risk_beta, spec.risk_range
@@ -624,9 +634,9 @@ def per_patient_cohort_csv(spec):
         chain = random_chain(replace(tpl, target_probability=float(targets[i])),
                              rng=substream(seed, 6, i))
         p_exact[i] = exact_outcome_probability(chain)
-        pools[MC][i], pools[SCOPE][i] = sample_markov_batch(
+        pools[MC][i], pools[SCOPE][i] = sample_batch(
             chain, STANDARD, n, substream(seed, 7, i))
-        (pools[REACH][i],) = sample_markov_batch(
+        (pools[REACH][i],) = sample_batch(
             chain, OUTCOME_EXCLUDED, n, substream(seed, 8, i))
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
     rows = _cohort_metrics(spec, seed, pools, labels, _StageClock())

@@ -28,7 +28,7 @@ from seqrisk import (
     paired_estimates,
     mc_sub,
     reach_sub,
-    sample_markov_batch,
+    sample_batch,
     sample_trajectory,
     scope_sub,
     trajectory_stream,
@@ -37,31 +37,7 @@ from seqrisk import (
 from seqrisk import seqmodel
 from seqrisk.rng import substream
 
-from conftest import make_random_model
-
-
-class RuledChain:
-    """Chain with the stop rules it is given: rows, an initial state, a
-    vocabulary (any outcome token, terminal set and token times) and a
-    horizon.  It is not a :class:`MarkovModel`, so the reference sampler
-    reads and checks its rows like any model's distributions."""
-
-    def __init__(self, rows, initial, vocabulary, horizon):
-        self.rows = np.asarray(rows, dtype=float)
-        self.initial = initial
-        self.vocabulary = vocabulary
-        self.horizon = horizon
-
-    def next_distribution(self, prefix):
-        return self.rows[prefix[-1] if prefix else self.initial]
-
-
-def ruled_batch(m, mode, n, rng):
-    """Batch values of a :class:`RuledChain` from the stacked sampler core,
-    which takes the stop rules explicitly."""
-    values = seqmodel._sample_stack(m.rows[None], m.initial, m.vocabulary, m.horizon,
-                                    mode, n, [rng])
-    return tuple(v[0] for v in values)
+from conftest import RuledChain, make_random_model, ruled_batch
 
 
 @st.composite
@@ -135,6 +111,21 @@ class TestVocabulary:
         v = Vocabulary(size=3, outcome=1, terminal=frozenset({1, 2}))
         assert 1 in v.terminal
 
+    @pytest.mark.parametrize("field,value", [("size", 3.0), ("size", True),
+                                             ("outcome", 1.0), ("outcome", False)])
+    def test_size_and_outcome_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Vocabulary(**{"size": 3, "outcome": 1, field: value})
+
+    @pytest.mark.parametrize("token", [1.5, 1.0, True])
+    def test_terminal_tokens_must_be_integers(self, token):
+        with pytest.raises(ValueError, match="terminal token must be an integer"):
+            Vocabulary(size=3, outcome=0, terminal={token})
+
+    def test_numpy_integers_accepted(self):
+        v = Vocabulary(size=np.int64(3), outcome=np.int64(1), terminal={np.int64(2)})
+        assert v.terminal == {2}
+
 
 class TestHorizonPolicy:
     def test_max_steps_required_positive(self):
@@ -149,6 +140,11 @@ class TestHorizonPolicy:
         h = HorizonPolicy(max_steps=4, time_limit=2.5)
         assert HorizonPolicy.from_dict(h.to_dict()) == h
 
+    @pytest.mark.parametrize("d", [{}, {"time_limit": 2.0}])
+    def test_from_dict_names_a_missing_key(self, d):
+        with pytest.raises(ValueError, match=r"horizon lacks the required keys \['max_steps'\]"):
+            HorizonPolicy.from_dict(d)
+
 
 class TestNextDistribution:
     def test_markov_row(self):
@@ -161,7 +157,7 @@ class TestNextDistribution:
 
     def test_counterexample_first_branch(self):
         m = counterexample_model(0.5)
-        dist = seqmodel._read_distribution(m, [], m.vocabulary.size)
+        (dist,) = seqmodel._read_rows(m, [[]], m.vocabulary.size)
         assert np.allclose(dist, [0.5, 0.5, 0.0, 0.0])
 
     def test_invalid_prefix_token(self):
@@ -173,20 +169,25 @@ class TestNextDistribution:
         for seed in range(50):
             m = make_random_model(seed)
             prefix = [] if seed % 2 else [seed % m.n_states]
-            dist = seqmodel._read_distribution(m, prefix, m.n_states)
+            (dist,) = seqmodel._read_rows(m, [prefix], m.n_states)
             assert abs(float(dist.sum()) - 1.0) <= 1e-12
             assert np.all(dist >= 0) and np.all(dist <= 1)
 
 
 class ScriptedStream:
     """Stand-in for a generator whose ``random()`` returns the given
-    uniforms in order (and fails when asked for more)."""
+    uniforms in order, and whose ``random(out=a)`` fills ``a`` with the next
+    ones (and fails when asked for more)."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
 
-    def random(self):
-        return self.uniforms.pop(0)
+    def random(self, out=None):
+        if out is None:
+            return self.uniforms.pop(0)
+        for i in range(out.size):
+            out[i] = self.uniforms.pop(0)
+        return out
 
 
 def one_step_model(row, outcome):
@@ -267,11 +268,11 @@ class TestOutcomeOnlyStep:
 
     @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
     def test_batch_reads_no_uniform(self, n):
-        _, markov = self.models()
-        rng = substream(0, 20, 0)
-        (reach,) = sample_markov_batch(markov, OUTCOME_EXCLUDED, n, rng)
-        assert np.all(reach == 1.0)
-        assert rng.random() == substream(0, 20, 0).random()
+        for m in self.models():
+            rng = substream(0, 20, 0)
+            (reach,) = sample_batch(m, OUTCOME_EXCLUDED, n, rng)
+            assert np.all(reach == 1.0)
+            assert rng.random() == substream(0, 20, 0).random()
 
     def test_oracles(self):
         for m in self.models():
@@ -283,7 +284,10 @@ class TestOutcomeOnlyStep:
 def reference_sample(model, mode, rng):
     """Straight-line sampler written directly against the documented
     semantics: one uniform per drawn token read from ``rng`` and nothing
-    more, inverse CDF with the final cumulative entry forced to 1."""
+    more; an outcome-excluded step is degenerate when its hazard is at
+    least ``1 - 1e-15`` or no other token has positive probability; inverse
+    CDF with every cumulative entry from the last token with positive draw
+    probability onward set to 1."""
     vocab, horizon = model.vocabulary, model.horizon
     tokens, hazards = [], []
     elapsed = 0.0
@@ -294,12 +298,13 @@ def reference_sample(model, mode, rng):
         h = float(dist[vocab.outcome])
         hazards.append(h)
         if mode == OUTCOME_EXCLUDED:
-            if h >= 1.0 - 1e-15:
+            others = [p for v, p in enumerate(dist) if v != vocab.outcome]
+            if h >= 1.0 - 1e-15 or not any(p > 0.0 for p in others):
                 return tokens, hazards, hit, True
             dist = dist / (1.0 - h)
             dist[vocab.outcome] = 0.0
         cum = np.cumsum(dist)
-        cum[-1] = 1.0
+        cum[max(v for v, p in enumerate(dist) if p > 0.0):] = 1.0
         tok = int(np.searchsorted(cum, rng.random(), side="right"))
         tokens.append(tok)
         state_prefix.append(tok)
@@ -314,6 +319,46 @@ def reference_sample(model, mode, rng):
         if len(tokens) >= horizon.max_steps:
             break
     return tokens, hazards, hit, False
+
+
+class TestZeroProbabilityDraw:
+    """A uniform at or above the last cumulative probability that rounding
+    left below 1 draws the last token with positive draw probability, never
+    a token of probability 0.  Token times 1, 1, 0 under a time limit of 0.5
+    make the drawn token visible in the values: only token 2 lets a
+    trajectory go on to a second step."""
+
+    BELOW_ONE = float(np.nextafter(1.0, 0.0))
+    # mode, row, outcome, first uniform, the token it draws
+    CASES = {
+        "standard_outcome_row": (STANDARD, [1.0 - 1e-13, 0.0, 0.0], 0, 1.0 - 5e-14, 0),
+        "standard_short_sum": (
+            STANDARD, [0.5574632335731879, 0.4425367664268119, 0.0], 2, BELOW_ONE, 1),
+        "excluded_short_sum": (
+            OUTCOME_EXCLUDED, [0.0010397580548109561, 0.25215560168911316, 0.7468046402560758],
+            2, BELOW_ONE, 1),
+    }
+
+    @staticmethod
+    def model(row, outcome):
+        vocab = Vocabulary(size=3, outcome=outcome, time_map=[1.0, 1.0, 0.0])
+        return RuledChain([row] * 3, 0, vocab, HorizonPolicy(max_steps=2, time_limit=0.5))
+
+    @pytest.mark.parametrize("mode,row,outcome,u,token", CASES.values(), ids=CASES)
+    def test_reference_samplers(self, mode, row, outcome, u, token):
+        m = self.model(row, outcome)
+        assert sample_trajectory(m, mode, ScriptedStream([u, 0.5])).tokens == (token,)
+        assert reference_sample(m, mode, ScriptedStream([u, 0.5]))[0] == [token]
+
+    @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
+    @pytest.mark.parametrize("mode,row,outcome,u,token", CASES.values(), ids=CASES)
+    def test_batch_sampler(self, mode, row, outcome, u, token, n):
+        m = self.model(row, outcome)
+        traj = sample_trajectory(m, mode, ScriptedStream([u]))
+        for batch in (sample_batch, ruled_batch):
+            values = batch(m, mode, n, ScriptedStream([u] * n + [0.5] * n))
+            assert all(np.all(v == v[0]) for v in values)
+            assert_batch_matches(values, traj)
 
 
 class TestSampleTrajectory:
@@ -354,7 +399,7 @@ class TestSampleTrajectory:
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(30):
                 traj = sample_trajectory(m, mode, trajectory_stream(seed))
-                batch = sample_markov_batch(m, mode, 1, trajectory_stream(seed))
+                batch = sample_batch(m, mode, 1, trajectory_stream(seed))
                 assert_batch_matches(batch, traj)
 
     def test_seed_determinism(self):
@@ -464,6 +509,8 @@ def assert_batch_matches(batch, traj):
 
 
 class TestSampleMarkovBatch:
+    """The batched sampler, :func:`sample_batch`, and its stacked core."""
+
     ROWS = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]
 
     def test_outcome_comes_from_the_vocabulary(self):
@@ -486,10 +533,22 @@ class TestSampleMarkovBatch:
     @settings(max_examples=400, deadline=None, database=None)
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
     def test_single_trajectory_matches_reference(self, case, seed):
+        # the per-state tables and the tables built from the prefixes
         m, mode = case
         traj = sample_trajectory(m, mode, trajectory_stream(seed))
-        batch = ruled_batch(m, mode, 1, trajectory_stream(seed))
-        assert_batch_matches(batch, traj)
+        assert_batch_matches(ruled_batch(m, mode, 1, trajectory_stream(seed)), traj)
+        assert_batch_matches(sample_batch(m, mode, 1, trajectory_stream(seed)), traj)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=random_case(), n=st.sampled_from([1, 40, 2 * seqmodel._BINS]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_generic_model_matches_the_per_state_tables(self, case, n, seed):
+        # a model that is not a MarkovModel gets its chain's values bit for bit
+        m, mode = case
+        got = sample_batch(m, mode, n, trajectory_stream(seed))
+        want = ruled_batch(m, mode, n, trajectory_stream(seed))
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
@@ -514,7 +573,7 @@ class TestSampleMarkovBatch:
         # exactly its batch alone; alone, n > _BINS uses the bucket table
         stack, initial, vocab, horizon, mode = case
         values = seqmodel._sample_stack(
-            stack, initial, vocab, horizon, mode, n,
+            (stack, initial), vocab, horizon, mode, n,
             [substream(seed, 30, c) for c in range(len(stack))])
         for c, rows in enumerate(stack):
             alone = ruled_batch(RuledChain(rows, initial, vocab, horizon), mode, n,
@@ -633,10 +692,23 @@ class TestNonMarkovDistributionsChecked:
                 call()
             assert err.value.violations == [f"next_distribution([]): {message}"]
 
+    def test_the_first_bad_prefix_is_named(self):
+        class PerToken:
+            vocabulary, horizon = Vocabulary(size=3, outcome=2), HorizonPolicy(max_steps=3)
+
+            def next_distribution(self, prefix):
+                return {0: [0.5, 0.5, 0.0], 1: [0.5, 0.0, 0.0], 2: [1.0, 0.0]}[prefix[-1]]
+
+        for prefixes, message in (([[0], [1], [2]], "[1]): sums to 0.5, expected 1"),
+                                  ([[0], [2], [1]], "[2]): shape (2,), expected (3,)")):
+            with pytest.raises(ModelValidationError) as err:
+                seqmodel._read_rows(PerToken(), prefixes, 3)
+            assert err.value.violations == [f"next_distribution({message}"]
+
     def test_helpers_reject_non_finite_entries(self):
         message = r"next_distribution\(\[5\]\): entry 0 = nan"
         with pytest.raises(ModelValidationError, match=message):
-            seqmodel._read_distribution(FixedRowModel([np.nan, 0.5, 0.5]), [5], 3)
+            seqmodel._read_rows(FixedRowModel([np.nan, 0.5, 0.5]), [[5]], 3)
         assert validate(np.array([0.5, np.inf, 0.5])) == ["entry 1 = inf outside [0, 1]"]
 
 
