@@ -12,7 +12,6 @@ the package.
 from .errors import (
     CalibrationError,
     InstanceTooLargeError,
-    ModeMismatchError,
     ModelValidationError,
     SeqriskError,
     UndefinedMetricError,
@@ -26,10 +25,7 @@ from .estimators import (
     SCOPE,
     EstimateReport,
     estimate,
-    mc_sub,
     paired_estimates,
-    reach_sub,
-    scope_sub,
 )
 from .experiments import (
     ChainSpec,
@@ -61,10 +57,8 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     SequenceModel,
-    Trajectory,
     Vocabulary,
     sample_batch,
-    sample_trajectory,
     validate,
 )
 

@@ -191,8 +191,8 @@ def _cmd_sweep(args) -> int:
         target_probability=None if args.axis == "probability" else 0.5,
     ))
     grid, replications = _SWEEP_DEFAULTS[args.axis]
-    grid = _parse_grid(args.grid) if args.grid else list(grid)
-    replications = args.replications or replications
+    grid = _parse_grid(args.grid) if args.grid is not None else list(grid)
+    replications = args.replications if args.replications is not None else replications
     table = experiments.variance_sweep(args.axis, grid, base, replications)
     svg_kw = dict(
         task_prefix=f"{args.axis}=", statistic="variance",

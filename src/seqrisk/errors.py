@@ -15,10 +15,6 @@ class ModelValidationError(SeqriskError):
         super().__init__("; ".join(self.violations))
 
 
-class ModeMismatchError(SeqriskError):
-    """A trajectory was sampled in the wrong mode for the requested sub-estimator."""
-
-
 class InstanceTooLargeError(SeqriskError):
     """Exhaustive enumeration would exceed the leaf-count guard."""
 

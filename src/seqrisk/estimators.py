@@ -12,9 +12,9 @@ outcome token appears before the end of the timeline:
 ``mc`` and ``scope`` read standard-mode trajectories and can share one
 pool; ``reach`` requires outcome-excluded sampling.  Averaging any of them
 over independent trajectories is unbiased; the enumeration oracles in
-:mod:`seqrisk.oracle` verify this exactly on small models.  The
-per-trajectory functions read a :class:`~seqrisk.seqmodel.Trajectory`'s
-``mode``, ``hit_index``, ``hazards`` and ``degenerate`` fields.
+:mod:`seqrisk.oracle` verify this exactly on small models.  The sampler
+computes every sub-value as it advances a trajectory, so no trajectory is
+kept.
 
 :func:`estimate` and :func:`paired_estimates` ask about the model's own
 vocabulary and horizon, and read every trajectory from the one stream
@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModeMismatchError
 from .rng import trajectory_stream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
@@ -63,40 +62,6 @@ def required_mode(kind: str) -> str:
     if kind == REACH:
         return OUTCOME_EXCLUDED
     raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-
-
-def _require_mode(traj, mode: str) -> None:
-    if traj.mode != mode:
-        raise ModeMismatchError(
-            f"trajectory was sampled in {traj.mode!r} mode, need {mode!r}"
-        )
-
-
-def mc_sub(traj) -> float:
-    """1.0 iff the trajectory contains the outcome token before its end."""
-    _require_mode(traj, STANDARD)
-    return 1.0 if traj.hit_index is not None else 0.0
-
-
-def scope_sub(traj) -> float:
-    """Sum of hazards over every generated step (the stopping step included)."""
-    _require_mode(traj, STANDARD)
-    return math.fsum(traj.hazards)
-
-
-def reach_sub(traj) -> float:
-    """One minus the survival product over the outcome-excluded backbone.
-
-    Degeneracy-flagged trajectories return exactly 1: their survival
-    product contains a factor of zero.
-    """
-    _require_mode(traj, OUTCOME_EXCLUDED)
-    if traj.degenerate:
-        return 1.0
-    surv = 1.0
-    for h in traj.hazards:
-        surv *= 1.0 - h
-    return 1.0 - surv
 
 
 #: kinds of the arrays :func:`sample_batch` returns in each mode
@@ -193,15 +158,17 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
     n = values.size
     if n == 0:
         raise ValueError("cannot aggregate zero sub-values")
-    mean = math.fsum(values) / n
+    # a memoryview yields Python floats: fsum neither boxes each element as
+    # np.float64 nor needs a list of them
+    mean = math.fsum(memoryview(values)) / n
     if n > 1:
         # corrected two-pass: the residual term cancels the rounding of the
         # mean, so constant inputs give exactly zero variance; float_power
         # squares through libm pow, as ``d ** 2`` on floats does (``d * d``
         # can differ in the last bit)
         dev = values - mean
-        ss = math.fsum(np.float_power(dev, 2.0))
-        residual = math.fsum(dev)
+        ss = math.fsum(memoryview(np.float_power(dev, 2.0)))
+        residual = math.fsum(memoryview(dev))
         var = max(0.0, (ss - residual * residual / n) / (n - 1))
     else:
         var = 0.0

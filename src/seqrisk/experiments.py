@@ -458,11 +458,12 @@ def variance_sweep(
     grid value substituted into ``base_spec`` and record per-trajectory
     (n = 1) statistics; ``sample_count`` keeps one chain and records the
     variance of the ``n``-sample estimator, plus ``variance * n`` to make
-    the 1/n scaling inspectable.  Points whose chain construction fails
-    are marked with a ``failed`` row and the sweep continues.  Exact
-    (enumeration) variances are added wherever the instance is small
-    enough.  Every stream derives from ``base_spec.seed``, which every row
-    carries.
+    the 1/n scaling inspectable; its grid values must be positive integers
+    (``2.0`` is 2), or it raises ValueError.  Points whose chain
+    construction fails are marked with a ``failed`` row and the sweep
+    continues.  Exact (enumeration) variances are added wherever the
+    instance is small enough.  Every stream derives from ``base_spec.seed``,
+    which every row carries.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -476,6 +477,9 @@ def variance_sweep(
     rows: list[MetricRow] = []
 
     if axis == "sample_count":
+        for g in grid:
+            if not (float(g).is_integer() and g >= 1):
+                raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
         chain = random_chain(base_spec, rng=substream(seed, aid, 0, 0))
         rows.append(
             MetricRow(

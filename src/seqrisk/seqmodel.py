@@ -15,31 +15,26 @@ the candidate pool and the remaining mass renormalized; the hazards still
 come from the unrestricted distribution.  A step with no remaining mass to
 speak of (:func:`_degenerate`) draws no token and ends the trajectory.
 
-Two samplers implement these rules, both on the model's own
-``vocabulary`` and ``horizon``.  :func:`sample_trajectory` builds one
-:class:`Trajectory` (tokens, hazards, outcome position, stop reason) at a
-time from any :class:`SequenceModel`; it is the reference.  It reads one
-uniform per token from the stream it is given, so trajectories drawn one
-after another from one stream follow each other in it without a gap.
-:func:`sample_batch` advances a whole batch of trajectories of any model at
-once and returns only their sub-estimator values; with one trajectory it
-reproduces the reference on the same stream.  Its values depend only on
-the model's distributions, not on its class: a :class:`MarkovModel` has
-its per-state draw tables built once, any other model the same tables
-built at each step from the running trajectories' prefixes.  It is the
-one-model case of a core that also advances the trajectories of a stack of
-chains together, each chain drawing from its own stream exactly what it
-draws alone; the synthetic cohort samples all of its patients this way.
-Both samplers draw a token by one inverse-CDF rule: the next token is the
-number of cumulative probabilities at or below the uniform ``u``, where
-every entry from the last token that can be drawn onward is 1, so no ``u``
-draws a token of probability 0.  A single chain's batch of at least
-``_BINS`` rows looks that count up in an exact bucket table (Chen & Asau's
-guide table), falling back to the comparison only where a cumulative
-probability lies inside ``u``'s bucket.
+One sampler implements these rules, on the model's own ``vocabulary`` and
+``horizon``: :func:`sample_batch` advances a whole batch of trajectories of
+any :class:`SequenceModel` at once and returns only their sub-estimator
+values.  It reads one uniform per drawn token and nothing more.  Its
+values depend only on the model's distributions, not on its class: a
+:class:`MarkovModel` has its per-state draw tables built once, any other
+model the same tables built at each step from the running trajectories'
+prefixes.  It is the one-model case of a core that also advances the
+trajectories of a stack of chains together, each chain drawing from its
+own stream exactly what it draws alone; the synthetic cohort samples all
+of its patients this way.  A token is drawn by one inverse-CDF rule: the
+next token is the number of cumulative probabilities at or below the
+uniform ``u``, where every entry from the last token that can be drawn
+onward is 1, so no ``u`` draws a token of probability 0.  A single chain's
+batch of at least ``_BINS`` rows looks that count up in an exact bucket
+table (Chen & Asau's guide table), falling back to the comparison only
+where a cumulative probability lies inside ``u``'s bucket.
 
 A :class:`MarkovModel` is validated once, at construction.  The
-distributions of any other model are checked as the samplers and the
+distributions of any other model are checked as the sampler and the
 enumeration oracles read them (:func:`_read_rows`): a vector that is not a
 probability distribution over the vocabulary raises
 :class:`ModelValidationError`.
@@ -85,21 +80,25 @@ def _check_number(name: str, value, kind=numbers.Real) -> None:
         raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
-def _check_keys(d: dict, known, what: str) -> None:
-    """Raise ValueError naming the keys of ``d`` outside ``known``."""
+def _check_keys(d: dict, known, what: str, required=()) -> None:
+    """Raise ValueError unless ``d`` is a dict, naming the keys of ``d``
+    outside ``known``, or the ``required`` keys it lacks."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{what} lacks the required keys {missing}")
 
 
 def _from_dict(cls, d: dict, what: str):
     """``cls(**d)`` for a dataclass; ValueError naming the keys of ``d`` that
     are not fields of ``cls``, or the required fields it lacks."""
-    _check_keys(d, [f.name for f in fields(cls)], what)
-    missing = [f.name for f in fields(cls)
-               if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"{what} lacks the required keys {missing}")
+    _check_keys(d, [f.name for f in fields(cls)], what,
+                [f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING])
     return cls(**d)
 
 
@@ -279,10 +278,8 @@ class MarkovModel:
     @classmethod
     def from_json(cls, text: str) -> "MarkovModel":
         d = json.loads(text)
-        _check_keys(
-            d, ("n_states", "transition", "initial_state", "outcome_state", "horizon"),
-            "model",
-        )
+        keys = ("n_states", "transition", "initial_state", "outcome_state", "horizon")
+        _check_keys(d, keys, "model", keys)
         n = d["n_states"]
         _check_number("n_states", n, numbers.Integral)
         entries = np.asarray(d["transition"], dtype=object).ravel()
@@ -297,28 +294,6 @@ class MarkovModel:
             outcome_state=d["outcome_state"],
             horizon=HorizonPolicy.from_dict(d["horizon"]),
         )
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One sampled timeline plus the hazards recorded while generating it.
-
-    ``hazards`` has one entry per generation step, the stopping step
-    included; ``hit_index`` is the position of the outcome token in
-    ``tokens`` (standard mode only) or None.  When an outcome-excluded
-    sample hits a degenerate step (:func:`_degenerate`), the hazard of the
-    impossible step is still recorded but no token is drawn for it, so
-    ``len(tokens) == len(hazards) - 1`` there and the trajectory is flagged
-    ``degenerate``.
-    """
-
-    tokens: tuple
-    hazards: tuple
-    hit_index: int | None
-    mode: str
-    elapsed_time: float
-    degenerate: bool = False
-    stop_reason: str = ""
 
 
 def validate(transition) -> list[str]:
@@ -405,81 +380,18 @@ def _stop_reason(vocab, horizon, mode, token, elapsed, n_tokens):
     return None
 
 
-def sample_trajectory(model: SequenceModel, mode: str, rng: np.random.Generator) -> Trajectory:
-    """Draw one trajectory, recording the unrestricted hazard at every step.
-
-    The outcome, terminal tokens, token times and bounds are the model's
-    own ``vocabulary`` and ``horizon``.  Inverse-CDF draws consume exactly
-    one uniform per generated token, in order, and nothing more, so a
-    trajectory is reproducible from the stream that produced it and the
-    next one drawn from that stream starts right after it.  The model's
-    distributions are checked as they are read
-    (:class:`ModelValidationError`).  This is the reference sampler;
-    :func:`sample_batch` reproduces its values without building
-    trajectories.
-    """
-    _check_mode(mode)
-    vocab, horizon = model.vocabulary, model.horizon
-    excluded = mode == OUTCOME_EXCLUDED
-    o = vocab.outcome
-    times = vocab._time_list
-    prefix: list[int] = []
-    hazards: list[float] = []
-    elapsed = 0.0
-    hit = None
-    degenerate = False
-    reason = ""
-    while True:
-        (dist,) = _read_rows(model, [prefix], vocab.size)
-        h = float(dist[o])
-        hazards.append(h)
-        if excluded:
-            # a degenerate step draws nothing, whatever its row's scale
-            draw_from = dist / (1.0 - h if h < DEGENERATE_HAZARD else 1.0)
-            draw_from[o] = 0.0
-        else:
-            draw_from = dist
-        cum = np.cumsum(draw_from)
-        if excluded and _degenerate(h, cum[-1]):
-            degenerate = True
-            reason = "degenerate_hazard"
-            break
-        tok = int(np.searchsorted(cum, rng.random(), side="right"))
-        if tok == vocab.size:
-            # u is at or above the last cumulative probability, which rounding
-            # left below 1: the count is that of a row whose entries are 1 from
-            # the last token that can be drawn on, never a token of probability 0
-            tok = int(np.flatnonzero(draw_from)[-1])
-        prefix.append(tok)
-        elapsed += times[tok]
-        stop = _stop_reason(vocab, horizon, mode, tok, elapsed, len(prefix))
-        if stop is not None:
-            if stop == "outcome":
-                hit = len(prefix) - 1
-            reason = stop
-            break
-    return Trajectory(
-        tokens=tuple(prefix),
-        hazards=tuple(hazards),
-        hit_index=hit,
-        mode=mode,
-        elapsed_time=elapsed,
-        degenerate=degenerate,
-        stop_reason=reason,
-    )
-
-
 def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generator) -> tuple:
     """Sub-estimator values of ``n`` trajectories of any model, from one stream.
 
-    The stop rules are those of :func:`sample_trajectory` on the model's
-    own ``vocabulary`` and ``horizon``.  All trajectories advance together;
-    each step draws ``rng.random(k)`` for the ``k`` still running, in index
-    order, so at ``n = 1`` the draws are those of :func:`sample_trajectory`
-    on the same stream and the values equal its sub-estimators (``scope``
-    up to rounding: hazards are summed in step order, not with ``fsum``).
-    Standard mode returns the arrays ``(mc, scope)``, outcome-excluded mode
-    ``(reach,)``.
+    The stop rules are the module's, on the model's own ``vocabulary`` and
+    ``horizon``.  All trajectories advance together; each step draws
+    ``rng.random(k)`` for the ``k`` still running, in index order, and
+    nothing else, so a trajectory reads one uniform per token it draws.
+    Standard mode returns the arrays ``(mc, scope)``: 1 for a trajectory
+    that ends on the outcome, and the sum of its hazards in step order.
+    Outcome-excluded mode returns ``(reach,)``: one minus the survival
+    product ``prod(1 - h)``, exactly 1 for a trajectory that ends on a
+    degenerate step.
 
     The values depend only on the model's distributions.  A
     :class:`MarkovModel`'s draw tables are built once per state; any other
@@ -540,11 +452,10 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     exactly the values :func:`sample_batch` gives for it alone on its
     stream.  Returns ``(P, n)`` arrays in the order of :func:`sample_batch`.
 
-    A row moves to token ``(cum[row] <= u).sum()``, as in the reference.  A
-    single chain of at least ``_BINS`` rows reads that count from
-    :func:`_bucket_table` at ``floor(u * _BINS)``; rows whose bucket holds a
-    cumulative probability (at most one bucket per token) compare against
-    the row instead.  Both ways give the same token for every ``u``.
+    A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
+    least ``_BINS`` rows reads that count from :func:`_bucket_table` at
+    ``floor(u * _BINS)``; rows whose bucket holds a cumulative probability
+    (at most one bucket per token) compare against the row instead.  Both ways give the same token for every ``u``.
     Smaller batches, stacks and other models always compare, one column of
     the cumulative rows at a time, so per-step temporaries stay at one entry
     per row for any ``S``; a stack's table would take ``P * S * _BINS``

@@ -1,8 +1,10 @@
-"""Shared fixtures: seeded random-model suites and their exact statistics, and
-a chain that is not a :class:`MarkovModel`."""
+"""Shared fixtures: seeded random-model suites and their exact statistics, a
+chain that is not a :class:`MarkovModel`, and the straight-line reference
+sampler the batched sampler is held to."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -11,6 +13,8 @@ import pytest
 
 from seqrisk import (
     KINDS,
+    OUTCOME_EXCLUDED,
+    STANDARD,
     MarkovModel,
     enumerate_sub_distribution,
     exact_bijection_check,
@@ -72,6 +76,99 @@ def ruled_batch(m, mode, n, rng):
     values = seqmodel._sample_stack((m.rows[None], m.initial), m.vocabulary, m.horizon,
                                     mode, n, [rng])
     return tuple(v[0] for v in values)
+
+
+class ScriptedStream:
+    """Stand-in for a generator whose ``random()`` returns the given
+    uniforms in order, and whose ``random(out=a)`` fills ``a`` with the next
+    ones (and fails when asked for more)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, out=None):
+        if out is None:
+            return self.uniforms.pop(0)
+        for i in range(out.size):
+            out[i] = self.uniforms.pop(0)
+        return out
+
+
+def reference_sample(model, mode, rng):
+    """Straight-line sampler written directly against the documented
+    semantics: one uniform per drawn token read from ``rng`` and nothing
+    more; an outcome-excluded step is degenerate when its hazard is at
+    least ``1 - 1e-15`` or no other token has positive probability; inverse
+    CDF with every cumulative entry from the last token with positive draw
+    probability onward set to 1."""
+    vocab, horizon = model.vocabulary, model.horizon
+    tokens, hazards = [], []
+    elapsed = 0.0
+    hit = None
+    state_prefix = []
+    while True:
+        dist = np.asarray(model.next_distribution(state_prefix), dtype=float)
+        h = float(dist[vocab.outcome])
+        hazards.append(h)
+        if mode == OUTCOME_EXCLUDED:
+            others = [p for v, p in enumerate(dist) if v != vocab.outcome]
+            if h >= 1.0 - 1e-15 or not any(p > 0.0 for p in others):
+                return tokens, hazards, hit, True
+            dist = dist / (1.0 - h)
+            dist[vocab.outcome] = 0.0
+        cum = np.cumsum(dist)
+        cum[max(v for v, p in enumerate(dist) if p > 0.0):] = 1.0
+        tok = int(np.searchsorted(cum, rng.random(), side="right"))
+        tokens.append(tok)
+        state_prefix.append(tok)
+        elapsed += float(vocab.time_map[tok])
+        if mode == STANDARD and tok == vocab.outcome:
+            hit = len(tokens) - 1
+            break
+        if tok in vocab.terminal:
+            break
+        if horizon.time_limit is not None and elapsed > horizon.time_limit:
+            break
+        if len(tokens) >= horizon.max_steps:
+            break
+    return tokens, hazards, hit, False
+
+
+def reference_values(model, mode, rng):
+    """Sub-values of one :func:`reference_sample` trajectory, in the order
+    the batched sampler returns them: ``(mc, scope)`` in standard mode, with
+    the hazards summed by ``fsum``, or ``(reach,)``, 1 for a degenerate
+    trajectory."""
+    _, hazards, hit, degenerate = reference_sample(model, mode, rng)
+    if mode == STANDARD:
+        return 1.0 if hit is not None else 0.0, math.fsum(hazards)
+    surv = 1.0
+    for h in hazards:
+        surv *= 1.0 - h
+    return (1.0 if degenerate else 1.0 - surv,)
+
+
+def assert_matches_reference(values, reference):
+    """One trajectory's batch ``values`` equal its ``reference`` values:
+    ``mc`` and ``reach`` exactly, ``scope`` up to rounding (the batch sums
+    hazards in step order, the reference with fsum)."""
+    got = [float(v[0]) for v in values]
+    assert len(got) == len(reference)
+    if len(got) == 1:
+        assert got == list(reference)
+        return
+    assert got[0] == reference[0]
+    assert math.isclose(got[1], reference[1], rel_tol=1e-15, abs_tol=1e-15)
+
+
+def check_against_reference(batch, model, mode, stream):
+    """``batch(model, mode, 1, ·)`` against :func:`reference_values`, each on
+    its own ``stream()``: equal values, and both streams at the same
+    position afterwards, so the batch read one uniform per token and no
+    more."""
+    r1, r2 = stream(), stream()
+    assert_matches_reference(batch(model, mode, 1, r1), reference_values(model, mode, r2))
+    assert r1.random() == r2.random()
 
 
 @dataclass(frozen=True)

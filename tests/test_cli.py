@@ -50,6 +50,7 @@ MODEL_ERRORS = {
                              "max_steps must be an integer, got 10.9"),
     "horizon_without_steps": ({"horizon": {"time_limit": 10.0}},
                               "horizon lacks the required keys ['max_steps']"),
+    "horizon_not_an_object": ({"horizon": 10}, "horizon must be a JSON object, got 10"),
 }
 
 
@@ -84,6 +85,22 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert cli.main([*command, "--model", str(path)]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_model_without_horizon_exit_2(self, chain_file, capsys):
+        doc = json.loads(chain_file.read_text())
+        del doc["horizon"]
+        chain_file.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--model", str(chain_file)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: model lacks the required keys ['horizon']" in err
+
+    @pytest.mark.parametrize("text", ["5", '"abc"', "[]"])
+    def test_model_file_not_an_object_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "chain.json"
+        path.write_text(text)
+        assert cli.main(["validate", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: model must be a JSON object, got {json.loads(text)!r}" in err
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -276,6 +293,23 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--axis", "sample_count", "--spec", str(spec),
                          "--out", str(tmp_path / "sweep.csv")]) == 0
         assert seen == [("sample_count", list(experiments.SAMPLE_COUNT_GRID), 2_000)]
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--replications", "0"], "replications must be >= 2"),
+        (["--replications", "1"], "replications must be >= 2"),
+        (["--grid", ""], "grid must be nonempty"),
+        (["--axis", "sample_count", "--grid", "0,2"],
+         "sample_count grid values must be positive integers, got 0.0"),
+        (["--axis", "sample_count", "--grid", "2.7"],
+         "sample_count grid values must be positive integers, got 2.7"),
+    ], ids=["replications_0", "replications_1", "empty_grid", "count_0", "count_2.7"])
+    def test_explicit_values_are_checked_exit_2(self, tmp_path, capsys, argv, message):
+        # an explicit value, even a falsy one, is never replaced by the default
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--axis", "probability", *argv, "--out", str(out)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDistributionCommand:

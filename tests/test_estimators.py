@@ -19,17 +19,12 @@ from seqrisk import (
     ChainSpec,
     EstimateReport,
     MarkovModel,
-    ModeMismatchError,
-    Trajectory,
     counterexample_model,
     estimate,
     exact_outcome_probability,
-    mc_sub,
     paired_estimates,
     random_chain,
-    reach_sub,
     sample_batch,
-    scope_sub,
     seqmodel,
     trajectory_stream,
 )
@@ -37,7 +32,7 @@ from seqrisk.estimators import (
     CLIP_NONE, CLIP_POLICIES, KINDS, aggregate, apply_clip, required_mode,
 )
 
-from conftest import RuledChain, make_random_model, ruled_batch
+from conftest import RuledChain, ScriptedStream, make_random_model, ruled_batch
 
 
 class WrappedChain:
@@ -101,53 +96,53 @@ _VALUE_LISTS = st.one_of(
 )
 
 
-def traj(mode=STANDARD, tokens=(1, 1), hazards=(0.1, 0.1), hit=None, degenerate=False):
-    return Trajectory(tokens=tuple(tokens), hazards=tuple(hazards), hit_index=hit,
-                      mode=mode, elapsed_time=float(len(tokens)), degenerate=degenerate)
+def one_value(model, mode, uniforms):
+    """Sub-values of one trajectory drawn with the given uniforms, all read."""
+    stream = ScriptedStream(uniforms)
+    values = [float(v[0]) for v in sample_batch(model, mode, 1, stream)]
+    assert stream.uniforms == []
+    return values
 
 
 class TestSubEstimators:
+    """The sub-values the sampler returns for one trajectory on a path the
+    uniforms set.  The counterexample model stops at its terminal branch
+    when ``u < p`` and otherwise flips a fair coin at each later step: heads,
+    the outcome, when ``u < 0.5``."""
+
     def test_mc_hit(self):
-        assert mc_sub(traj(hit=1)) == 1.0
+        mc, _ = one_value(counterexample_model(0.0), STANDARD, [0.5, 0.9, 0.1])
+        assert mc == 1.0
 
     def test_mc_miss(self):
-        assert mc_sub(traj()) == 0.0
-
-    def test_mc_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            mc_sub(traj(mode=OUTCOME_EXCLUDED))
+        mc, _ = one_value(counterexample_model(0.0), STANDARD, [0.5, 0.9, 0.9, 0.9])
+        assert mc == 0.0
 
     def test_scope_zero_hazards(self):
-        assert scope_sub(traj(hazards=(0.0, 0.0, 0.0), tokens=(1, 1, 1))) == 0.0
+        # the terminal branch ends the timeline before any coin step
+        assert one_value(counterexample_model(1.0), STANDARD, [0.5]) == [0.0, 0.0]
 
     def test_scope_coin_run_value(self):
         # a no-hit run of three fair-coin steps after the opening branch
-        t = traj(tokens=(1, 3, 3, 3), hazards=(0.0, 0.5, 0.5, 0.5))
-        assert scope_sub(t) == 1.5
-
-    def test_scope_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            scope_sub(traj(mode=OUTCOME_EXCLUDED))
+        assert one_value(counterexample_model(0.0), STANDARD, [0.5, 0.9, 0.9, 0.9]) == [0.0, 1.5]
 
     def test_reach_zero_hazards(self):
-        assert reach_sub(traj(mode=OUTCOME_EXCLUDED, hazards=(0.0, 0.0))) == 0.0
+        m = MarkovModel.step_mode([[1.0, 0.0], [0.0, 1.0]], 0, 1, 2)
+        assert one_value(m, OUTCOME_EXCLUDED, [0.5, 0.5]) == [0.0]
 
     def test_reach_single_certain_step(self):
-        t = traj(mode=OUTCOME_EXCLUDED, tokens=(), hazards=(1.0,), degenerate=True)
-        assert reach_sub(t) == 1.0
+        # the outcome takes all the mass: a degenerate step draws no uniform
+        m = MarkovModel.step_mode([[0.0, 1.0], [0.0, 1.0]], 0, 1, 5)
+        assert one_value(m, OUTCOME_EXCLUDED, []) == [1.0]
 
     def test_reach_survival_product(self):
-        t = traj(mode=OUTCOME_EXCLUDED, tokens=(1, 3, 3, 3), hazards=(0.0, 0.5, 0.5, 0.5))
-        got = reach_sub(t)
+        # the branch, then three coin steps with heads excluded
+        (got,) = one_value(counterexample_model(0.0), OUTCOME_EXCLUDED, [0.5, 0.9, 0.1, 0.5])
         assert got == 1.0 - 0.5 ** 3
         # brute-force over the eight equally likely flip patterns of the
         # three hazardous steps: the chance any step flips to the outcome
         hit_prob = sum(1.0 / 8.0 for bits in range(8) if bits != 0)
         assert abs(got - hit_prob) < 1e-15
-
-    def test_reach_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            reach_sub(traj(mode=STANDARD))
 
     def test_required_mode(self):
         assert required_mode(MC) == STANDARD

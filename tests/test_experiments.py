@@ -268,6 +268,17 @@ class TestVarianceSweep:
         with pytest.raises(ValueError):
             variance_sweep("probability", [], base, 100)
 
+    @pytest.mark.parametrize("value", [0, 2.7, -1, float("nan")])
+    def test_sample_counts_must_be_positive_integers(self, value):
+        base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
+        with pytest.raises(ValueError, match=f"positive integers, got {value!r}"):
+            variance_sweep("sample_count", [4, value], base, 100)
+
+    def test_integral_float_sample_count_is_that_count(self):
+        base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
+        assert variance_sweep("sample_count", [2.0], base, 100) == \
+            variance_sweep("sample_count", [2], base, 100)
+
 
 class TestDistributionExperiment:
     def test_mc_support_and_reach_mean(self):

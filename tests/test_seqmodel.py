@@ -2,8 +2,6 @@
 
 import json
 
-import math
-from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -19,25 +17,29 @@ from seqrisk import (
     HorizonPolicy,
     MarkovModel,
     ModelValidationError,
-    Trajectory,
     Vocabulary,
     counterexample_model,
     enumerate_sub_distribution,
     estimate,
     exact_bijection_check,
     paired_estimates,
-    mc_sub,
-    reach_sub,
     sample_batch,
-    sample_trajectory,
-    scope_sub,
     trajectory_stream,
     validate,
 )
 from seqrisk import seqmodel
 from seqrisk.rng import substream
 
-from conftest import RuledChain, make_random_model, ruled_batch
+from conftest import (
+    RuledChain,
+    ScriptedStream,
+    assert_matches_reference,
+    check_against_reference,
+    make_random_model,
+    reference_sample,
+    reference_values,
+    ruled_batch,
+)
 
 
 @st.composite
@@ -174,22 +176,6 @@ class TestNextDistribution:
             assert np.all(dist >= 0) and np.all(dist <= 1)
 
 
-class ScriptedStream:
-    """Stand-in for a generator whose ``random()`` returns the given
-    uniforms in order, and whose ``random(out=a)`` fills ``a`` with the next
-    ones (and fails when asked for more)."""
-
-    def __init__(self, uniforms):
-        self.uniforms = list(uniforms)
-
-    def random(self, out=None):
-        if out is None:
-            return self.uniforms.pop(0)
-        for i in range(out.size):
-            out[i] = self.uniforms.pop(0)
-        return out
-
-
 def one_step_model(row, outcome):
     """Model whose next-token vector is always ``row``, stopped after one token."""
     size = len(row)
@@ -197,10 +183,47 @@ def one_step_model(row, outcome):
                       HorizonPolicy(max_steps=1))
 
 
-def first_step(row, outcome, mode, uniforms):
-    """One-step trajectories of :func:`one_step_model`, one per uniform."""
-    m = one_step_model(row, outcome)
-    return [sample_trajectory(m, mode, ScriptedStream([u])) for u in uniforms]
+class MarkedFirstStep:
+    """Model whose first token is drawn from ``row`` and whose second and
+    last step has hazard ``2 ** -(t + 1)`` after a first token ``t``, so a
+    trajectory's values show its first token."""
+
+    def __init__(self, row, outcome):
+        self.row = np.asarray(row, dtype=float)
+        self.vocabulary = Vocabulary(size=self.row.size, outcome=outcome)
+        self.horizon = HorizonPolicy(max_steps=2)
+
+    def mark(self, token):
+        return 2.0 ** -(token + 1)
+
+    def next_distribution(self, prefix):
+        if not prefix:
+            return self.row
+        dist = np.zeros(self.row.size)
+        o = self.vocabulary.outcome
+        mark = self.mark(prefix[0])
+        dist[o], dist[(o + 1) % dist.size] = mark, 1.0 - mark
+        return dist
+
+
+def first_tokens(row, outcome, mode, uniforms):
+    """First tokens of :class:`MarkedFirstStep` trajectories, one per uniform,
+    read back from one batch's values; None where the first step is
+    degenerate.  The values each token gives are computed as the sampler
+    computes them, from the unrestricted hazard ``row[outcome]``."""
+    m = MarkedFirstStep(row, outcome)
+    h = float(m.row[outcome])
+    if mode == STANDARD:
+        # scope: a first token that is the outcome ends the trajectory
+        token_of = {0.0 + h + m.mark(t): t for t in range(m.row.size)}
+        token_of[0.0 + h] = outcome
+    else:
+        token_of = {1.0 - 1.0 * (1.0 - h) * (1.0 - m.mark(t)): t for t in range(m.row.size)}
+        token_of[1.0] = None
+    assert len(token_of) == m.row.size + 1
+    k = len(uniforms)
+    values = sample_batch(m, mode, k, ScriptedStream(list(uniforms) + [0.5] * k))[-1]
+    return [token_of[v] for v in values.tolist()]
 
 
 class TestRestrictedDistribution:
@@ -208,28 +231,27 @@ class TestRestrictedDistribution:
     the rest; the recorded hazard stays unrestricted."""
 
     def test_renormalization(self):
-        # restricted vector [0, 0.375, 0.625]: token 1 below u = 0.375
+        # restricted vector [0, 0.375, 0.625]: token 1 below u = 0.375; the
+        # values are read with the unrestricted hazard 0.2
         us = [0.0, 0.3749, 0.3751, 0.999]
-        trajs = first_step([0.2, 0.3, 0.5], 0, OUTCOME_EXCLUDED, us)
-        assert [t.tokens for t in trajs] == [(1,), (1,), (2,), (2,)]
-        assert all(t.hazards == (0.2,) for t in trajs)
+        assert first_tokens([0.2, 0.3, 0.5], 0, OUTCOME_EXCLUDED, us) == [1, 1, 2, 2]
 
     def test_zero_hazard_identity(self):
         row, us = [0.0, 0.4, 0.6], np.linspace(0.0, 0.999, 50)
-        excluded = first_step(row, 0, OUTCOME_EXCLUDED, us)
-        standard = first_step(row, 0, STANDARD, us)
-        assert [t.tokens for t in excluded] == [t.tokens for t in standard]
+        excluded = first_tokens(row, 0, OUTCOME_EXCLUDED, us)
+        assert excluded == first_tokens(row, 0, STANDARD, us)
+        assert set(excluded) == {1, 2}
 
     def test_degenerate(self):
         # the stream holds no uniform: a degenerate step must not draw one
         m = one_step_model([1.0, 0.0, 0.0], 0)
-        t = sample_trajectory(m, OUTCOME_EXCLUDED, ScriptedStream([]))
-        assert t.degenerate and t.tokens == () and t.hazards == (1.0,)
+        (reach,) = sample_batch(m, OUTCOME_EXCLUDED, 1, ScriptedStream([]))
+        assert reach.tolist() == [1.0]
 
     def test_invalid_vector_rejected(self):
         m = one_step_model([0.5, 0.2], 0)
         with pytest.raises(ModelValidationError):
-            sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(0))
+            sample_batch(m, OUTCOME_EXCLUDED, 1, trajectory_stream(0))
 
     def test_closure_on_random_vectors(self):
         rng = np.random.default_rng(5)
@@ -238,8 +260,7 @@ class TestRestrictedDistribution:
             o = int(rng.integers(0, dist.size))
             if dist[o] >= 1.0 - 1e-15:
                 continue
-            for t in first_step(dist, o, OUTCOME_EXCLUDED, np.linspace(0.0, 0.999, 20)):
-                (tok,) = t.tokens
+            for tok in first_tokens(dist, o, OUTCOME_EXCLUDED, np.linspace(0.0, 0.999, 20)):
                 assert tok != o and dist[tok] > 0.0
 
 
@@ -259,12 +280,13 @@ class TestOutcomeOnlyStep:
         assert validate(self.ROW) == []
 
     def test_reference_sampler_draws_nothing(self):
-        generic, markov = self.models()
-        for m in (generic, markov):
-            t = sample_trajectory(m, OUTCOME_EXCLUDED, ScriptedStream([]))
-            assert t.degenerate and t.stop_reason == "degenerate_hazard"
-            assert t.tokens == () and t.hazards == (1.0 - 1e-13,)
-            assert reach_sub(t) == 1.0
+        # the streams hold no uniform: neither sampler may draw one
+        for m in self.models():
+            tokens, hazards, _, degenerate = reference_sample(
+                m, OUTCOME_EXCLUDED, ScriptedStream([]))
+            assert degenerate and tokens == [] and hazards == [1.0 - 1e-13]
+            values = sample_batch(m, OUTCOME_EXCLUDED, 1, ScriptedStream([]))
+            assert_matches_reference(values, (1.0,))
 
     @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
     def test_batch_reads_no_uniform(self, n):
@@ -279,46 +301,6 @@ class TestOutcomeOnlyStep:
             assert enumerate_sub_distribution(m, "reach").atoms == ((1.0, 1.0),)
             p_a, p_b = exact_bijection_check(m)
             assert p_b == 1.0 and abs(p_a - p_b) <= 1e-12
-
-
-def reference_sample(model, mode, rng):
-    """Straight-line sampler written directly against the documented
-    semantics: one uniform per drawn token read from ``rng`` and nothing
-    more; an outcome-excluded step is degenerate when its hazard is at
-    least ``1 - 1e-15`` or no other token has positive probability; inverse
-    CDF with every cumulative entry from the last token with positive draw
-    probability onward set to 1."""
-    vocab, horizon = model.vocabulary, model.horizon
-    tokens, hazards = [], []
-    elapsed = 0.0
-    hit = None
-    state_prefix = []
-    while True:
-        dist = np.asarray(model.next_distribution(state_prefix), dtype=float)
-        h = float(dist[vocab.outcome])
-        hazards.append(h)
-        if mode == OUTCOME_EXCLUDED:
-            others = [p for v, p in enumerate(dist) if v != vocab.outcome]
-            if h >= 1.0 - 1e-15 or not any(p > 0.0 for p in others):
-                return tokens, hazards, hit, True
-            dist = dist / (1.0 - h)
-            dist[vocab.outcome] = 0.0
-        cum = np.cumsum(dist)
-        cum[max(v for v, p in enumerate(dist) if p > 0.0):] = 1.0
-        tok = int(np.searchsorted(cum, rng.random(), side="right"))
-        tokens.append(tok)
-        state_prefix.append(tok)
-        elapsed += float(vocab.time_map[tok])
-        if mode == STANDARD and tok == vocab.outcome:
-            hit = len(tokens) - 1
-            break
-        if tok in vocab.terminal:
-            break
-        if horizon.time_limit is not None and elapsed > horizon.time_limit:
-            break
-        if len(tokens) >= horizon.max_steps:
-            break
-    return tokens, hazards, hit, False
 
 
 class TestZeroProbabilityDraw:
@@ -347,94 +329,116 @@ class TestZeroProbabilityDraw:
     @pytest.mark.parametrize("mode,row,outcome,u,token", CASES.values(), ids=CASES)
     def test_reference_samplers(self, mode, row, outcome, u, token):
         m = self.model(row, outcome)
-        assert sample_trajectory(m, mode, ScriptedStream([u, 0.5])).tokens == (token,)
         assert reference_sample(m, mode, ScriptedStream([u, 0.5]))[0] == [token]
+        for batch in (sample_batch, ruled_batch):
+            check_against_reference(batch, m, mode, lambda: ScriptedStream([u, 0.5]))
 
     @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
     @pytest.mark.parametrize("mode,row,outcome,u,token", CASES.values(), ids=CASES)
     def test_batch_sampler(self, mode, row, outcome, u, token, n):
         m = self.model(row, outcome)
-        traj = sample_trajectory(m, mode, ScriptedStream([u]))
+        want = reference_values(m, mode, ScriptedStream([u]))
         for batch in (sample_batch, ruled_batch):
-            values = batch(m, mode, n, ScriptedStream([u] * n + [0.5] * n))
+            stream = ScriptedStream([u] * n + [0.5] * n)
+            values = batch(m, mode, n, stream)
             assert all(np.all(v == v[0]) for v in values)
-            assert_batch_matches(values, traj)
+            assert_matches_reference(values, want)
+            assert stream.uniforms == [0.5] * n
+
+
+def one_trajectory(model, mode, seed):
+    """Values of one ``sample_batch`` trajectory on ``trajectory_stream(seed)``
+    and the number of uniforms it read, which is the number of tokens it
+    drew."""
+    rng = trajectory_stream(seed)
+    values = [float(v[0]) for v in sample_batch(model, mode, 1, rng)]
+    after, fresh = rng.random(), trajectory_stream(seed)
+    for read in range(1000):
+        if fresh.random() == after:
+            return values, read
+    raise AssertionError("the stream moved more than 1000 uniforms")
 
 
 class TestSampleTrajectory:
+    """Single trajectories: ``sample_batch`` at ``n = 1``, its values and the
+    uniforms it reads."""
+
     def test_outcome_impossible(self):
         m = chain([[1.0, 0.0], [0.0, 1.0]], steps=6)
-        t = sample_trajectory(m, STANDARD, trajectory_stream(1))
-        assert t.hit_index is None
-        assert all(h == 0.0 for h in t.hazards)
-        assert len(t.hazards) == 6
+        assert one_trajectory(m, STANDARD, 1) == ([0.0, 0.0], 6)
 
     def test_outcome_certain(self):
         m = chain([[0.0, 1.0], [0.0, 1.0]], steps=6)
-        t = sample_trajectory(m, STANDARD, trajectory_stream(1))
-        assert t.tokens == (1,)
-        assert t.hazards == (1.0,)
-        assert t.hit_index == 0
-        assert t.stop_reason == "outcome"
+        assert one_trajectory(m, STANDARD, 1) == ([1.0, 1.0], 1)
 
     def test_matches_reference_sampler(self):
         rows = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]
-        m = MarkovModel.step_mode(rows, 0, 2, 4)
-        for mode in (STANDARD, OUTCOME_EXCLUDED):
-            for seed in (3, 17, 99):
-                # each sampler reads 40 trajectories in order from its own
-                # copy of the stream, so one that drew a uniform it did not
-                # use would fall out of step with the other
-                rng, ref_rng = trajectory_stream(seed), trajectory_stream(seed)
-                for _ in range(40):
-                    got = sample_trajectory(m, mode, rng)
-                    tokens, hazards, hit, degenerate = reference_sample(m, mode, ref_rng)
-                    assert got.tokens == tuple(tokens)
-                    assert got.hazards == tuple(hazards)
-                    assert got.hit_index == hit
-                    assert got.degenerate == degenerate
+        for m in (MarkovModel.step_mode(rows, 0, 2, 4), counterexample_model(0.3)):
+            for mode in (STANDARD, OUTCOME_EXCLUDED):
+                for seed in (3, 17, 99):
+                    # each sampler reads 40 trajectories in order from its own
+                    # copy of the stream, so one that drew a uniform it did not
+                    # use would fall out of step with the other
+                    rng, ref_rng = trajectory_stream(seed), trajectory_stream(seed)
+                    for _ in range(40):
+                        assert_matches_reference(sample_batch(m, mode, 1, rng),
+                                                 reference_values(m, mode, ref_rng))
+                    assert rng.random() == ref_rng.random()
 
     def test_generic_path_matches_markov_fast_path(self):
         m = make_random_model(12)
+        generic = RuledChain(m.transition, m.initial_state, m.vocabulary, m.horizon)
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(30):
-                traj = sample_trajectory(m, mode, trajectory_stream(seed))
-                batch = sample_batch(m, mode, 1, trajectory_stream(seed))
-                assert_batch_matches(batch, traj)
+                for model in (m, generic):
+                    check_against_reference(sample_batch, model, mode,
+                                            lambda: trajectory_stream(seed))
 
     def test_seed_determinism(self):
         m = make_random_model(3)
-        a = sample_trajectory(m, STANDARD, trajectory_stream(11))
-        b = sample_trajectory(m, STANDARD, trajectory_stream(11))
-        assert a == b
+        a = sample_batch(m, STANDARD, 100, trajectory_stream(11))
+        b = sample_batch(m, STANDARD, 100, trajectory_stream(11))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_outcome_excluded_never_contains_outcome(self):
+        # an outcome state that only leads to itself: a trajectory that drew
+        # the outcome would end on a degenerate step, with reach exactly 1
         for seed in range(30):
             m = make_random_model(seed)
-            t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(seed))
-            assert m.outcome_state not in t.tokens
-            assert t.hit_index is None
+            n, o = m.n_states, m.outcome_state
+            rows = m.transition.copy()
+            rows[o] = np.eye(n)[o]
+            start = m.initial_state if m.initial_state != o else (o + 1) % n
+            absorbing = MarkovModel.step_mode(rows, start, o, m.horizon.max_steps)
+            (reach,) = sample_batch(absorbing, OUTCOME_EXCLUDED, 200, trajectory_stream(seed))
+            assert np.all(reach < 1.0)
 
     def test_hazards_are_unrestricted_in_excluded_mode(self):
         # both modes must record the same hazard at step one (same prefix)
         m = make_random_model(8)
         h0 = float(m.transition[m.initial_state, m.outcome_state])
-        t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(0))
-        assert t.hazards[0] == h0
+        one = MarkovModel.step_mode(m.transition, m.initial_state, m.outcome_state, 1)
+        assert one_trajectory(one, OUTCOME_EXCLUDED, 0)[0] == [1.0 - (1.0 - h0)]
+        assert one_trajectory(one, STANDARD, 0)[0][1] == h0
 
     def test_end_index_bounded_and_hazards_in_range(self):
         for seed in range(40):
             m = make_random_model(seed)
             for mode in (STANDARD, OUTCOME_EXCLUDED):
-                t = sample_trajectory(m, mode, trajectory_stream(seed))
-                assert len(t.hazards) <= m.horizon.max_steps
-                assert all(0.0 <= h <= 1.0 for h in t.hazards)
+                values, read = one_trajectory(m, mode, seed)
+                assert read <= m.horizon.max_steps
+                if mode == STANDARD:
+                    # one hazard per token, each in [0, 1]
+                    mc, scope = values
+                    assert mc in (0.0, 1.0) and 0.0 <= scope <= read
+                else:
+                    assert 0.0 <= values[0] <= 1.0
 
     def test_terminal_token_stops_generation(self):
-        m = counterexample_model(1.0)  # first token is always the terminal branch
-        t = sample_trajectory(m, STANDARD, trajectory_stream(5))
-        assert t.tokens == (0,)
-        assert t.stop_reason == "terminal"
+        # the first token is always the terminal branch; the coin steps after
+        # it would each add a hazard of 0.5
+        m = counterexample_model(1.0)
+        assert one_trajectory(m, STANDARD, 5) == ([0.0, 0.0], 1)
 
     def test_time_limit_stops_generation(self):
         # two-token loop, each token worth 1.5 time units, limit 2.0:
@@ -446,66 +450,42 @@ class TestSampleTrajectory:
             def next_distribution(self, prefix):
                 return np.array([1.0, 0.0])
 
-        t = sample_trajectory(Loop(), STANDARD, trajectory_stream(2))
-        assert len(t.tokens) == 2
-        assert t.stop_reason == "time_limit"
-        assert t.elapsed_time == 3.0
+        assert one_trajectory(Loop(), STANDARD, 2) == ([0.0, 0.0], 2)
 
     def test_degenerate_hazard_flags_trajectory(self):
-        # outcome takes all mass from state 1; exclusion cannot continue there
+        # outcome takes all mass from state 1; exclusion cannot continue
+        # there, so the second step draws no token and reach reads 1
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 5)
-        t = sample_trajectory(m, OUTCOME_EXCLUDED, trajectory_stream(1))
-        assert t.degenerate
-        assert t.stop_reason == "degenerate_hazard"
-        assert t.tokens == (1,)
-        assert t.hazards == (0.0, 1.0)
-        assert len(t.hazards) == 2
+        assert one_trajectory(m, OUTCOME_EXCLUDED, 1) == ([1.0], 1)
 
     def test_unknown_mode_rejected(self):
         m = make_random_model(1)
         with pytest.raises(ValueError):
-            sample_trajectory(m, "other", trajectory_stream(0))
+            sample_batch(m, "other", 1, trajectory_stream(0))
 
     def test_hazard_consistency_chi_square(self):
-        # empirical outcome frequency at the first two steps vs recorded hazards
+        # empirical outcome frequency at the first two steps vs recorded
+        # hazards.  Scope tells the paths apart: 0.2 is a hit at step 1, and
+        # 0.2 + rows[s][2] a second step from state s
         rows = [[0.55, 0.25, 0.2], [0.4, 0.35, 0.25], [0.0, 0.0, 1.0]]
         m = MarkovModel.step_mode(rows, 0, 2, 2)
         n = 100_000
-        first_hits = 0
-        second = {0: [0, 0], 1: [0, 0]}  # state after step 1 -> [count, hits]
-        rng = trajectory_stream(424242)
-        for _ in range(n):
-            t = sample_trajectory(m, STANDARD, rng)
-            if t.hit_index == 0:
-                first_hits += 1
-            else:
-                s = t.tokens[0]
-                second[s][0] += 1
-                second[s][1] += 1 if t.hit_index == 1 else 0
-        checks = [(first_hits, n, 0.2)]
+        mc, scope = sample_batch(m, STANDARD, n, trajectory_stream(424242))
+        first = scope == 0.0 + 0.2
+        assert np.all(mc[first] == 1.0)
+        checks = [(int(first.sum()), n, 0.2)]
+        seen = first.copy()
         for s in (0, 1):
-            count, hits = second[s]
-            checks.append((hits, count, float(rows[s][2])))
+            h = float(rows[s][2])
+            via = scope == 0.0 + 0.2 + h
+            seen |= via
+            checks.append((int(mc[via].sum()), int(via.sum()), h))
+        assert seen.all()
         for hits, count, h in checks:
             chi2 = (hits - count * h) ** 2 / (count * h * (1 - h))
             p_value = float(stats.chi2.sf(chi2, df=1))
             assert p_value > 1e-3, f"hazard mismatch: {hits}/{count} vs {h}"
-
-
-def assert_batch_matches(batch, traj):
-    """One-trajectory batch values equal the reference trajectory's.
-
-    ``mc`` and ``reach`` match exactly; ``scope`` up to rounding, since the
-    batch sums hazards in step order and ``scope_sub`` uses fsum.
-    """
-    values = [float(v[0]) for v in batch]
-    if traj.mode == OUTCOME_EXCLUDED:
-        assert values == [reach_sub(traj)]
-        return
-    mc, scope = values
-    assert mc == mc_sub(traj)
-    assert math.isclose(scope, scope_sub(traj), rel_tol=1e-15, abs_tol=1e-15)
 
 
 class TestSampleMarkovBatch:
@@ -520,10 +500,7 @@ class TestSampleMarkovBatch:
                        HorizonPolicy(max_steps=4, time_limit=4.0))
         for mode in (STANDARD, OUTCOME_EXCLUDED):
             for seed in range(40):
-                traj = sample_trajectory(m, mode, trajectory_stream(seed))
-                assert all(h in (0.3, 0.6, 0.2) for h in traj.hazards)
-                batch = ruled_batch(m, mode, 1, trajectory_stream(seed))
-                assert_batch_matches(batch, traj)
+                check_against_reference(ruled_batch, m, mode, lambda: trajectory_stream(seed))
 
     def test_vocabulary_size_must_match(self):
         m = RuledChain(self.ROWS, 0, Vocabulary.unit_steps(4, 1), HorizonPolicy(max_steps=4))
@@ -535,9 +512,8 @@ class TestSampleMarkovBatch:
     def test_single_trajectory_matches_reference(self, case, seed):
         # the per-state tables and the tables built from the prefixes
         m, mode = case
-        traj = sample_trajectory(m, mode, trajectory_stream(seed))
-        assert_batch_matches(ruled_batch(m, mode, 1, trajectory_stream(seed)), traj)
-        assert_batch_matches(sample_batch(m, mode, 1, trajectory_stream(seed)), traj)
+        for batch in (ruled_batch, sample_batch):
+            check_against_reference(batch, m, mode, lambda: trajectory_stream(seed))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(case=random_case(), n=st.sampled_from([1, 40, 2 * seqmodel._BINS]),
@@ -682,7 +658,7 @@ class TestNonMarkovDistributionsChecked:
     @pytest.mark.parametrize("row,size,message", BAD_ROWS.values(), ids=BAD_ROWS)
     def test_samplers_and_oracles_reject(self, row, size, message):
         m = FixedRowModel(row, size)
-        calls = [lambda mode=mode: sample_trajectory(m, mode, trajectory_stream(0))
+        calls = [lambda mode=mode: sample_batch(m, mode, 1, trajectory_stream(0))
                  for mode in (STANDARD, OUTCOME_EXCLUDED)]
         calls += [lambda kind=kind: estimate(m, kind, 20, seed=0) for kind in KINDS]
         calls += [lambda kind=kind: enumerate_sub_distribution(m, kind) for kind in KINDS]
@@ -726,9 +702,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             MarkovModel.from_json(json.dumps(doc))
 
-    def test_trajectory_dict_fields(self):
-        t = Trajectory(tokens=(1, 2), hazards=(0.1, 0.2), hit_index=None,
-                       mode=STANDARD, elapsed_time=2.0, stop_reason="max_steps")
-        assert asdict(t) == {"tokens": (1, 2), "hazards": (0.1, 0.2), "hit_index": None,
-                             "mode": "standard", "elapsed_time": 2.0,
-                             "degenerate": False, "stop_reason": "max_steps"}
+    @pytest.mark.parametrize("key", ["horizon", "transition"])
+    def test_from_json_names_a_missing_key(self, key):
+        doc = json.loads(make_random_model(9).to_json())
+        del doc[key]
+        with pytest.raises(ValueError, match=rf"model lacks the required keys \['{key}'\]"):
+            MarkovModel.from_json(json.dumps(doc))
