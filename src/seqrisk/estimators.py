@@ -111,11 +111,14 @@ class EstimateReport:
 
     @classmethod
     def load(cls, path) -> "EstimateReport":
-        """Read a report :meth:`save` wrote; ValueError on inline sub-values,
-        on a missing or unknown key, or unless the sidecar is a file in the
-        report's directory holding exactly ``n`` float64 values."""
+        """Read a report :meth:`save` wrote; ValueError on metadata that is
+        not a JSON object, on inline sub-values, on a missing or unknown key,
+        or unless the sidecar is a file in the report's directory holding
+        exactly ``n`` float64 values."""
         path = Path(path)
         d = json.loads(path.read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"report must be a JSON object, got {d!r}")
         if "sub_values" in d:
             raise ValueError(f"{path.name} lists its sub_values inline; a report "
                              f"keeps them in the .f64 file its sub_values_file names")

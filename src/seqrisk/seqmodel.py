@@ -452,14 +452,22 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     exactly the values :func:`sample_batch` gives for it alone on its
     stream.  Returns ``(P, n)`` arrays in the order of :func:`sample_batch`.
 
+    The running rows are kept compacted: their row numbers in ascending
+    order, with their states, hazard sums or survival products, chain
+    offsets and elapsed times in dense arrays aligned with them, so a
+    step's work scales with the rows still running, not with ``P * n``.
+    A row that stops has its values written to the result and leaves the
+    running arrays; ascending order keeps each chain's running rows one
+    contiguous block.
+
     A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
     least ``_BINS`` rows reads that count from :func:`_bucket_table` at
     ``floor(u * _BINS)``; rows whose bucket holds a cumulative probability
-    (at most one bucket per token) compare against the row instead.  Both ways give the same token for every ``u``.
-    Smaller batches, stacks and other models always compare, one column of
-    the cumulative rows at a time, so per-step temporaries stay at one entry
-    per row for any ``S``; a stack's table would take ``P * S * _BINS``
-    entries.
+    (at most one bucket per token) compare against the row instead.  Both
+    ways give the same token for every ``u``.  Smaller batches, stacks and
+    other models always compare, one column of the cumulative rows at a
+    time, so per-step temporaries stay at one entry per row for any ``S``;
+    a stack's table would take ``P * S * _BINS`` entries.
     """
     _check_mode(mode)
     size, o = vocab.size, vocab.outcome
@@ -472,10 +480,16 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
         # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
         hazard, cum, degenerate, keep = _draw_tables(transition.reshape(-1, size), o, excluded)
         table = _bucket_table(cum) if n_chains == 1 and n >= _BINS else None
+        # a running row stands on the initial state or on a drawn token, and
+        # an outcome-excluded draw never gives the outcome
+        check_degenerate = excluded and (
+            initial_state == o or bool(np.delete(degenerate.reshape(-1, size), o, axis=1).any())
+        )
     else:
-        # the initial state only fills ``states``, which holds each row's last token
+        # the initial state only fills ``st``, which holds each row's last token
         model, n_chains, initial_state, table = source, 1, 0, None
         prefixes = [[] for _ in range(n)]
+        check_degenerate = excluded
     # tokens after which a trajectory stops, whatever the time or step count
     stop_after = np.zeros(size, dtype=bool)
     stop_after[list(vocab.terminal)] = True
@@ -488,39 +502,43 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     else:
         steps, limit = horizon.max_steps, horizon.time_limit
     rows = n_chains * n
-    elapsed = np.zeros(rows) if limit is not None else None
-    states = np.full(rows, initial_state, dtype=np.intp)
-    alive = np.ones(rows, dtype=bool)
-    # offset of each row's chain in the flat tables (a lone chain's states
-    # index them directly), and each chain's first row
-    offset = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
+    # the running rows' numbers, ascending, and aligned with them each row's
+    # last token, hazard sum (survival product when excluded), chain offset
+    # in the flat tables (a lone chain's states index them directly) and
+    # elapsed time
+    ids = np.arange(rows)
+    st = np.full(rows, initial_state, dtype=np.intp)
+    acc = np.ones(rows) if excluded else np.zeros(rows)
+    off = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
+    el = np.zeros(rows) if limit is not None else None
     first_rows = np.arange(n_chains + 1) * n
-    surv, hsum = (np.ones(rows), None) if excluded else (None, np.zeros(rows))
+    # each row's final hazard sum or survival product, and whether it drew
+    # the outcome, written when it stops; a row that drew the outcome
+    # stopped there, so none of the rows running at the end did
+    final, hit = np.empty(rows), np.zeros(rows, dtype=bool)
     for _ in range(steps):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        st = states[idx]
         if model is not None:
-            dist = _read_rows(model, [prefixes[i] for i in idx.tolist()], size)
+            dist = _read_rows(model, [prefixes[i] for i in ids.tolist()], size)
             hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
-            row = np.arange(idx.size)
+            row = np.arange(ids.size)
         else:
-            row = st if offset is None else offset[idx] + st
-        if excluded:
+            row = st if off is None else off + st
+        if check_degenerate:
             dead = degenerate[row]
             if dead.any():
-                surv[idx[dead]] = 0.0
-                alive[idx[dead]] = False
+                # such a step draws nothing and ends the row: survival 0, reach 1
+                final[ids[dead]] = 0.0
                 live = ~dead
-                idx, st, row = idx[live], st[live], row[live]
-            if idx.size == 0:
-                continue
-            surv[idx] *= keep[row]
+                ids, st, row, acc, off, el = (
+                    None if a is None else a[live] for a in (ids, st, row, acc, off, el))
+                if ids.size == 0:
+                    break
+        if excluded:
+            acc *= keep[row]
         else:
-            hsum[idx] += hazard[row]
-        u = np.empty(idx.size)
-        bounds = np.searchsorted(idx, first_rows).tolist()
+            acc += hazard[row]
+        u = np.empty(ids.size)
+        bounds = np.searchsorted(ids, first_rows).tolist()
         for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
             if hi > lo:
                 rng.random(out=u[lo:hi])
@@ -528,33 +546,52 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
             # (cum[row] <= u).sum() a column at a time keeps the temporaries at
             # one entry per row; the last column, 1 in every row that draws,
             # never counts
-            nxt = np.zeros(idx.size, dtype=np.intp)
+            nxt = np.zeros(ids.size, dtype=np.intp)
             for column in cum.T[:-1]:
                 nxt += column[row] <= u
         else:
             key = (u * _BINS).astype(np.intp)
             key += st * _BINS
             nxt = table[key]
+            del key
             split = np.flatnonzero(nxt < 0)
             if split.size:
                 # about S / _BINS of the rows: gathering their whole rows is cheap
                 nxt[split] = (cum[st[split]] <= u[split, None]).sum(axis=1)
-        states[idx] = nxt
         if model is not None:
-            for i, token in zip(idx.tolist(), nxt.tolist()):
+            for i, token in zip(ids.tolist(), nxt.tolist()):
                 prefixes[i].append(token)
-        stop = stop_after[nxt]
-        if limit is not None:
-            elapsed[idx] += times[nxt]
-            stop |= elapsed[idx] > limit
-        alive[idx[stop]] = False
         # free the per-row temporaries before the next step allocates its own
-        del st, row, u, nxt, stop
+        del row, u
+        stop = stop_after[nxt]
+        if el is not None:
+            el += times[nxt]
+            stop |= el > limit
+        # few rows stop in a step: index them by position, not by mask
+        at = np.flatnonzero(stop)
+        if at.size == 0:
+            st = nxt
+            continue
+        gone = ids[at]
+        final[gone] = acc[at]
+        hit[gone] = nxt[at] == o
+        # one array at a time, so no more than one old array waits to be freed
+        live = ~stop
+        ids = ids[live]
+        st = nxt[live]
+        acc = acc[live]
+        if off is not None:
+            off = off[live]
+        if el is not None:
+            el = el[live]
+        del nxt, stop, at, gone, live
+        if ids.size == 0:
+            break
+    final[ids] = acc
     shape = (n_chains, n)
     if excluded:
-        return ((1.0 - surv).reshape(shape),)
-    # every trajectory drew a token, and one ending on the outcome stopped there
-    return (states == o).astype(float).reshape(shape), hsum.reshape(shape)
+        return ((1.0 - final).reshape(shape),)
+    return hit.astype(float).reshape(shape), final.reshape(shape)
 
 
 def _bucket_table(cum: np.ndarray) -> np.ndarray:

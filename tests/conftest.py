@@ -161,13 +161,37 @@ def assert_matches_reference(values, reference):
     assert math.isclose(got[1], reference[1], rel_tol=1e-15, abs_tol=1e-15)
 
 
-def check_against_reference(batch, model, mode, stream):
-    """``batch(model, mode, 1, ·)`` against :func:`reference_values`, each on
+def reference_batch(model, mode, n, rng):
+    """:func:`reference_values` of ``n`` trajectories read from one stream in
+    the batch layout: each step gives the next uniform to every trajectory
+    that draws a token, in index order.  Every unfinished trajectory is
+    replayed on the uniforms it holds until it ends or asks for one more
+    (the scripted stream raises IndexError)."""
+    uniforms = [[] for _ in range(n)]
+    values = [None] * n
+    while True:
+        need = []
+        for i in range(n):
+            if values[i] is None:
+                try:
+                    values[i] = reference_values(model, mode, ScriptedStream(uniforms[i]))
+                except IndexError:
+                    need.append(i)
+        if not need:
+            return values
+        for i in need:
+            uniforms[i].append(rng.random())
+
+
+def check_against_reference(batch, model, mode, stream, n=1):
+    """``batch(model, mode, n, ·)`` against :func:`reference_batch`, each on
     its own ``stream()``: equal values, and both streams at the same
     position afterwards, so the batch read one uniform per token and no
     more."""
     r1, r2 = stream(), stream()
-    assert_matches_reference(batch(model, mode, 1, r1), reference_values(model, mode, r2))
+    values = batch(model, mode, n, r1)
+    for i, want in enumerate(reference_batch(model, mode, n, r2)):
+        assert_matches_reference([v[i:i + 1] for v in values], want)
     assert r1.random() == r2.random()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -254,6 +255,14 @@ class TestAggregation:
         del meta["sub_values_file"]
         path.write_text(json.dumps({**meta, "sub_values": [0.0, 1.0]}))
         with pytest.raises(ValueError, match="lists its sub_values inline"):
+            EstimateReport.load(path)
+
+    @pytest.mark.parametrize("text", ["5", "[1]"])
+    def test_load_rejects_metadata_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        message = f"report must be a JSON object, got {text}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             EstimateReport.load(path)
 
     @pytest.mark.parametrize("name", ["../report.json.f64", "{absolute}",

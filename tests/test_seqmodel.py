@@ -1,5 +1,6 @@
 """Model types, distribution checks, and trajectory sampling."""
 
+import hashlib
 import json
 
 from unittest import mock
@@ -14,6 +15,7 @@ from seqrisk import (
     KINDS,
     OUTCOME_EXCLUDED,
     STANDARD,
+    ChainSpec,
     HorizonPolicy,
     MarkovModel,
     ModelValidationError,
@@ -23,6 +25,7 @@ from seqrisk import (
     estimate,
     exact_bijection_check,
     paired_estimates,
+    random_chain,
     sample_batch,
     trajectory_stream,
     validate,
@@ -303,6 +306,44 @@ class TestOutcomeOnlyStep:
             assert p_b == 1.0 and abs(p_a - p_b) <= 1e-12
 
 
+class TestDegenerateGate:
+    """A chain stack checks outcome-excluded steps for degenerate rows only
+    when a running row can stand on one: some state other than the outcome
+    is degenerate, or the trajectories start on the outcome.  Any other
+    model checks every step."""
+
+    # state 2 sends all its mass to the outcome 3, and state 0 cannot reach
+    # it in one step: a trajectory stands on it at step 3 at the earliest
+    ROWS = [[0.5, 0.3, 0.0, 0.2], [0.0, 0.4, 0.3, 0.3],
+            [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    def test_degenerate_state_first_reached_at_step_3(self, mode):
+        # n = _BINS: the chain draws from its bucket table
+        m = MarkovModel.step_mode(self.ROWS, 0, 3, 6)
+        n = seqmodel._BINS
+        check_against_reference(sample_batch, m, mode, lambda: trajectory_stream(5), n=n)
+        values = sample_batch(m, mode, n, trajectory_stream(5))
+        generic = RuledChain(self.ROWS, 0, m.vocabulary, m.horizon)
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(values, sample_batch(generic, mode, n, trajectory_stream(5))))
+        if mode == OUTCOME_EXCLUDED:
+            # reach is 1 only after a degenerate step: states 0 and 1 have
+            # hazards below 1
+            assert 0 < np.count_nonzero(values[0] == 1.0) < n
+
+    @pytest.mark.parametrize("n", [1, 5, seqmodel._BINS])
+    def test_trajectories_that_start_on_the_outcome(self, n):
+        # only the outcome's row is degenerate, and every trajectory starts
+        # there: it draws nothing and reach reads 1
+        m = MarkovModel.step_mode([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
+                                  0, 0, 4)
+        rng = substream(0, 20, 0)
+        (reach,) = sample_batch(m, OUTCOME_EXCLUDED, n, rng)
+        assert np.all(reach == 1.0)
+        assert rng.random() == substream(0, 20, 0).random()
+
+
 class TestZeroProbabilityDraw:
     """A uniform at or above the last cumulative probability that rounding
     left below 1 draws the last token with positive draw probability, never
@@ -548,15 +589,92 @@ class TestSampleMarkovBatch:
         # each chain reads only its own stream, so its rows of the stack are
         # exactly its batch alone; alone, n > _BINS uses the bucket table
         stack, initial, vocab, horizon, mode = case
-        values = seqmodel._sample_stack(
-            (stack, initial), vocab, horizon, mode, n,
-            [substream(seed, 30, c) for c in range(len(stack))])
-        for c, rows in enumerate(stack):
-            alone = ruled_batch(RuledChain(rows, initial, vocab, horizon), mode, n,
-                                substream(seed, 30, c))
-            assert len(values) == len(alone)
-            for got, want in zip(values, alone):
-                assert np.array_equal(got[c], want)
+        check_stack_against_each_chain(stack, initial, vocab, horizon, mode, n, seed)
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    def test_a_chain_whose_rows_all_stop_at_step_1(self, mode):
+        # token 1 is terminal and chain 1 draws it first, so its block is
+        # empty from step 2 on; chains 0 and 2 draw token 0 (time 0.5) until
+        # the outcome 2 or the time limit, which the fifth token passes
+        vocab = Vocabulary(size=3, outcome=2, terminal=frozenset({1}),
+                           time_map=[0.5, 1.0, 1.0])
+        horizon = HorizonPolicy(max_steps=8, time_limit=2.0)
+        drift = [[0.9, 0.0, 0.1]] * 3
+        stack = np.array([drift, [[0.0, 1.0, 0.0]] * 3, drift])
+        values = check_stack_against_each_chain(stack, 0, vocab, horizon, mode, 40, 7)
+        if mode == OUTCOME_EXCLUDED:
+            (reach,) = values
+            assert np.all(reach[1] == 0.0)
+            assert np.allclose(reach[[0, 2]], 1.0 - 0.9 ** 5, rtol=0.0, atol=1e-15)
+        else:
+            mc, scope = values
+            assert np.all(mc[1] == 0.0) and np.all(scope[1] == 0.0)
+            assert np.isclose(scope[[0, 2]].max(), 0.5, rtol=0.0, atol=1e-15)
+
+
+def check_stack_against_each_chain(stack, initial, vocab, horizon, mode, n, seed):
+    """Chain ``c``'s rows of the stack equal its batch alone on
+    ``substream(seed, 30, c)``, and both streams stand at the same position
+    afterwards.  Returns the stack's values."""
+    streams = [substream(seed, 30, c) for c in range(len(stack))]
+    values = seqmodel._sample_stack((stack, initial), vocab, horizon, mode, n, streams)
+    for c, rows in enumerate(stack):
+        rng = substream(seed, 30, c)
+        alone = ruled_batch(RuledChain(rows, initial, vocab, horizon), mode, n, rng)
+        assert len(values) == len(alone)
+        for got, want in zip(values, alone):
+            assert np.array_equal(got[c], want)
+        assert streams[c].random() == rng.random()
+    return values
+
+
+def sha256_of(values):
+    """SHA-256 of a sampler call's arrays, one after another."""
+    h = hashlib.sha256()
+    for v in values:
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    """Digests of the sampler's output, taken at the commit before the
+    sampler's running rows were kept compacted (alive-mask loop).  A speed
+    change that moves one bit of the values fails here by name."""
+
+    # the benchmark's estimate chain on trajectory_stream(7): n = 4,096 draws
+    # from the bucket table, n = 500 compares
+    CHAIN = {
+        (4096, STANDARD): "f8b5dc464f58f227858c4b7393e7c39d2f520710b67f1b49eec40b76df19ba7f",
+        (4096, OUTCOME_EXCLUDED):
+            "cb79642ed53623c693bf53aeb705634e63e14924f4051c5c93c7897066880882",
+        (500, STANDARD): "e604fcbe7556be7565864d4c809d2fe39269846df07d1fac62929c3f9ce28e22",
+        (500, OUTCOME_EXCLUDED):
+            "5a5a73785f5e5201fcdae3cb51669604c470d7060fea16c7db465e5a1ed4cae8",
+    }
+    STACK = {
+        STANDARD: "d0f4037ef3d2529a15a5556823ce6d4d8177884a0431af306447a30675c3269f",
+        OUTCOME_EXCLUDED: "5fb2ed740044cb33800aa42dfeef08a60c583be6441d37c8d4b66482c3f34d2d",
+    }
+
+    @pytest.mark.parametrize("n,mode", CHAIN)
+    def test_benchmark_chain(self, n, mode):
+        chain = random_chain(ChainSpec(n_states=11, spontaneity=0.5, horizon_steps=20,
+                                       target_probability=0.3, seed=0))
+        assert sha256_of(sample_batch(chain, mode, n, trajectory_stream(7))) == self.CHAIN[n, mode]
+
+    @pytest.mark.parametrize("mode", STACK)
+    def test_four_chain_stack(self, mode):
+        # token 3 is terminal and token times differ, under a time limit
+        rows = substream(0, 40, 0).random((4, 5, 5))
+        rows[rows < 0.25] = 0.0
+        rows[:, :, 0] += 0.01
+        rows /= rows.sum(axis=2, keepdims=True)
+        vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
+                           time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
+        horizon = HorizonPolicy(max_steps=12, time_limit=6.0)
+        values = seqmodel._sample_stack((rows, 0), vocab, horizon, mode, 300,
+                                        [substream(0, 41, c) for c in range(4)])
+        assert sha256_of(values) == self.STACK[mode]
 
 
 def _cum(row):
