@@ -4,12 +4,15 @@ Subcommands: ``validate``, ``estimate``, ``oracle`` (``prob`` /
 ``dispersion`` / ``bijection``), ``sweep``, ``distribution``, ``cohort``.
 Single-value queries print to standard output; tables, plots and
 ``estimate`` reports (``<out>`` and its ``<out>.f64`` values) go to
-files named by ``--out``, written atomically (temp file + rename) and
-accompanied by a ``<out>.manifest.json`` recording the configuration,
-seed, artifact checksums, the wall-clock duration of the whole command,
-the seqrisk and numpy versions, and the peak resident set size of the
-process.  A ``cohort`` manifest adds ``stage_seconds``: the seconds spent
-calibrating, sampling, in the AUROC bootstrap, in the summary metrics
+files named by ``--out``.  A command renders every file before it writes
+any, so one that fails while rendering leaves no partial artifacts; a
+table SVG with nothing to plot is skipped with a note on standard error.
+Each file is written atomically (temp file + rename), and last comes a
+``<out>.manifest.json`` recording the configuration, seed, artifact
+checksums, the wall-clock duration of the whole command, the seqrisk and
+numpy versions, and the peak resident set size of the process.  A
+``cohort`` manifest adds ``stage_seconds``: the seconds spent calibrating,
+sampling, in the AUROC bootstrap, in the summary metrics and rendering
 and writing the artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments
-from .errors import CalibrationError, ModelValidationError, SeqriskError
+from .errors import CalibrationError, EmptyPlotError, ModelValidationError, SeqriskError
 from .estimators import CLIP_NONE, CLIP_POLICIES, KINDS, estimate
 from .oracle import dispersion_probability, exact_bijection_check, exact_outcome_probability
 from .seqmodel import MarkovModel
@@ -68,52 +71,41 @@ def _resolve_model(args) -> MarkovModel:
     return experiments.random_chain(_chain_spec(args))
 
 
-class _Artifacts:
-    """Atomic artifact writing plus manifest bookkeeping for one command."""
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
-    def __init__(self, args):
-        self.command = args.command
-        self.config = _config_dict(args)
-        self.seed = args.seed
-        self.files: dict[str, str] = {}
-        self.t0 = args.started
 
-    def write_bytes(self, path: Path, data: bytes) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-        self.files[path.name] = hashlib.sha256(data).hexdigest()
+def _write(args, files: dict, stage_seconds=None, started=None) -> None:
+    """Write every rendered file (Path -> bytes), then the first file's manifest.
+
+    Non-empty ``stage_seconds`` go into the manifest plus ``write``: the
+    seconds from ``started`` until the files are written.
+    """
+    for path, data in files.items():
+        _atomic_write(path, data)
         print(f"wrote {path}", file=sys.stderr)
-
-    def write_text(self, path: Path, text: str) -> None:
-        self.write_bytes(path, text.encode())
-
-    def finish(self, out: Path, stage_seconds=None) -> None:
-        manifest = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "artifacts": self.files,
-            "duration_seconds": time.perf_counter() - self.t0,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "versions": {"seqrisk": __version__, "numpy": np.__version__},
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        }
-        if stage_seconds:
-            manifest["stage_seconds"] = stage_seconds
-        out = Path(out)
-        path = out.with_name(out.name + ".manifest.json")
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        os.replace(tmp, path)
-
-
-def _config_dict(args) -> dict:
-    skip = {"func", "started"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    written = time.perf_counter()
+    manifest = {
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "started")},
+        "seed": args.seed,
+        "artifacts": {path.name: hashlib.sha256(data).hexdigest()
+                      for path, data in files.items()},
+        "duration_seconds": time.perf_counter() - args.started,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "versions": {"seqrisk": __version__, "numpy": np.__version__},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    if stage_seconds:
+        manifest["stage_seconds"] = {**stage_seconds, "write": written - started}
+    first = next(iter(files))
+    _atomic_write(first.with_name(first.name + ".manifest.json"),
+                  json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def _cmd_validate(args) -> int:
@@ -127,10 +119,7 @@ def _cmd_estimate(args) -> int:
     report = estimate(model, args.kind, args.n, args.seed, clip_policy=args.clip)
     print(repr(report.mean))
     if args.out:
-        art = _Artifacts(args)
-        for path, data in report.files(args.out).items():
-            art.write_bytes(path, data)
-        art.finish(Path(args.out))
+        _write(args, report.files(args.out))
     return 0
 
 
@@ -165,22 +154,22 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def _write_table(args, table, *, svg_kw=None) -> None:
-    """Write the table's artifacts; a table that timed its stages gets them,
-    plus ``write``, in the manifest's ``stage_seconds``."""
+def _write_table(args, table, **svg_kw) -> None:
+    """Render the table as ``--format`` asks, then write it; a table that
+    timed its stages gets them, plus ``write``, in the manifest."""
     started = time.perf_counter()
     out = Path(args.out)
-    art = _Artifacts(args)
     if args.format == "json":
-        art.write_text(out, table.to_json())
+        files = {out: table.to_json().encode()}
     else:
-        art.write_text(out, table.to_csv_text())
-        if args.format == "svg" and svg_kw:
-            art.write_text(out.with_suffix(".svg"), table_plot(table, **svg_kw))
-    stages = dict(table.stage_seconds)
-    if stages:
-        stages["write"] = time.perf_counter() - started
-    art.finish(out, stages)
+        files = {out: table.to_csv_text().encode()}
+        if args.format == "svg":
+            svg = out.with_suffix(".svg")
+            try:
+                files[svg] = table_plot(table, **svg_kw).encode()
+            except EmptyPlotError:
+                print(f"skipped {svg}: nothing to plot", file=sys.stderr)
+    _write(args, files, table.stage_seconds, started)
 
 
 def _cmd_sweep(args) -> int:
@@ -194,13 +183,12 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else list(grid)
     replications = args.replications if args.replications is not None else replications
     table = experiments.variance_sweep(args.axis, grid, base, replications)
-    svg_kw = dict(
-        task_prefix=f"{args.axis}=", statistic="variance",
+    _write_table(
+        args, table, task_prefix=f"{args.axis}=", statistic="variance",
         title=f"estimator variance vs {args.axis}",
         xlabel=args.axis, ylabel="variance",
         logx=args.axis == "sample_count", logy=args.axis == "sample_count",
     )
-    _write_table(args, table, svg_kw=svg_kw)
     return 0
 
 
@@ -212,10 +200,7 @@ def _cmd_distribution(args) -> int:
     result = experiments.estimate_distribution_experiment(
         spec, args.n_estimates, args.samples
     )
-    out = Path(args.out)
-    art = _Artifacts(args)
-    art.write_text(out, result.to_csv_text(bins=args.bins))
-    art.finish(out)
+    _write(args, {Path(args.out): result.to_csv_text(bins=args.bins).encode()})
     return 0
 
 
@@ -232,11 +217,10 @@ def _cmd_cohort(args) -> int:
         seed=args.seed,
     )
     table = experiments.synthetic_cohort_eval(spec)
-    svg_kw = dict(
-        task_prefix="cohort", statistic="auroc", x_from_task=False,
+    _write_table(
+        args, table, task_prefix="cohort", statistic="auroc", x_from_task=False,
         title="AUROC vs sample count", xlabel="samples", ylabel="AUROC",
     )
-    _write_table(args, table, svg_kw=svg_kw)
     return 0
 
 

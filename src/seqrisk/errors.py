@@ -32,3 +32,7 @@ class CalibrationError(SeqriskError):
 
 class UndefinedMetricError(SeqriskError):
     """A ranking metric was requested on single-class input."""
+
+
+class EmptyPlotError(SeqriskError, ValueError):
+    """A plot has no point to draw."""

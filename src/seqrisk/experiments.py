@@ -38,7 +38,7 @@ from .errors import (
     ModelValidationError,
     UndefinedMetricError,
 )
-from .estimators import KINDS, MC, REACH, SCOPE
+from .estimators import CLIP_TO_UNIT, KINDS, MC, REACH, SCOPE, apply_clip
 from .oracle import (
     enumerate_sub_distribution,
     exact_outcome_probability,
@@ -86,7 +86,8 @@ class ChainSpec:
     the chain fully determined by (states, spontaneity, target); otherwise
     row weights and hazard weights are drawn from the supplied stream.
     When ``target_probability`` is set, the hazard masses are scaled by
-    bisection until the exact outcome probability matches it to 1e-6.
+    bisection until the exact outcome probability matches it to within
+    1e-6, and to within 1e-4 of the target relative to it.
     ``seed`` keys :func:`random_chain`'s stream when it is given none, and
     every stage stream of :func:`variance_sweep` and
     :func:`estimate_distribution_experiment`.
@@ -262,13 +263,11 @@ class ExperimentTable:
     def to_csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            rec = r.as_record()
-            lines.append(
-                ",".join(
-                    "" if rec[c] is None else repr(rec[c]) if isinstance(rec[c], float) else str(rec[c])
-                    for c in CSV_COLUMNS
-                )
-            )
+            cells = (getattr(r, c) for c in CSV_COLUMNS)
+            lines.append(",".join(
+                "" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in cells
+            ))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -341,12 +340,14 @@ def _chain_parts(spec: ChainSpec, gen) -> tuple:
     return W, hazard_weights
 
 
-def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
-    """Transition stack with chain ``i`` calibrated onto ``targets[i]``.
+def _calibrated_chains(spec: ChainSpec, targets, gens) -> tuple:
+    """Transition stack with chain ``i`` calibrated onto ``targets[i]``, and
+    the exact outcome probability of every chain.
 
     Chain ``i`` has the shape of ``spec`` with parts drawn from ``gens[i]``;
     its hazard scale ``theta`` is bisected on ``(0, theta_max]`` until the
-    exact outcome probability lies within 1e-6 of the target, or falls
+    exact outcome probability lies within ``min(1e-6, 1e-4 * target)`` of
+    the target, so rare targets are met to a relative 1e-4, or falls
     back to ``theta_max`` after 200 halvings.  All chains bisect together,
     each on its own interval until it stops, so every chain follows the
     ``theta`` sequence it follows alone.  An infeasible or stalled chain
@@ -358,6 +359,7 @@ def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
     W = np.stack([w for w, _ in parts])
     weights = np.stack([h for _, h in parts])
     targets = np.asarray(targets, dtype=float)
+    tol = np.minimum(1e-6, 1e-4 * targets)
     theta_max = 1.0 / weights.max(axis=1)
     p_max = outcome_probability_dp(_assemble_chain(W, weights, theta_max), 0, m, steps)
     infeasible = ~((0.0 < targets) & (targets <= p_max + 1e-9))
@@ -369,14 +371,14 @@ def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
         # a chain that stopped keeps lo and hi, so it keeps its theta
         theta = 0.5 * (lo + hi)
         p_mid = outcome_probability_dp(_assemble_chain(W, weights, theta), 0, m, steps)
-        running &= np.abs(p_mid - targets) > 1e-6
+        running &= np.abs(p_mid - targets) > tol
         below = p_mid < targets
         lo = np.where(running & below, theta, lo)
         hi = np.where(running & ~below, theta, hi)
     theta = np.where(running, theta_max, theta)
     transitions = _assemble_chain(W, weights, theta)
     achieved = outcome_probability_dp(transitions, 0, m, steps)
-    failed = np.flatnonzero(infeasible | (np.abs(achieved - targets) > 1e-6))
+    failed = np.flatnonzero(infeasible | (np.abs(achieved - targets) > tol))
     if failed.size:
         i = failed[0]
         target, top = float(targets[i]), float(p_max[i])
@@ -389,7 +391,7 @@ def _calibrated_chains(spec: ChainSpec, targets, gens) -> np.ndarray:
             f"bisection stalled at {float(achieved[i])}, target {target}",
             achievable=(0.0, top),
         )
-    return transitions
+    return transitions, achieved
 
 
 def random_chain(spec: ChainSpec, rng: np.random.Generator | None = None) -> MarkovModel:
@@ -418,7 +420,7 @@ def random_chain(spec: ChainSpec, rng: np.random.Generator | None = None) -> Mar
         theta = gen.uniform(0.05, 0.9) * (1.0 / weights.max())
         transition = _assemble_chain(W, weights, theta)
     else:
-        (transition,) = _calibrated_chains(spec, [spec.target_probability], [gen])
+        (transition,), _ = _calibrated_chains(spec, [spec.target_probability], [gen])
     return MarkovModel.step_mode(transition, 0, spec.n_states - 1, spec.horizon_steps)
 
 
@@ -837,13 +839,12 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     m, steps = tpl.n_states - 1, tpl.horizon_steps
 
     targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
-    transitions = _calibrated_chains(
+    transitions, p_exact = _calibrated_chains(
         tpl, targets, [substream(seed, 6, i) for i in range(n_pat)]
     )
     violations = validate(transitions)
     if violations:
         raise ModelValidationError(violations)
-    p_exact = outcome_probability_dp(transitions, 0, m, steps)
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
     clock.lap("calibrate")
 
@@ -926,8 +927,7 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
         m = int(eq_count[kind])
         scores = pools[kind][:, :m].mean(axis=1)
         if kind == SCOPE:
-            n_clipped = int((scores > 1.0).sum())
-            scores = np.minimum(scores, 1.0)
+            scores, n_clipped = apply_clip(scores, CLIP_TO_UNIT)
             rows.append(
                 MetricRow("cohort", kind, m, "n_clipped", float(n_clipped), seed=seed)
             )

@@ -167,8 +167,8 @@ class HorizonPolicy:
             raise ValueError("max_steps must be a positive integer")
         if self.time_limit is not None:
             _check_number("time_limit", self.time_limit)
-            if not self.time_limit >= 0:
-                raise ValueError("time_limit must be >= 0 when set")
+            if not (np.isfinite(self.time_limit) and self.time_limit >= 0):
+                raise ValueError("time_limit must be finite and >= 0 when set")
 
     def to_dict(self) -> dict:
         d = {"max_steps": self.max_steps}

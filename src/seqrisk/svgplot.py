@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import EmptyPlotError
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720, 480
@@ -79,7 +81,8 @@ def line_plot(
     """Render series as an SVG string.
 
     ``series`` is a list of ``(label, xs, ys)``; non-finite points are
-    dropped, and log axes drop non-positive values.
+    dropped, and log axes drop non-positive values.  Raises
+    :class:`~seqrisk.errors.EmptyPlotError` when no point is left.
     """
     cleaned = []
     for label, xs, ys in series:
@@ -92,7 +95,7 @@ def line_plot(
         if pts:
             cleaned.append((label, pts))
     if not cleaned:
-        raise ValueError("nothing to plot")
+        raise EmptyPlotError("nothing to plot")
 
     all_x = [x for _, pts in cleaned for x, _ in pts]
     all_y = [y for _, pts in cleaned for _, y in pts]

@@ -1,4 +1,5 @@
-"""End-to-end CLI checks via subprocess."""
+"""End-to-end CLI checks, in this process through ``cli.main``; a few run
+``python -m seqrisk`` to check the process itself."""
 
 import hashlib
 import json
@@ -13,11 +14,19 @@ import seqrisk
 from seqrisk import ChainSpec, MarkovModel, cli, estimate, experiments, random_chain
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "seqrisk", *args],
-        capture_output=True, text=True, cwd=cwd,
-    )
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "seqrisk", *args],
+                          capture_output=True, text=True)
+
+
+@pytest.fixture()
+def run_cli(capsys):
+    """``seqrisk`` with the given arguments, run in this process."""
+    def run(*args):
+        code = cli.main(list(args))
+        out = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out.out, out.err)
+    return run
 
 
 @pytest.fixture()
@@ -51,12 +60,14 @@ MODEL_ERRORS = {
     "horizon_without_steps": ({"horizon": {"time_limit": 10.0}},
                               "horizon lacks the required keys ['max_steps']"),
     "horizon_not_an_object": ({"horizon": 10}, "horizon must be a JSON object, got 10"),
+    "infinite_time_limit": ({"horizon": {"max_steps": 10, "time_limit": float("inf")}},
+                            "time_limit must be finite and >= 0 when set"),
 }
 
 
 class TestValidateCommand:
     def test_ok(self, chain_file):
-        out = run_cli("validate", "--model", str(chain_file))
+        out = run_module("validate", "--model", str(chain_file))
         assert out.returncode == 0
         assert out.stdout.strip() == "ok"
 
@@ -66,11 +77,11 @@ class TestValidateCommand:
         doc["transition"][0] = 0.4  # row 0 now sums to 0.9
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        out = run_cli("validate", "--model", str(path))
+        out = run_module("validate", "--model", str(path))
         assert out.returncode == 3
         assert "row 0" in out.stderr
 
-    def test_missing_file_exit_2(self):
+    def test_missing_file_exit_2(self, run_cli):
         out = run_cli("validate", "--model", "/nonexistent/chain.json")
         assert out.returncode == 2
 
@@ -102,7 +113,7 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert f"configuration error: model must be a JSON object, got {json.loads(text)!r}" in err
 
-    def test_malformed_json_exit_2(self, tmp_path):
+    def test_malformed_json_exit_2(self, tmp_path, run_cli):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         out = run_cli("validate", "--model", str(path))
@@ -110,7 +121,7 @@ class TestValidateCommand:
 
 
 class TestEstimateCommand:
-    def test_deterministic_runs(self, chain_file, tmp_path):
+    def test_deterministic_runs(self, chain_file, tmp_path, run_cli):
         args = ("estimate", "--model", str(chain_file), "--kind", "reach",
                 "--n", "500", "--seed", "7",
                 "--out", str(tmp_path / "report.json"))
@@ -123,7 +134,7 @@ class TestEstimateCommand:
         assert first.stdout == second.stdout
         assert blobs1 == blobs2
 
-    def test_manifest_checksums(self, chain_file, tmp_path):
+    def test_manifest_checksums(self, chain_file, tmp_path, run_cli):
         out_path = tmp_path / "report.json"
         run_cli("estimate", "--model", str(chain_file), "--kind", "mc",
                 "--n", "100", "--seed", "1", "--out", str(out_path))
@@ -137,7 +148,7 @@ class TestEstimateCommand:
                                         "numpy": np.__version__}
         assert manifest["peak_rss_mb"] > 0
 
-    def test_infeasible_spec_exit_4(self, tmp_path):
+    def test_infeasible_spec_exit_4(self, tmp_path, run_cli):
         spec = ChainSpec(4, 0.67, 1, seed=2, target_probability=0.999)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
@@ -171,15 +182,17 @@ class TestEstimateCommand:
         assert ("configuration error: chain spec lacks the required keys ['n_states']"
                 in capsys.readouterr().err)
 
-    def test_requires_model_or_spec(self, chain_file, tmp_path):
-        out = run_cli("estimate", "--kind", "mc", "--n", "10")
-        assert out.returncode == 2
+    def test_requires_model_or_spec(self, chain_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--kind", "mc", "--n", "10"])
+        assert exc.value.code == 2
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(ChainSpec(4, 1.0, 5).to_dict()))
-        out = run_cli("estimate", "--model", str(chain_file), "--spec", str(spec),
-                      "--kind", "mc", "--n", "10")
-        assert out.returncode == 2
-        assert "not allowed with argument" in out.stderr
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--model", str(chain_file), "--spec", str(spec),
+                      "--kind", "mc", "--n", "10"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_writes_the_files_of_the_report(self, chain_file, tmp_path):
         out_path = tmp_path / "report.json"
@@ -234,13 +247,13 @@ class TestSpecSeed:
 
 
 class TestOracleCommands:
-    def test_dispersion_reference_value(self):
+    def test_dispersion_reference_value(self, run_cli):
         out = run_cli("oracle", "dispersion", "--n", "100",
                       "--p-base", "1e-4", "--p-elev", "1e-3")
         assert out.returncode == 0
         assert out.stdout.strip() == "0.0943"
 
-    def test_prob_matches_library(self, chain_file):
+    def test_prob_matches_library(self, chain_file, run_cli):
         from seqrisk import exact_outcome_probability
 
         out = run_cli("oracle", "prob", "--model", str(chain_file))
@@ -248,7 +261,7 @@ class TestOracleCommands:
         assert out.returncode == 0
         assert float(out.stdout) == pytest.approx(exact_outcome_probability(model), abs=1e-12)
 
-    def test_bijection_pair_close(self, tmp_path):
+    def test_bijection_pair_close(self, tmp_path, run_cli):
         chain = random_chain(ChainSpec(4, 1.0, 5, seed=3, target_probability=0.3))
         path = tmp_path / "small.json"
         path.write_text(chain.to_json())
@@ -258,7 +271,7 @@ class TestOracleCommands:
 
 
 class TestSweepCommand:
-    def test_csv_schema_and_manifest(self, tmp_path):
+    def test_csv_schema_and_manifest(self, tmp_path, run_cli):
         out_path = tmp_path / "sweep.csv"
         out = run_cli("sweep", "--axis", "probability", "--grid", "0.2,0.5",
                       "--replications", "300", "--seed", "4",
@@ -269,7 +282,7 @@ class TestSweepCommand:
         assert any("probability=0.2" in line for line in lines)
         assert (tmp_path / "sweep.csv.manifest.json").exists()
 
-    def test_svg_format_adds_plot(self, tmp_path):
+    def test_svg_format_adds_plot(self, tmp_path, run_cli):
         out_path = tmp_path / "sweep.csv"
         out = run_cli("sweep", "--axis", "spontaneity", "--grid", "0.5,1.0",
                       "--replications", "300", "--seed", "4",
@@ -279,6 +292,29 @@ class TestSweepCommand:
         assert svg.startswith("<svg")
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"sweep.csv", "sweep.svg"}
+
+    def test_nothing_to_plot_skips_the_svg(self, tmp_path, run_cli):
+        # no chain reaches probability 1.5, so every point fails
+        out_path = tmp_path / "s.csv"
+        out = run_cli("sweep", "--axis", "probability", "--grid", "1.5",
+                      "--replications", "10", "--format", "svg", "--out", str(out_path))
+        assert out.returncode == 0
+        assert f"skipped {tmp_path / 's.svg'}: nothing to plot" in out.stderr
+        assert not (tmp_path / "s.svg").exists()
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {"s.csv"}
+
+    def test_render_failure_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def fail(table, **kw):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(cli, "table_plot", fail)
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--axis", "spontaneity", "--grid", "0.5",
+                         "--replications", "20", "--format", "svg",
+                         "--out", str(out_path)]) == 2
+        assert "configuration error: cannot render" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_spec_keeps_the_axis_default_replications(self, tmp_path, monkeypatch):
         seen = []
@@ -313,7 +349,7 @@ class TestSweepCommand:
 
 
 class TestDistributionCommand:
-    def test_histogram_written(self, tmp_path):
+    def test_histogram_written(self, tmp_path, run_cli):
         out_path = tmp_path / "hist.csv"
         out = run_cli("distribution", "--n-estimates", "300", "--samples", "5",
                       "--seed", "6", "--out", str(out_path))
@@ -331,7 +367,7 @@ class TestDistributionCommand:
 
 
 class TestCohortCommand:
-    def test_small_cohort_runs(self, tmp_path):
+    def test_small_cohort_runs(self, tmp_path, run_cli):
         out_path = tmp_path / "cohort.csv"
         out = run_cli("cohort", "--patients", "60", "--timelines", "8",
                       "--rounds", "4", "--states", "4", "--horizon", "6",
@@ -339,6 +375,19 @@ class TestCohortCommand:
         assert out.returncode == 0
         text = out_path.read_text()
         assert "auroc" in text and "equivalence_ratio" in text
+
+    def test_one_class_cohort_skips_the_svg(self, tmp_path, run_cli):
+        # both labels fall in one class, so there is no AUROC row to plot
+        out_path = tmp_path / "c.csv"
+        out = run_cli("cohort", "--patients", "2", "--timelines", "3", "--rounds", "2",
+                      "--seed", "0", "--format", "svg", "--out", str(out_path))
+        assert out.returncode == 0
+        assert "auroc_rounds_dropped" in out_path.read_text()
+        assert f"skipped {tmp_path / 'c.svg'}: nothing to plot" in out.stderr
+        assert not (tmp_path / "c.svg").exists()
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert set(manifest["artifacts"]) == {"c.csv"}
+        assert "write" in manifest["stage_seconds"]
 
     def test_manifest_times_the_whole_command(self, tmp_path, monkeypatch):
         real = experiments.synthetic_cohort_eval

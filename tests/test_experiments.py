@@ -42,6 +42,7 @@ from seqrisk.experiments import (
     _equivalence,
     _StageClock,
 )
+from seqrisk.oracle import outcome_probability_dp
 from seqrisk.rng import substream
 
 
@@ -119,6 +120,13 @@ class TestRandomChain:
             chain = random_chain(ChainSpec(6, 1.0, 12, seed=5, target_probability=target))
             assert abs(exact_outcome_probability(chain) - target) <= 1e-6
 
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "random"])
+    @pytest.mark.parametrize("target", [1e-4, 1e-6, 1e-8])
+    def test_rare_target_calibrated_to_a_relative_tolerance(self, target, equal):
+        chain = random_chain(ChainSpec(11, 0.5, 20, seed=1, target_probability=target,
+                                       equal_transitions=equal))
+        assert abs(exact_outcome_probability(chain) - target) <= 1e-4 * target
+
     def test_infeasible_target_names_interval(self):
         spec = ChainSpec(4, 0.67, 1, seed=2, target_probability=0.999)
         with pytest.raises(CalibrationError) as err:
@@ -150,7 +158,10 @@ class TestCalibratedStack:
     def test_each_chain_is_random_chain_bit_for_bit(self, shape, equal):
         tpl = ChainSpec(*shape, equal_transitions=equal)
         targets = substream(4, 5, 0).uniform(0.03, 0.55, size=40)
-        stack = _calibrated_chains(tpl, targets, [substream(4, 6, i) for i in range(40)])
+        stack, achieved = _calibrated_chains(tpl, targets,
+                                             [substream(4, 6, i) for i in range(40)])
+        assert np.array_equal(
+            achieved, outcome_probability_dp(stack, 0, tpl.n_states - 1, tpl.horizon_steps))
         for i, target in enumerate(targets):
             alone = random_chain(replace(tpl, target_probability=float(target)),
                                  rng=substream(4, 6, i))

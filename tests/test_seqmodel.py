@@ -141,6 +141,11 @@ class TestHorizonPolicy:
         with pytest.raises(ValueError):
             HorizonPolicy(max_steps=3, time_limit=-1.0)
 
+    @pytest.mark.parametrize("limit", [float("inf"), float("nan")])
+    def test_non_finite_time_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="time_limit must be finite and >= 0 when set"):
+            HorizonPolicy(max_steps=10, time_limit=limit)
+
     def test_round_trip(self):
         h = HorizonPolicy(max_steps=4, time_limit=2.5)
         assert HorizonPolicy.from_dict(h.to_dict()) == h
