@@ -13,7 +13,9 @@ checksums, the wall-clock duration of the whole command, the seqrisk and
 numpy versions, and the peak resident set size of the process.  A
 ``cohort`` manifest adds ``stage_seconds``: the seconds spent calibrating,
 sampling, in the AUROC bootstrap, in the summary metrics and rendering
-and writing the artifacts.
+and writing the artifacts.  A ``sweep`` manifest adds the same for
+calibrating, sampling, enumerating the exact variances (not on the
+``sample_count`` axis) and writing, each summed over the points.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 4 infeasible experiment point, 5 I/O failure.

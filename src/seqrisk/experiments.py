@@ -10,7 +10,8 @@ per-patient probability, bootstrapped over timeline resamples, plus Brier
 scores, calibration curves, and sample-count equivalence ratios.
 
 Sweeps and repeated-estimate histograms sample each chain with
-:func:`seqrisk.seqmodel.sample_batch`, one stage stream per batch.
+:func:`seqrisk.seqmodel.sample_batch`, one stage stream per batch; a
+sweep calibrates all the points of its axis in one bisection first.
 A cohort is one stack of chains: one bisection calibrates all of them and
 one stacked sampler call per mode draws every patient's timelines, each
 patient from its own stage streams, so every patient's numbers are those
@@ -340,31 +341,42 @@ def _chain_parts(spec: ChainSpec, gen) -> tuple:
     return W, hazard_weights
 
 
-def _calibrated_chains(spec: ChainSpec, targets, gens) -> tuple:
+def _calibrated_chains(specs, targets, gens, failures: list | None = None) -> tuple:
     """Transition stack with chain ``i`` calibrated onto ``targets[i]``, and
     the exact outcome probability of every chain.
 
-    Chain ``i`` has the shape of ``spec`` with parts drawn from ``gens[i]``;
-    its hazard scale ``theta`` is bisected on ``(0, theta_max]`` until the
-    exact outcome probability lies within ``min(1e-6, 1e-4 * target)`` of
-    the target, so rare targets are met to a relative 1e-4, or falls
-    back to ``theta_max`` after 200 halvings.  All chains bisect together,
-    each on its own interval until it stops, so every chain follows the
-    ``theta`` sequence it follows alone.  An infeasible or stalled chain
-    raises :class:`CalibrationError`, for the lowest-numbered one.
+    Chain ``i`` has the shape of ``specs[i]`` (or of ``specs``, one spec for
+    every chain; all share ``n_states`` and ``horizon_steps``) with parts
+    drawn from ``gens[i]``.  Its hazard scale ``theta`` is bisected on
+    ``(0, theta_max]`` until the exact outcome probability lies within
+    ``min(1e-6, 1e-4 * target)`` of the target, so rare targets are met to a
+    relative 1e-4, or falls back to ``theta_max`` after 200 halvings.  All
+    chains bisect together, each on its own interval until it stops, so
+    every chain follows the ``theta`` sequence it follows alone.  A chain
+    whose target is None bisects nothing: it draws ``theta`` from its
+    stream after its parts, as :func:`random_chain` does.
+
+    An infeasible or stalled chain gets the :class:`CalibrationError` it
+    gets alone.  With a list ``failures``, it is stored there, one entry per
+    chain (None for a calibrated one); without, the lowest-numbered one is
+    raised.
     """
-    m = spec.n_states - 1
-    steps = spec.horizon_steps
-    parts = [_chain_parts(spec, gen) for gen in gens]
+    if isinstance(specs, ChainSpec):
+        specs = [specs] * len(gens)
+    m = specs[0].n_states - 1
+    steps = specs[0].horizon_steps
+    parts = [_chain_parts(spec, gen) for spec, gen in zip(specs, gens)]
     W = np.stack([w for w, _ in parts])
     weights = np.stack([h for _, h in parts])
-    targets = np.asarray(targets, dtype=float)
-    tol = np.minimum(1e-6, 1e-4 * targets)
     theta_max = 1.0 / weights.max(axis=1)
+    # a target of None reads as NaN
+    targets = np.asarray(targets, dtype=float)
+    free = np.isnan(targets)
+    tol = np.minimum(1e-6, 1e-4 * targets)
     p_max = outcome_probability_dp(_assemble_chain(W, weights, theta_max), 0, m, steps)
-    infeasible = ~((0.0 < targets) & (targets <= p_max + 1e-9))
+    infeasible = ~free & ~((0.0 < targets) & (targets <= p_max + 1e-9))
     lo, hi, theta = np.zeros_like(theta_max), theta_max, theta_max
-    running = ~infeasible
+    running = ~(free | infeasible)
     for _ in range(200):
         if not running.any():
             break
@@ -376,21 +388,22 @@ def _calibrated_chains(spec: ChainSpec, targets, gens) -> tuple:
         lo = np.where(running & below, theta, lo)
         hi = np.where(running & ~below, theta, hi)
     theta = np.where(running, theta_max, theta)
+    for i in np.flatnonzero(free):
+        theta[i] = gens[i].uniform(0.05, 0.9) * theta_max[i]
     transitions = _assemble_chain(W, weights, theta)
     achieved = outcome_probability_dp(transitions, 0, m, steps)
-    failed = np.flatnonzero(infeasible | (np.abs(achieved - targets) > tol))
-    if failed.size:
-        i = failed[0]
+    errors = [None] * len(specs)
+    for i in np.flatnonzero(infeasible | (~free & (np.abs(achieved - targets) > tol))):
         target, top = float(targets[i]), float(p_max[i])
         if infeasible[i]:
-            raise CalibrationError(
-                f"target probability {target} outside achievable (0, {top:.12g}]",
-                achievable=(0.0, top),
-            )
-        raise CalibrationError(
-            f"bisection stalled at {float(achieved[i])}, target {target}",
-            achievable=(0.0, top),
-        )
+            message = f"target probability {target} outside achievable (0, {top:.12g}]"
+        else:
+            message = f"bisection stalled at {float(achieved[i])}, target {target}"
+        errors[i] = CalibrationError(message, achievable=(0.0, top))
+        if failures is None:
+            raise errors[i]
+    if failures is not None:
+        failures[:] = errors
     return transitions, achieved
 
 
@@ -415,12 +428,12 @@ def random_chain(spec: ChainSpec, rng: np.random.Generator | None = None) -> Mar
             f"rng must be a numpy Generator or None, got {rng!r}; "
             "set the chain's seed in its spec"
         )
-    if spec.target_probability is None:
-        W, weights = _chain_parts(spec, gen)
-        theta = gen.uniform(0.05, 0.9) * (1.0 / weights.max())
-        transition = _assemble_chain(W, weights, theta)
-    else:
-        (transition,), _ = _calibrated_chains(spec, [spec.target_probability], [gen])
+    (transition,), _ = _calibrated_chains(spec, [spec.target_probability], [gen])
+    return _chain_model(spec, transition)
+
+
+def _chain_model(spec: ChainSpec, transition) -> MarkovModel:
+    """The chain of ``spec`` with the given transition matrix."""
     return MarkovModel.step_mode(transition, 0, spec.n_states - 1, spec.horizon_steps)
 
 
@@ -466,6 +479,13 @@ def variance_sweep(
     continues.  Exact (enumeration) variances are added wherever the
     instance is small enough.  Every stream derives from ``base_spec.seed``,
     which every row carries.
+
+    One bisection calibrates every valid point of the axis
+    (:func:`_calibrated_chains`), each point on its own stream, so every
+    point gets the chain :func:`random_chain` gives it alone.  The table's
+    ``stage_seconds`` adds up, over the points, the stages ``calibrate``,
+    ``sample`` and ``enumerate`` (the exact variances; not on the
+    ``sample_count`` axis).
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -474,6 +494,7 @@ def variance_sweep(
         raise ValueError("grid must be nonempty")
     if replications < 2:
         raise ValueError("replications must be >= 2")
+    clock = _StageClock()
     aid = _AXIS_ID[axis]
     seed = base_spec.seed
     rows: list[MetricRow] = []
@@ -482,13 +503,11 @@ def variance_sweep(
         for g in grid:
             if not (float(g).is_integer() and g >= 1):
                 raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
-        chain = random_chain(base_spec, rng=substream(seed, aid, 0, 0))
-        rows.append(
-            MetricRow(
-                "sample_count", "", 0, "exact_probability",
-                exact_outcome_probability(chain), seed=seed,
-            )
-        )
+        (transition,), (p,) = _calibrated_chains(
+            base_spec, [base_spec.target_probability], [substream(seed, aid, 0, 0)])
+        chain = _chain_model(base_spec, transition)
+        rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
+        clock.lap("calibrate")
         for j, g in enumerate(grid):
             n = int(g)
             task = f"sample_count={n}"
@@ -501,30 +520,43 @@ def variance_sweep(
                 var = float(est.var(ddof=1))
                 rows.append(MetricRow(task, kind, n, "variance", var, seed=seed))
                 rows.append(MetricRow(task, kind, n, "variance_times_n", var * n, seed=seed))
-        return ExperimentTable(tuple(rows))
+        clock.lap("sample")
+        return ExperimentTable(tuple(rows), stage_seconds=clock.seconds)
 
+    # grid index -> the point's spec; a value no spec takes is a failed point
+    varied = "target_probability" if axis == "probability" else "spontaneity"
+    points = {}
+    for j, g in enumerate(grid):
+        try:
+            points[j] = replace(base_spec, **{varied: float(g)})
+        except ValueError:
+            pass
+    failures: list = []
+    if points:
+        transitions, achieved = _calibrated_chains(
+            list(points.values()), [p.target_probability for p in points.values()],
+            [substream(seed, aid, j, 0) for j in points], failures,
+        )
+    # grid index -> the point's chain in the stack, for every calibrated point
+    calibrated = {j: i for i, j in enumerate(points) if failures[i] is None}
+    clock.lap("calibrate")
     for j, g in enumerate(grid):
         task = f"{axis}={g:g}"
-        try:
-            if axis == "probability":
-                point = replace(base_spec, target_probability=float(g))
-            else:
-                point = replace(base_spec, spontaneity=float(g))
-            chain = random_chain(point, rng=substream(seed, aid, j, 0))
-        except (CalibrationError, ValueError):
+        if j not in calibrated:
             rows.append(MetricRow(task, "", 0, "failed", float("nan"), seed=seed))
             continue
-        rows.append(
-            MetricRow(task, "", 0, "exact_probability",
-                      exact_outcome_probability(chain), seed=seed)
-        )
+        i = calibrated[j]
+        chain = _chain_model(points[j], transitions[i])
+        rows.append(MetricRow(task, "", 0, "exact_probability", float(achieved[i]), seed=seed))
         rows.append(MetricRow(task, "", 0, "spontaneity", spontaneity(chain), seed=seed))
+        clock.lap("calibrate")
         pools = _sample_pools(
             chain, replications, substream(seed, aid, j, 1), substream(seed, aid, j, 2)
         )
         for kind, vals in pools.items():
             rows.append(MetricRow(task, kind, 1, "mean", float(vals.mean()), seed=seed))
             rows.append(MetricRow(task, kind, 1, "variance", float(vals.var(ddof=1)), seed=seed))
+        clock.lap("sample")
         try:
             for kind in KINDS:
                 dist = enumerate_sub_distribution(chain, kind)
@@ -533,7 +565,8 @@ def variance_sweep(
                 )
         except InstanceTooLargeError:
             pass
-    return ExperimentTable(tuple(rows))
+        clock.lap("enumerate")
+    return ExperimentTable(tuple(rows), stage_seconds=clock.seconds)
 
 
 @dataclass(frozen=True)
@@ -797,7 +830,8 @@ def equivalence_ratio(
 
 
 class _StageClock:
-    """Wall-clock seconds of consecutive stages, each closed by :meth:`lap`."""
+    """Wall-clock seconds of consecutive stages, each closed by :meth:`lap`;
+    a stage lapped more than once adds up its laps."""
 
     def __init__(self):
         self.seconds: dict = {}
@@ -805,7 +839,7 @@ class _StageClock:
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self.seconds[stage] = now - self._last
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + (now - self._last)
         self._last = now
 
 

@@ -31,7 +31,9 @@ uniform ``u``, where every entry from the last token that can be drawn
 onward is 1, so no ``u`` draws a token of probability 0.  A single chain's
 batch of at least ``_BINS`` rows looks that count up in an exact bucket
 table (Chen & Asau's guide table), falling back to the comparison only
-where a cumulative probability lies inside ``u``'s bucket.
+where a cumulative probability lies inside ``u``'s bucket; it reads its
+uniforms as the 64-bit words they are made of, so a stream over MT19937,
+whose doubles take two 32-bit words, is rejected.
 
 A :class:`MarkovModel` is validated once, at construction.  The
 distributions of any other model are checked as the sampler and the
@@ -393,6 +395,13 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     product ``prod(1 - h)``, exactly 1 for a trajectory that ends on a
     degenerate step.
 
+    A :class:`MarkovModel` batch of at least ``_BINS`` trajectories reads
+    the same uniforms as the 64-bit words ``rng.bit_generator.random_raw(k)``
+    they are made of: ``random()`` gives ``(word >> 11) * 2**-53`` on
+    Philox, which every seqrisk stream uses, and on PCG64, PCG64DXSM and
+    SFC64.  A Generator over MT19937, which makes a double from two 32-bit
+    words, raises ValueError.
+
     The values depend only on the model's distributions.  A
     :class:`MarkovModel`'s draw tables are built once per state; any other
     model's are built at each step from one ``next_distribution`` call per
@@ -400,6 +409,11 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     lists of at most ``max_steps`` ints.  This is the one-model case of
     :func:`_sample_stack`.
     """
+    if isinstance(getattr(rng, "bit_generator", None), np.random.MT19937):
+        raise ValueError(
+            "sample_batch reads a uniform as (word >> 11) * 2**-53 of one 64-bit "
+            "word; MT19937 makes its doubles from two 32-bit words"
+        )
     if isinstance(model, MarkovModel):
         source = (model.transition[None], model.initial_state)
     else:
@@ -450,7 +464,9 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     ``c``'s trajectories, and each step draws ``rngs[c].random(k)`` for the
     ``k`` of them still running, chain after chain, so every chain gets
     exactly the values :func:`sample_batch` gives for it alone on its
-    stream.  Returns ``(P, n)`` arrays in the order of :func:`sample_batch`.
+    stream; the bucket-table path below reads those uniforms as the words
+    ``rngs[0].bit_generator.random_raw(k)``.  Returns ``(P, n)`` arrays in
+    the order of :func:`sample_batch`.
 
     The running rows are kept compacted: their row numbers in ascending
     order, with their states, hazard sums or survival products, chain
@@ -462,12 +478,16 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
 
     A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
     least ``_BINS`` rows reads that count from :func:`_bucket_table` at
-    ``floor(u * _BINS)``; rows whose bucket holds a cumulative probability
-    (at most one bucket per token) compare against the row instead.  Both
-    ways give the same token for every ``u``.  Smaller batches, stacks and
-    other models always compare, one column of the cumulative rows at a
-    time, so per-step temporaries stay at one entry per row for any ``S``;
-    a stack's table would take ``P * S * _BINS`` entries.
+    ``floor(u * _BINS)``, the top ``log2(_BINS)`` bits of the word that
+    ``u = (word >> 11) * 2**-53`` is made of; only rows whose bucket holds a
+    cumulative probability (at most one bucket per token) build their ``u``
+    and compare against the row.  Both ways give the same token for every
+    ``u``.  Smaller batches, stacks and other models always compare, one
+    column of the cumulative rows at a time, so per-step temporaries stay at
+    one entry per row for any ``S``; a stack's table would take
+    ``P * S * _BINS`` entries.  With no
+    stopping token and no time limit (the outcome-excluded mode of a
+    chain), a step skips the stop test: only the step count ends a row.
     """
     _check_mode(mode)
     size, o = vocab.size, vocab.outcome
@@ -501,6 +521,11 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
         steps, limit = effective_steps(vocab, horizon), None
     else:
         steps, limit = horizon.max_steps, horizon.time_limit
+    # without a stopping token or a time limit, only the step count (or a
+    # degenerate step) ends a row: no step needs the stop test
+    can_stop = limit is not None or bool(stop_after.any())
+    # the bucket of a 64-bit word is its top log2(_BINS) bits
+    shift = 64 - (_BINS.bit_length() - 1)
     rows = n_chains * n
     # the running rows' numbers, ascending, and aligned with them each row's
     # last token, hazard sum (survival product when excluded), chain offset
@@ -537,32 +562,44 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
             acc *= keep[row]
         else:
             acc += hazard[row]
-        u = np.empty(ids.size)
-        bounds = np.searchsorted(ids, first_rows).tolist()
-        for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
-            if hi > lo:
-                rng.random(out=u[lo:hi])
         if table is None:
+            u = np.empty(ids.size)
+            bounds = np.searchsorted(ids, first_rows).tolist()
+            for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
+                if hi > lo:
+                    rng.random(out=u[lo:hi])
             # (cum[row] <= u).sum() a column at a time keeps the temporaries at
             # one entry per row; the last column, 1 in every row that draws,
             # never counts
             nxt = np.zeros(ids.size, dtype=np.intp)
             for column in cum.T[:-1]:
                 nxt += column[row] <= u
+            del u
         else:
-            key = (u * _BINS).astype(np.intp)
-            key += st * _BINS
-            nxt = table[key]
-            del key
+            # random() turns a word into u = (word >> 11) * 2**-53, so u's
+            # bucket floor(u * _BINS) is the word's top bits
+            word = rngs[0].bit_generator.random_raw(ids.size)
+            bucket = np.right_shift(word, shift).view(np.intp)
+            # st becomes each row's table entry in place, st * _BINS + bucket:
+            # one per-row array fewer is alive than with a separate key
+            st *= _BINS
+            st += bucket
+            del bucket
+            nxt = table[st]
             split = np.flatnonzero(nxt < 0)
             if split.size:
                 # about S / _BINS of the rows: gathering their whole rows is cheap
-                nxt[split] = (cum[st[split]] <= u[split, None]).sum(axis=1)
+                u = (word[split] >> 11) * 2.0**-53
+                nxt[split] = (cum[st[split] // _BINS] <= u[:, None]).sum(axis=1)
+            del word
         if model is not None:
             for i, token in zip(ids.tolist(), nxt.tolist()):
                 prefixes[i].append(token)
         # free the per-row temporaries before the next step allocates its own
-        del row, u
+        del row
+        if not can_stop:
+            st = nxt
+            continue
         stop = stop_after[nxt]
         if el is not None:
             el += times[nxt]

@@ -81,7 +81,9 @@ def ruled_batch(m, mode, n, rng):
 class ScriptedStream:
     """Stand-in for a generator whose ``random()`` returns the given
     uniforms in order, and whose ``random(out=a)`` fills ``a`` with the next
-    ones (and fails when asked for more)."""
+    ones (and fails when asked for more).  ``bit_generator.random_raw(k)``
+    returns the next ``k`` as the 64-bit words ``random()`` turns into them,
+    ``u * 2**53 << 11``; each uniform must be a multiple of ``2**-53``."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
@@ -92,6 +94,18 @@ class ScriptedStream:
         for i in range(out.size):
             out[i] = self.uniforms.pop(0)
         return out
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        words = []
+        for _ in range(size):
+            u = self.uniforms.pop(0)
+            assert int(u * 2**53) == u * 2**53, f"{u!r} is no 53-bit uniform"
+            words.append(int(u * 2**53) << 11)
+        return np.array(words, dtype=np.uint64)
 
 
 def reference_sample(model, mode, rng):

@@ -304,6 +304,20 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"s.csv"}
 
+    def test_manifest_times_each_stage(self, tmp_path):
+        # a chain small enough to enumerate, and a point that fails
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ChainSpec(4, 1.0, 5).to_dict()))
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--axis", "probability", "--grid", "0.2,1.5",
+                         "--replications", "50", "--spec", str(spec),
+                         "--out", str(out_path)]) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"calibrate", "sample", "enumerate", "write"}
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) <= manifest["duration_seconds"]
+
     def test_render_failure_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def fail(table, **kw):
             raise ValueError("cannot render")

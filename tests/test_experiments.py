@@ -1,6 +1,7 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqrisk import (
     ChainSpec,
     CohortSpec,
     ExperimentTable,
+    InstanceTooLargeError,
     MC,
     OUTCOME_EXCLUDED,
     REACH,
@@ -22,6 +24,7 @@ from seqrisk import (
     auroc,
     brier,
     calibration_curve,
+    enumerate_sub_distribution,
     equivalence_ratio,
     estimate,
     estimate_distribution_experiment,
@@ -35,6 +38,7 @@ from seqrisk import (
 )
 from seqrisk import experiments
 from seqrisk.experiments import (
+    SPONTANEITY_GRID,
     MetricRow,
     _auroc_columns,
     _calibrated_chains,
@@ -115,6 +119,17 @@ class TestRandomChain:
         hazards = chain.transition[:-1, chain.outcome_state]
         assert int((hazards > 0).sum()) == 2
 
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "random"])
+    def test_untargeted_hazard_scale_is_drawn_after_the_parts(self, equal):
+        # theta = U(0.05, 0.9) * theta_max from the chain's stream, written
+        # out here apart from the stacked calibration random_chain runs
+        spec = ChainSpec(6, 0.6, 8, seed=4, equal_transitions=equal)
+        gen = substream(4, 0, 0)
+        W, weights = experiments._chain_parts(spec, gen)
+        theta = gen.uniform(0.05, 0.9) * (1.0 / weights.max())
+        assert np.array_equal(random_chain(spec).transition,
+                              experiments._assemble_chain(W, weights, theta))
+
     def test_target_probability_calibrated(self):
         for target in (0.05, 0.5, 0.9):
             chain = random_chain(ChainSpec(6, 1.0, 12, seed=5, target_probability=target))
@@ -178,6 +193,42 @@ class TestCalibratedStack:
             random_chain(replace(tpl, target_probability=0.0), rng=substream(2, 6, 2))
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.achievable == alone.value.achievable
+
+    @pytest.mark.parametrize("target", [0.5, None])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_one_spec_per_chain_gives_each_random_chain(self, equal, target):
+        # the points of a spontaneity sweep differ in how many states carry
+        # hazard; a chain without a target draws its hazard scale
+        specs = [ChainSpec(11, g, 20, target_probability=target, equal_transitions=equal)
+                 for g in SPONTANEITY_GRID]
+        failures = []
+        stack, achieved = _calibrated_chains(
+            specs, [target] * len(specs), [substream(5, 2, j, 0) for j in range(len(specs))],
+            failures)
+        assert failures == [None] * len(specs)
+        for j, spec in enumerate(specs):
+            alone = random_chain(spec, rng=substream(5, 2, j, 0))
+            assert np.array_equal(stack[j], alone.transition)
+            assert achieved[j] == exact_outcome_probability(alone)
+
+    def test_failures_are_reported_per_chain(self):
+        # targets of 0 are never achievable: those chains get the error they
+        # raise alone, and the others their chains
+        tpl = ChainSpec(5, 0.5, 3)
+        targets = [0.1, 0.1, 0.0, 0.1, 0.0]
+        failures = []
+        stack, _ = _calibrated_chains(tpl, targets, [substream(2, 6, i) for i in range(5)],
+                                      failures)
+        for i, target in enumerate(targets):
+            spec = replace(tpl, target_probability=target)
+            if target == 0.0:
+                with pytest.raises(CalibrationError) as alone:
+                    random_chain(spec, rng=substream(2, 6, i))
+                assert str(failures[i]) == str(alone.value)
+                assert failures[i].achievable == alone.value.achievable
+            else:
+                assert failures[i] is None
+                assert np.array_equal(stack[i], random_chain(spec, rng=substream(2, 6, i)).transition)
 
 
 class TestSpontaneityMeasure:
@@ -289,6 +340,86 @@ class TestVarianceSweep:
         base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
         assert variance_sweep("sample_count", [2.0], base, 100) == \
             variance_sweep("sample_count", [2], base, 100)
+
+
+def reference_sweep(axis, grid, base, replications):
+    """The rows of ``variance_sweep`` on the probability or spontaneity axis,
+    built point by point: one ``random_chain``, its DP probability and two
+    ``sample_batch`` calls per point."""
+    seed, aid = base.seed, {"probability": 1, "spontaneity": 2}[axis]
+    varied = "target_probability" if axis == "probability" else "spontaneity"
+    rows = []
+    for j, g in enumerate(grid):
+        task = f"{axis}={g:g}"
+        try:
+            chain = random_chain(replace(base, **{varied: float(g)}),
+                                 rng=substream(seed, aid, j, 0))
+        except (CalibrationError, ValueError):
+            rows.append(MetricRow(task, "", 0, "failed", float("nan"), seed=seed))
+            continue
+        rows.append(MetricRow(task, "", 0, "exact_probability",
+                              exact_outcome_probability(chain), seed=seed))
+        rows.append(MetricRow(task, "", 0, "spontaneity", spontaneity(chain), seed=seed))
+        mc, scope = sample_batch(chain, STANDARD, replications, substream(seed, aid, j, 1))
+        (reach,) = sample_batch(chain, OUTCOME_EXCLUDED, replications,
+                                substream(seed, aid, j, 2))
+        for kind, vals in ((MC, mc), (SCOPE, scope), (REACH, reach)):
+            rows.append(MetricRow(task, kind, 1, "mean", float(vals.mean()), seed=seed))
+            rows.append(MetricRow(task, kind, 1, "variance", float(vals.var(ddof=1)),
+                                  seed=seed))
+        try:
+            for kind in (MC, SCOPE, REACH):
+                rows.append(MetricRow(task, kind, 1, "exact_variance",
+                                      enumerate_sub_distribution(chain, kind).variance(),
+                                      seed=seed))
+        except InstanceTooLargeError:
+            pass
+    return ExperimentTable(rows)
+
+
+class TestStackedSweepCalibration:
+    """A sweep calibrates all its points in one bisection, yet every row is
+    the one a point-by-point sweep gives, failed points included."""
+
+    CASES = {
+        # 0.999 is out of reach, 0 never achievable, 1.5 no target at all
+        "probability": ("probability", [0.2, 0.999, 0.45, 0.0, 1.5],
+                        ChainSpec(4, 0.67, 4, seed=2),
+                        {"probability=0.999", "probability=0", "probability=1.5"}),
+        # spontaneity 0 leaves no state with hazard: no spec takes it
+        "spontaneity": ("spontaneity", [0, 0.34, 0.67, 1.0],
+                        ChainSpec(4, 1.0, 4, seed=2, target_probability=0.4),
+                        {"spontaneity=0"}),
+        "spontaneity_no_target": ("spontaneity", [0.34, 0, 1.0],
+                                  ChainSpec(4, 1.0, 4, seed=3, equal_transitions=True),
+                                  {"spontaneity=0"}),
+    }
+
+    @pytest.mark.parametrize("axis,grid,base,failed", CASES.values(), ids=CASES)
+    def test_rows_equal_the_point_by_point_reference(self, axis, grid, base, failed):
+        table = variance_sweep(axis, grid, base, 300)
+        assert {r.task for r in table.rows_where(statistic="failed")} == failed
+        assert len(table.rows_where(statistic="exact_variance")) == 3 * (len(grid) - len(failed))
+        assert table.to_csv_text() == reference_sweep(axis, grid, base, 300).to_csv_text()
+
+    @pytest.mark.parametrize("axis,grid,stages", [
+        ("probability", [0.3, 1.5, 0.6], {"calibrate", "sample", "enumerate"}),
+        ("sample_count", [1, 4], {"calibrate", "sample"}),
+    ])
+    def test_stage_seconds(self, axis, grid, stages):
+        table = variance_sweep(axis, grid, ChainSpec(4, 1.0, 5, target_probability=0.4), 200)
+        assert set(table.stage_seconds) == stages
+        assert all(v >= 0 for v in table.stage_seconds.values())
+
+
+class TestStageClock:
+    def test_laps_of_one_stage_add_up(self, monkeypatch):
+        ticks = iter([0.0, 1.0, 3.0, 6.0, 10.0])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        clock = _StageClock()
+        for stage in ("a", "b", "a", "b"):
+            clock.lap(stage)
+        assert clock.seconds == {"a": 1.0 + 3.0, "b": 2.0 + 4.0}
 
 
 class TestDistributionExperiment:

@@ -660,6 +660,11 @@ class TestPinnedBits:
         STANDARD: "d0f4037ef3d2529a15a5556823ce6d4d8177884a0431af306447a30675c3269f",
         OUTCOME_EXCLUDED: "5fb2ed740044cb33800aa42dfeef08a60c583be6441d37c8d4b66482c3f34d2d",
     }
+    # taken at the commit before the bucket-table path read 64-bit words
+    TABLE = {
+        STANDARD: "954be7230b86b4fefc211eada51278125b2f58322b834af2eced2aebe327c2a9",
+        OUTCOME_EXCLUDED: "a8f0034d89ef81387841648c36d3c9e1977eec92d57ae8958fc1233f7bc49aa4",
+    }
 
     @pytest.mark.parametrize("n,mode", CHAIN)
     def test_benchmark_chain(self, n, mode):
@@ -680,6 +685,55 @@ class TestPinnedBits:
         values = seqmodel._sample_stack((rows, 0), vocab, horizon, mode, 300,
                                         [substream(0, 41, c) for c in range(4)])
         assert sha256_of(values) == self.STACK[mode]
+
+    @pytest.mark.parametrize("mode", TABLE)
+    def test_single_chain_bucket_table(self, mode):
+        # n = 2 * _BINS rows of one chain draw from its bucket table; token 3
+        # is terminal and token times differ, under a time limit
+        rows = substream(0, 40, 1).random((5, 5))
+        rows[rows < 0.25] = 0.0
+        rows[:, 0] += 0.01
+        rows /= rows.sum(axis=1, keepdims=True)
+        vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
+                           time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
+        horizon = HorizonPolicy(max_steps=12, time_limit=6.0)
+        values = seqmodel._sample_stack((rows[None], 0), vocab, horizon, mode,
+                                        2 * seqmodel._BINS, [substream(0, 42, 0)])
+        assert sha256_of(values) == self.TABLE[mode]
+
+
+class TestWordDraws:
+    """The bucket-table path reads ``bit_generator.random_raw`` words where
+    the other paths read ``random()`` doubles: the same uniforms, from the
+    same stream positions."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64,
+                                        np.random.SFC64])
+    def test_words_make_the_doubles_random_returns(self, bitgen):
+        words, doubles = (np.random.Generator(bitgen(11)) for _ in range(2))
+        for k in (1, 7, 1000):
+            got = (words.bit_generator.random_raw(k) >> 11) * 2.0**-53
+            assert got.tobytes() == doubles.random(k).tobytes()
+        assert words.random() == doubles.random()
+
+    def test_mt19937_rejected(self):
+        m = chain([[0.5, 0.5], [0.0, 1.0]])
+        for n in (1, seqmodel._BINS):
+            with pytest.raises(ValueError, match="MT19937"):
+                sample_batch(m, STANDARD, n, np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    def test_table_path_leaves_the_stream_where_random_does(self, mode):
+        # the comparison path (_BINS above n) draws doubles, the table path words
+        m = random_chain(ChainSpec(n_states=6, spontaneity=0.6, horizon_steps=9,
+                                   target_probability=0.4, seed=2))
+        n = 2 * seqmodel._BINS
+        r1, r2 = trajectory_stream(3), trajectory_stream(3)
+        table = sample_batch(m, mode, n, r1)
+        with mock.patch.object(seqmodel, "_BINS", 4 * n):
+            compared = sample_batch(m, mode, n, r2)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(table, compared))
+        assert r1.random() == r2.random()
 
 
 def _cum(row):
