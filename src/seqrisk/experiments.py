@@ -9,17 +9,17 @@ way a prediction study would: AUROC against labels drawn from the exact
 per-patient probability, bootstrapped over timeline resamples, plus Brier
 scores, calibration curves, and sample-count equivalence ratios.
 
-Sweeps and repeated-estimate histograms sample each chain with
-:func:`seqrisk.seqmodel.sample_batch`, one stage stream per batch; a
-sweep calibrates all the points of its axis in one bisection first.
-A cohort is one stack of chains: one bisection calibrates all of them and
-one stacked sampler call per mode draws every patient's timelines, each
-patient from its own stage streams, so every patient's numbers are those
-it gets alone.  Each experiment reads one seed, its spec's ``seed``, and
-derives every stage stream from it, so results are reproducible
-bit-for-bit from the spec.  Default sweep parameters: 11-state chains,
-20-step horizon, 10,000 replications, probability grid 0.05..0.95 (step
-0.05), spontaneity grid 0.1..1.0 (step 0.1).
+Every experiment makes its chains one way, :func:`_calibrated_chains`
+(one bisection over a list of specs, then one validation of the stack),
+and samples them one way, :func:`_sample_pools` (one stacked sampler call
+per mode, each chain on its own stage streams).  A sweep calibrates all
+the points of its axis together and samples each point alone; a cohort
+calibrates and samples all its patients as one stack.  Every chain's
+numbers are those it gets alone.  Each experiment reads one seed, its
+spec's ``seed``, and derives every stage stream from it, so results are
+reproducible bit-for-bit from the spec.  Default sweep parameters:
+11-state chains, 20-step horizon, 10,000 replications, probability grid
+0.05..0.95 (step 0.05), spontaneity grid 0.1..1.0 (step 0.1).
 """
 
 from __future__ import annotations
@@ -40,22 +40,15 @@ from .errors import (
     UndefinedMetricError,
 )
 from .estimators import CLIP_TO_UNIT, KINDS, MC, REACH, SCOPE, apply_clip
-from .oracle import (
-    enumerate_sub_distribution,
-    exact_outcome_probability,
-    outcome_probability_dp,
-)
+from .oracle import enumerate_sub_distribution, outcome_probability_dp
 from .rng import substream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
-    HorizonPolicy,
     MarkovModel,
-    Vocabulary,
     _check_number,
     _from_dict,
     _sample_stack,
-    sample_batch,
     validate,
 )
 
@@ -89,8 +82,8 @@ class ChainSpec:
     When ``target_probability`` is set, the hazard masses are scaled by
     bisection until the exact outcome probability matches it to within
     1e-6, and to within 1e-4 of the target relative to it.
-    ``seed`` keys :func:`random_chain`'s stream when it is given none, and
-    every stage stream of :func:`variance_sweep` and
+    ``seed`` keys :func:`random_chain`'s stream, ``substream(seed, 0, 0)``,
+    and every stage stream of :func:`variance_sweep` and
     :func:`estimate_distribution_experiment`.
     """
 
@@ -341,28 +334,27 @@ def _chain_parts(spec: ChainSpec, gen) -> tuple:
     return W, hazard_weights
 
 
-def _calibrated_chains(specs, targets, gens, failures: list | None = None) -> tuple:
-    """Transition stack with chain ``i`` calibrated onto ``targets[i]``, and
-    the exact outcome probability of every chain.
+def _calibrated_chains(specs, targets, gens) -> tuple:
+    """``(transitions, achieved, errors)``: a transition stack with chain
+    ``i`` calibrated onto ``targets[i]``, the exact outcome probability of
+    every chain, and the :class:`CalibrationError` of every chain that
+    failed (None for the others).
 
-    Chain ``i`` has the shape of ``specs[i]`` (or of ``specs``, one spec for
-    every chain; all share ``n_states`` and ``horizon_steps``) with parts
-    drawn from ``gens[i]``.  Its hazard scale ``theta`` is bisected on
-    ``(0, theta_max]`` until the exact outcome probability lies within
-    ``min(1e-6, 1e-4 * target)`` of the target, so rare targets are met to a
-    relative 1e-4, or falls back to ``theta_max`` after 200 halvings.  All
-    chains bisect together, each on its own interval until it stops, so
-    every chain follows the ``theta`` sequence it follows alone.  A chain
-    whose target is None bisects nothing: it draws ``theta`` from its
-    stream after its parts, as :func:`random_chain` does.
+    Chain ``i`` has the shape of ``specs[i]`` (all share ``n_states`` and
+    ``horizon_steps``) with parts drawn from ``gens[i]``.  Its hazard scale
+    ``theta`` is bisected on ``(0, theta_max]`` until the exact outcome
+    probability lies within ``min(1e-6, 1e-4 * target)`` of the target, so
+    rare targets are met to a relative 1e-4, or falls back to ``theta_max``
+    after 200 halvings.  All chains bisect together, each on its own
+    interval until it stops, so every chain follows the ``theta`` sequence
+    it follows alone.  A chain whose target is None bisects nothing: it
+    draws ``theta`` from its stream after its parts.
 
-    An infeasible or stalled chain gets the :class:`CalibrationError` it
-    gets alone.  With a list ``failures``, it is stored there, one entry per
-    chain (None for a calibrated one); without, the lowest-numbered one is
-    raised.
+    Nothing here raises :class:`CalibrationError`: an infeasible or stalled
+    chain gets in ``errors`` the error it gets alone (:func:`_raise_first`
+    raises it).  A stack that is not row-stochastic raises
+    :class:`ModelValidationError`.
     """
-    if isinstance(specs, ChainSpec):
-        specs = [specs] * len(gens)
     m = specs[0].n_states - 1
     steps = specs[0].horizon_steps
     parts = [_chain_parts(spec, gen) for spec, gen in zip(specs, gens)]
@@ -391,6 +383,9 @@ def _calibrated_chains(specs, targets, gens, failures: list | None = None) -> tu
     for i in np.flatnonzero(free):
         theta[i] = gens[i].uniform(0.05, 0.9) * theta_max[i]
     transitions = _assemble_chain(W, weights, theta)
+    violations = validate(transitions)
+    if violations:
+        raise ModelValidationError(violations)
     achieved = outcome_probability_dp(transitions, 0, m, steps)
     errors = [None] * len(specs)
     for i in np.flatnonzero(infeasible | (~free & (np.abs(achieved - targets) > tol))):
@@ -400,35 +395,28 @@ def _calibrated_chains(specs, targets, gens, failures: list | None = None) -> tu
         else:
             message = f"bisection stalled at {float(achieved[i])}, target {target}"
         errors[i] = CalibrationError(message, achievable=(0.0, top))
-        if failures is None:
-            raise errors[i]
-    if failures is not None:
-        failures[:] = errors
-    return transitions, achieved
+    return transitions, achieved, errors
 
 
-def random_chain(spec: ChainSpec, rng: np.random.Generator | None = None) -> MarkovModel:
+def _raise_first(errors) -> None:
+    """Raise the lowest-numbered error of :func:`_calibrated_chains`, if any."""
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def random_chain(spec: ChainSpec) -> MarkovModel:
     """Random chain with the requested spontaneity and outcome probability.
 
     The outcome state is the highest-numbered state and is absorbing; the
     initial state is state 0.  Exactly ``round(spontaneity * (n-1))``
     non-outcome states carry hazard mass.  Infeasible targets raise
     :class:`CalibrationError` naming the achievable interval.  Random
-    parts are drawn from ``rng``, a numpy Generator, else from
-    ``substream(spec.seed, 0, 0)``.  Anything else raises ValueError, an
-    integer too: a chain with equal transitions and a target reads no
-    stream, so an integer seed there would be ignored without a word.
+    parts are drawn from ``substream(spec.seed, 0, 0)``.
     """
-    if rng is None:
-        gen = substream(spec.seed, 0, 0)
-    elif isinstance(rng, np.random.Generator):
-        gen = rng
-    else:
-        raise ValueError(
-            f"rng must be a numpy Generator or None, got {rng!r}; "
-            "set the chain's seed in its spec"
-        )
-    (transition,), _ = _calibrated_chains(spec, [spec.target_probability], [gen])
+    (transition,), _, errors = _calibrated_chains(
+        [spec], [spec.target_probability], [substream(spec.seed, 0, 0)])
+    _raise_first(errors)
     return _chain_model(spec, transition)
 
 
@@ -449,10 +437,21 @@ def spontaneity(model: MarkovModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_pools(chain: MarkovModel, n: int, standard_rng, excluded_rng) -> dict:
-    """``n`` sub-values of every kind: MC and SCOPE share the standard batch."""
-    mc_v, scope_v = sample_batch(chain, STANDARD, n, standard_rng)
-    (reach_v,) = sample_batch(chain, OUTCOME_EXCLUDED, n, excluded_rng)
+def _sample_pools(spec: ChainSpec, transitions, n: int, standard_rngs,
+                  excluded_rngs) -> dict:
+    """``(P, n)`` sub-values of every kind for a ``(P, S, S)`` stack of
+    chains of ``spec``'s shape, under the stop rules of :func:`_chain_model`.
+
+    Chain ``c`` reads ``standard_rngs[c]`` (MC and SCOPE share that batch)
+    and ``excluded_rngs[c]`` (REACH) alone, so its row is the one
+    :func:`seqrisk.seqmodel.sample_batch` gives its chain on those streams.
+    """
+    chain = _chain_model(spec, transitions[0])
+    source = (transitions, chain.initial_state)
+    mc_v, scope_v = _sample_stack(source, chain.vocabulary, chain.horizon, STANDARD, n,
+                                  standard_rngs)
+    (reach_v,) = _sample_stack(source, chain.vocabulary, chain.horizon, OUTCOME_EXCLUDED,
+                               n, excluded_rngs)
     return {MC: mc_v, SCOPE: scope_v, REACH: reach_v}
 
 
@@ -482,7 +481,7 @@ def variance_sweep(
 
     One bisection calibrates every valid point of the axis
     (:func:`_calibrated_chains`), each point on its own stream, so every
-    point gets the chain :func:`random_chain` gives it alone.  The table's
+    point gets the chain it gets calibrated alone on that stream.  The table's
     ``stage_seconds`` adds up, over the points, the stages ``calibrate``,
     ``sample`` and ``enumerate`` (the exact variances; not on the
     ``sample_count`` axis).
@@ -503,20 +502,20 @@ def variance_sweep(
         for g in grid:
             if not (float(g).is_integer() and g >= 1):
                 raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
-        (transition,), (p,) = _calibrated_chains(
-            base_spec, [base_spec.target_probability], [substream(seed, aid, 0, 0)])
-        chain = _chain_model(base_spec, transition)
+        transitions, (p,), errors = _calibrated_chains(
+            [base_spec], [base_spec.target_probability], [substream(seed, aid, 0, 0)])
+        _raise_first(errors)
         rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
         clock.lap("calibrate")
         for j, g in enumerate(grid):
             n = int(g)
             task = f"sample_count={n}"
             pools = _sample_pools(
-                chain, replications * n,
-                substream(seed, aid, j, 1), substream(seed, aid, j, 2),
+                base_spec, transitions, replications * n,
+                [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
             )
             for kind, vals in pools.items():
-                est = vals.reshape(replications, n).mean(axis=1)
+                est = vals[0].reshape(replications, n).mean(axis=1)
                 var = float(est.var(ddof=1))
                 rows.append(MetricRow(task, kind, n, "variance", var, seed=seed))
                 rows.append(MetricRow(task, kind, n, "variance_times_n", var * n, seed=seed))
@@ -531,14 +530,14 @@ def variance_sweep(
             points[j] = replace(base_spec, **{varied: float(g)})
         except ValueError:
             pass
-    failures: list = []
+    errors: list = []
     if points:
-        transitions, achieved = _calibrated_chains(
+        transitions, achieved, errors = _calibrated_chains(
             list(points.values()), [p.target_probability for p in points.values()],
-            [substream(seed, aid, j, 0) for j in points], failures,
+            [substream(seed, aid, j, 0) for j in points],
         )
     # grid index -> the point's chain in the stack, for every calibrated point
-    calibrated = {j: i for i, j in enumerate(points) if failures[i] is None}
+    calibrated = {j: i for i, j in enumerate(points) if errors[i] is None}
     clock.lap("calibrate")
     for j, g in enumerate(grid):
         task = f"{axis}={g:g}"
@@ -551,9 +550,10 @@ def variance_sweep(
         rows.append(MetricRow(task, "", 0, "spontaneity", spontaneity(chain), seed=seed))
         clock.lap("calibrate")
         pools = _sample_pools(
-            chain, replications, substream(seed, aid, j, 1), substream(seed, aid, j, 2)
+            points[j], transitions[i:i + 1], replications,
+            [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
         )
-        for kind, vals in pools.items():
+        for kind, (vals,) in pools.items():
             rows.append(MetricRow(task, kind, 1, "mean", float(vals.mean()), seed=seed))
             rows.append(MetricRow(task, kind, 1, "variance", float(vals.var(ddof=1)), seed=seed))
         clock.lap("sample")
@@ -607,13 +607,16 @@ def estimate_distribution_experiment(
     if n_estimates < 1 or samples_per_estimate < 1:
         raise ValueError("n_estimates and samples_per_estimate must be >= 1")
     seed = spec.seed
-    chain = random_chain(spec, rng=substream(seed, 4, 0))
+    transitions, (p,), errors = _calibrated_chains(
+        [spec], [spec.target_probability], [substream(seed, 4, 0)])
+    _raise_first(errors)
     total = n_estimates * samples_per_estimate
-    pools = _sample_pools(chain, total, substream(seed, 4, 1), substream(seed, 4, 2))
+    pools = _sample_pools(spec, transitions, total,
+                          [substream(seed, 4, 1)], [substream(seed, 4, 2)])
     shape = (n_estimates, samples_per_estimate)
     return DistributionResult(
-        estimates={kind: v.reshape(shape).mean(axis=1) for kind, v in pools.items()},
-        true_probability=exact_outcome_probability(chain),
+        estimates={kind: v.reshape(shape).mean(axis=1) for kind, (v,) in pools.items()},
+        true_probability=float(p),
         samples_per_estimate=samples_per_estimate,
         n_estimates=n_estimates,
         seed=seed,
@@ -870,31 +873,22 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     n_pat, pool_n = spec.n_patients, spec.n_timelines
     a, b = spec.risk_beta
     lo, hi = spec.risk_range
-    m, steps = tpl.n_states - 1, tpl.horizon_steps
 
     targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
-    transitions, p_exact = _calibrated_chains(
-        tpl, targets, [substream(seed, 6, i) for i in range(n_pat)]
+    transitions, p_exact, errors = _calibrated_chains(
+        [tpl] * n_pat, targets, [substream(seed, 6, i) for i in range(n_pat)]
     )
-    violations = validate(transitions)
-    if violations:
-        raise ModelValidationError(violations)
+    _raise_first(errors)
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
     clock.lap("calibrate")
 
-    vocab = Vocabulary.unit_steps(tpl.n_states, m)
-    horizon = HorizonPolicy(max_steps=steps, time_limit=float(steps))
-    mc_v, scope_v = _sample_stack(
-        (transitions, 0), vocab, horizon, STANDARD, pool_n,
+    pools = _sample_pools(
+        tpl, transitions, pool_n,
         [substream(seed, 7, i) for i in range(n_pat)],
-    )
-    (reach_v,) = _sample_stack(
-        (transitions, 0), vocab, horizon, OUTCOME_EXCLUDED, pool_n,
         [substream(seed, 8, i) for i in range(n_pat)],
     )
     clock.lap("sample")
-    rows = _cohort_metrics(spec, seed, {MC: mc_v, SCOPE: scope_v, REACH: reach_v},
-                           labels, clock)
+    rows = _cohort_metrics(spec, seed, pools, labels, clock)
     return ExperimentTable(rows, stage_seconds=clock.seconds)
 
 

@@ -139,8 +139,9 @@ def outcome_probability_dp(
 
 
 def _static_guard(vocab: Vocabulary, horizon: HorizonPolicy) -> None:
-    # worst case: a full |V|-ary tree as deep as the step cap
-    if vocab.size ** horizon.max_steps > LEAF_GUARD:
+    # worst case: a full |V|-ary tree as deep as the step cap; any size >= 2
+    # passes the guard within 24 steps, so the cap at 64 keeps the power small
+    if vocab.size ** min(horizon.max_steps, 64) > LEAF_GUARD:
         raise InstanceTooLargeError(
             f"{vocab.size} tokens over {horizon.max_steps} steps may exceed "
             f"{LEAF_GUARD} leaves"
@@ -158,7 +159,7 @@ def _walk(model, mode: str):
     vocab, horizon = model.vocabulary, model.horizon
     _static_guard(vocab, horizon)
     o = vocab.outcome
-    times = vocab._time_list
+    times = vocab.time_map.tolist()
     excluded = mode == OUTCOME_EXCLUDED
     # acc: the hazard sum (standard) or the survival product (excluded)
     stack = [((), 1.0, 0.0, 1.0 if excluded else 0.0)]

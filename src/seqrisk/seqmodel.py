@@ -117,7 +117,6 @@ class Vocabulary:
     outcome: int
     terminal: frozenset[int] = frozenset()
     time_map: np.ndarray | None = None
-    _time_list: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("size", "outcome"):
@@ -142,7 +141,6 @@ class Vocabulary:
         tm = tm.copy()
         tm.flags.writeable = False
         object.__setattr__(self, "time_map", tm)
-        object.__setattr__(self, "_time_list", tm.tolist())
 
     @classmethod
     def unit_steps(cls, size: int, outcome: int) -> "Vocabulary":

@@ -64,9 +64,6 @@ class _Scale:
                 out.append((10.0 ** e, _fmt(10.0 ** e)))
         return out
 
-    def tick_pos(self, t: float) -> float:
-        return self(t)
-
 
 def line_plot(
     series,
@@ -120,13 +117,13 @@ def line_plot(
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{axis_y}" stroke="black"/>'
     )
     for t, label in sx.ticks():
-        px = sx.tick_pos(t)
+        px = sx(t)
         out.append(f'<line x1="{px:.2f}" y1="{axis_y}" x2="{px:.2f}" y2="{axis_y + 5}" stroke="black"/>')
         out.append(
             f'<text x="{px:.2f}" y="{axis_y + 18}" text-anchor="middle">{label}</text>'
         )
     for t, label in sy.ticks():
-        py = sy.tick_pos(t)
+        py = sy(t)
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
         out.append(
             f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{label}</text>'

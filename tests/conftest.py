@@ -1,6 +1,7 @@
 """Shared fixtures: seeded random-model suites and their exact statistics, a
-chain that is not a :class:`MarkovModel`, and the straight-line reference
-sampler the batched sampler is held to."""
+chain that is not a :class:`MarkovModel`, the straight-line reference
+sampler the batched sampler is held to, and the calibrated chain every
+experiment's chain is held to."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from seqrisk import (
     enumerate_sub_distribution,
     exact_bijection_check,
     exact_outcome_probability,
+    experiments,
     seqmodel,
 )
 
@@ -52,6 +54,16 @@ def make_random_model(seed: int, max_states: int = 5, max_horizon: int = 6) -> M
     t = t / t.sum(axis=1, keepdims=True)
     initial = int(rng.integers(0, n))
     return MarkovModel.step_mode(t, initial, outcome, horizon)
+
+
+def lone_chain(spec, gen):
+    """The chain ``spec`` gets alone with its parts drawn from ``gen``: a
+    one-chain calibration, raising the :class:`CalibrationError` it gets."""
+    (transition,), _, (error,) = experiments._calibrated_chains(
+        [spec], [spec.target_probability], [gen])
+    if error is not None:
+        raise error
+    return experiments._chain_model(spec, transition)
 
 
 class RuledChain:

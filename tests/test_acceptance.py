@@ -34,7 +34,7 @@ from seqrisk import (
 from seqrisk.experiments import PROBABILITY_GRID, SAMPLE_COUNT_GRID, SPONTANEITY_GRID
 from seqrisk.rng import substream
 
-from conftest import record_criterion
+from conftest import lone_chain, record_criterion
 
 PANEL_B_SEED = 11
 PANEL_C_SEED = 12
@@ -161,7 +161,7 @@ def test_figure_panels_qualitative():
     for j, g in enumerate(SPONTANEITY_GRID):
         point = ChainSpec(11, g, 20, seed=PANEL_C_SEED, target_probability=0.5,
                           equal_transitions=True)
-        chain = random_chain(point, rng=substream(PANEL_C_SEED, 2, j, 0))
+        chain = lone_chain(point, substream(PANEL_C_SEED, 2, j, 0))
         mc_v, _ = sample_batch(chain, STANDARD, r, substream(PANEL_C_SEED, 2, j, 1))
         (re_v,) = sample_batch(chain, OUTCOME_EXCLUDED, r, substream(PANEL_C_SEED, 2, j, 2))
         if abs(mc_v.var(ddof=1) - 0.25) > 3.0 * mc_se:

@@ -345,6 +345,16 @@ class TestSweepCommand:
         assert seen == [("sample_count", list(experiments.SAMPLE_COUNT_GRID), 2_000)]
 
 
+    def test_infeasible_sample_count_spec_exit_4(self, tmp_path, run_cli):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ChainSpec(5, 0.5, 3, target_probability=0.0).to_dict()))
+        out = run_cli("sweep", "--axis", "sample_count", "--spec", str(spec),
+                      "--replications", "10", "--format", "svg",
+                      "--out", str(tmp_path / "sweep.csv"))
+        assert out.returncode == 4
+        assert "infeasible experiment point: target probability 0.0" in out.stderr
+        assert list(tmp_path.iterdir()) == [spec]
+
     @pytest.mark.parametrize("argv,message", [
         (["--replications", "0"], "replications must be >= 2"),
         (["--replications", "1"], "replications must be >= 2"),
@@ -369,6 +379,15 @@ class TestDistributionCommand:
                       "--seed", "6", "--out", str(out_path))
         assert out.returncode == 0
         assert out_path.read_text().splitlines()[0] == "kind,bin_low,bin_high,count"
+
+    def test_infeasible_spec_exit_4(self, tmp_path, run_cli):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ChainSpec(5, 0.5, 3, target_probability=0.0).to_dict()))
+        out = run_cli("distribution", "--spec", str(spec), "--n-estimates", "10",
+                      "--samples", "5", "--out", str(tmp_path / "hist.csv"))
+        assert out.returncode == 4
+        assert "infeasible experiment point: target probability 0.0" in out.stderr
+        assert list(tmp_path.iterdir()) == [spec]
 
     def test_format_is_not_an_option(self, tmp_path, capsys):
         out_path = tmp_path / "h.json"

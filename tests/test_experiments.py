@@ -44,10 +44,13 @@ from seqrisk.experiments import (
     _calibrated_chains,
     _cohort_metrics,
     _equivalence,
+    _raise_first,
     _StageClock,
 )
 from seqrisk.oracle import outcome_probability_dp
 from seqrisk.rng import substream
+
+from conftest import lone_chain
 
 
 class TestChainSpec:
@@ -150,14 +153,9 @@ class TestRandomChain:
         assert lo == 0.0 and hi < 0.999
 
     def test_seed_comes_from_the_spec(self):
-        # a chain with equal transitions and a target reads no stream, so an
-        # integer in place of a generator would be ignored without a word
-        spec = ChainSpec(5, 1.0, 6, seed=6, target_probability=0.5, equal_transitions=True)
-        with pytest.raises(ValueError, match="rng must be a numpy Generator or None"):
-            random_chain(spec, rng=5)
         spec = ChainSpec(5, 0.5, 6, seed=6)
         assert np.array_equal(random_chain(spec).transition,
-                              random_chain(spec, rng=substream(6, 0, 0)).transition)
+                              lone_chain(spec, substream(6, 0, 0)).transition)
 
     def test_equal_transitions_uniform_rows(self):
         chain = random_chain(ChainSpec(5, 1.0, 6, seed=6, target_probability=0.5,
@@ -173,13 +171,14 @@ class TestCalibratedStack:
     def test_each_chain_is_random_chain_bit_for_bit(self, shape, equal):
         tpl = ChainSpec(*shape, equal_transitions=equal)
         targets = substream(4, 5, 0).uniform(0.03, 0.55, size=40)
-        stack, achieved = _calibrated_chains(tpl, targets,
-                                             [substream(4, 6, i) for i in range(40)])
+        stack, achieved, errors = _calibrated_chains(
+            [tpl] * 40, targets, [substream(4, 6, i) for i in range(40)])
+        assert errors == [None] * 40
         assert np.array_equal(
             achieved, outcome_probability_dp(stack, 0, tpl.n_states - 1, tpl.horizon_steps))
         for i, target in enumerate(targets):
-            alone = random_chain(replace(tpl, target_probability=float(target)),
-                                 rng=substream(4, 6, i))
+            alone = lone_chain(replace(tpl, target_probability=float(target)),
+                               substream(4, 6, i))
             assert np.array_equal(stack[i], alone.transition)
 
     def test_infeasible_target_raises_as_alone_for_the_first_such_chain(self):
@@ -187,10 +186,12 @@ class TestCalibratedStack:
         # chain its own achievable interval, so the message names the chain
         tpl = ChainSpec(5, 0.5, 3)
         targets = [0.1, 0.1, 0.0, 0.1, 0.0]
+        _, _, errors = _calibrated_chains(
+            [tpl] * 5, targets, [substream(2, 6, i) for i in range(5)])
         with pytest.raises(CalibrationError) as stacked:
-            _calibrated_chains(tpl, targets, [substream(2, 6, i) for i in range(5)])
+            _raise_first(errors)
         with pytest.raises(CalibrationError) as alone:
-            random_chain(replace(tpl, target_probability=0.0), rng=substream(2, 6, 2))
+            lone_chain(replace(tpl, target_probability=0.0), substream(2, 6, 2))
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.achievable == alone.value.achievable
 
@@ -201,13 +202,11 @@ class TestCalibratedStack:
         # hazard; a chain without a target draws its hazard scale
         specs = [ChainSpec(11, g, 20, target_probability=target, equal_transitions=equal)
                  for g in SPONTANEITY_GRID]
-        failures = []
-        stack, achieved = _calibrated_chains(
-            specs, [target] * len(specs), [substream(5, 2, j, 0) for j in range(len(specs))],
-            failures)
-        assert failures == [None] * len(specs)
+        stack, achieved, errors = _calibrated_chains(
+            specs, [target] * len(specs), [substream(5, 2, j, 0) for j in range(len(specs))])
+        assert errors == [None] * len(specs)
         for j, spec in enumerate(specs):
-            alone = random_chain(spec, rng=substream(5, 2, j, 0))
+            alone = lone_chain(spec, substream(5, 2, j, 0))
             assert np.array_equal(stack[j], alone.transition)
             assert achieved[j] == exact_outcome_probability(alone)
 
@@ -216,19 +215,65 @@ class TestCalibratedStack:
         # raise alone, and the others their chains
         tpl = ChainSpec(5, 0.5, 3)
         targets = [0.1, 0.1, 0.0, 0.1, 0.0]
-        failures = []
-        stack, _ = _calibrated_chains(tpl, targets, [substream(2, 6, i) for i in range(5)],
-                                      failures)
+        stack, _, errors = _calibrated_chains(
+            [tpl] * 5, targets, [substream(2, 6, i) for i in range(5)])
         for i, target in enumerate(targets):
             spec = replace(tpl, target_probability=target)
             if target == 0.0:
                 with pytest.raises(CalibrationError) as alone:
-                    random_chain(spec, rng=substream(2, 6, i))
-                assert str(failures[i]) == str(alone.value)
-                assert failures[i].achievable == alone.value.achievable
+                    lone_chain(spec, substream(2, 6, i))
+                assert str(errors[i]) == str(alone.value)
+                assert errors[i].achievable == alone.value.achievable
             else:
-                assert failures[i] is None
-                assert np.array_equal(stack[i], random_chain(spec, rng=substream(2, 6, i)).transition)
+                assert errors[i] is None
+                assert np.array_equal(stack[i], lone_chain(spec, substream(2, 6, i)).transition)
+
+
+class TestCalibrationFailures:
+    """Every experiment that calibrates a chain the caller names raises the
+    error that chain gets alone; a target of 0 is never achievable, and
+    random transitions give each chain its own achievable interval."""
+
+    SPEC = ChainSpec(5, 0.5, 3, seed=2, target_probability=0.0)
+
+    @staticmethod
+    def assert_same_error(raised, alone):
+        assert str(raised.value) == str(alone.value)
+        assert raised.value.achievable == alone.value.achievable
+
+    def test_sample_count_sweep(self):
+        with pytest.raises(CalibrationError) as raised:
+            variance_sweep("sample_count", [1, 2], self.SPEC, 10)
+        with pytest.raises(CalibrationError) as alone:
+            lone_chain(self.SPEC, substream(2, 3, 0, 0))
+        self.assert_same_error(raised, alone)
+
+    def test_distribution(self):
+        with pytest.raises(CalibrationError) as raised:
+            estimate_distribution_experiment(self.SPEC, 10, 5)
+        with pytest.raises(CalibrationError) as alone:
+            lone_chain(self.SPEC, substream(2, 4, 0))
+        self.assert_same_error(raised, alone)
+
+    def test_cohort_raises_for_the_lowest_numbered_failing_patient(self):
+        # over one step, a chain reaches at most its initial state's share of
+        # the largest hazard weight: here patients 0 and 3 fall short
+        tpl = ChainSpec(5, 0.5, 1)
+        spec = CohortSpec(n_patients=8, chain_template=tpl, n_timelines=4,
+                          bootstrap_rounds=2, risk_range=(0.5, 0.55), seed=5)
+        (a, b), (lo, hi) = spec.risk_beta, spec.risk_range
+        targets = lo + (hi - lo) * substream(5, 5, 0).beta(a, b, size=8)
+        failing = []
+        for i, target in enumerate(targets):
+            try:
+                lone_chain(replace(tpl, target_probability=float(target)), substream(5, 6, i))
+            except CalibrationError as exc:
+                failing.append(exc)
+        assert len(failing) == 2
+        with pytest.raises(CalibrationError) as raised:
+            synthetic_cohort_eval(spec)
+        assert str(raised.value) == str(failing[0])
+        assert raised.value.achievable == failing[0].achievable
 
 
 class TestSpontaneityMeasure:
@@ -352,8 +397,8 @@ def reference_sweep(axis, grid, base, replications):
     for j, g in enumerate(grid):
         task = f"{axis}={g:g}"
         try:
-            chain = random_chain(replace(base, **{varied: float(g)}),
-                                 rng=substream(seed, aid, j, 0))
+            chain = lone_chain(replace(base, **{varied: float(g)}),
+                               substream(seed, aid, j, 0))
         except (CalibrationError, ValueError):
             rows.append(MetricRow(task, "", 0, "failed", float("nan"), seed=seed))
             continue
@@ -784,8 +829,8 @@ def per_patient_cohort_csv(spec):
     p_exact = np.empty(n_pat)
     pools = {kind: np.empty((n_pat, n)) for kind in (MC, SCOPE, REACH)}
     for i in range(n_pat):
-        chain = random_chain(replace(tpl, target_probability=float(targets[i])),
-                             rng=substream(seed, 6, i))
+        chain = lone_chain(replace(tpl, target_probability=float(targets[i])),
+                           substream(seed, 6, i))
         p_exact[i] = exact_outcome_probability(chain)
         pools[MC][i], pools[SCOPE][i] = sample_batch(
             chain, STANDARD, n, substream(seed, 7, i))

@@ -1,5 +1,7 @@
 """Exact oracles: DP probability, enumeration, closed forms, dispersion."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from seqrisk import (
     MC,
     REACH,
     SCOPE,
+    HorizonPolicy,
     InstanceTooLargeError,
     MarkovModel,
     ValueDistribution,
@@ -96,7 +99,7 @@ class TestExactOutcomeProbability:
                 assert grid.ravel().tolist() == alone
 
     def test_invalid_model_rejected(self):
-        from seqrisk import HorizonPolicy, ModelValidationError
+        from seqrisk import ModelValidationError
 
         with pytest.raises(ModelValidationError):
             MarkovModel(2, np.array([[0.5, 0.4], [0.0, 1.0]]), 0, 1,
@@ -169,6 +172,15 @@ class TestEnumeration:
         m = MarkovModel.step_mode(t, 0, 9, 10)
         with pytest.raises(InstanceTooLargeError):
             enumerate_sub_distribution(m, MC)
+
+    def test_size_guard_refuses_a_huge_step_cap_at_once(self):
+        m = make_random_model(3)
+        huge = MarkovModel(m.n_states, m.transition, m.initial_state, m.outcome_state,
+                           HorizonPolicy(max_steps=10**9))
+        started = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError):
+            exact_bijection_check(huge)
+        assert time.perf_counter() - started < 0.5
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
