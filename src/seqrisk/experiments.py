@@ -213,7 +213,13 @@ def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
     without samples, a row without a CI."""
     if len(samples) == 0:
         return MetricRow(task, kind, n, statistic, value, seed=seed)
-    lo, hi = (float(x) for x in np.percentile(samples, [2.5, 97.5]))
+    return _widened_row(task, kind, n, statistic, value,
+                        *np.percentile(samples, [2.5, 97.5]), seed)
+
+
+def _widened_row(task, kind, n, statistic, value, lo, hi, seed) -> MetricRow:
+    """Row with the CI ``[lo, hi]``, widened if needed to contain the value."""
+    lo, hi = float(lo), float(hi)
     if math.isfinite(value):
         lo, hi = min(lo, value), max(hi, value)
     return MetricRow(task, kind, n, statistic, value, lo, hi, seed)
@@ -437,16 +443,15 @@ def spontaneity(model: MarkovModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_pools(spec: ChainSpec, transitions, n: int, standard_rngs,
+def _sample_pools(chain: MarkovModel, transitions, n: int, standard_rngs,
                   excluded_rngs) -> dict:
     """``(P, n)`` sub-values of every kind for a ``(P, S, S)`` stack of
-    chains of ``spec``'s shape, under the stop rules of :func:`_chain_model`.
+    chains that share ``chain``'s initial state and stop rules.
 
     Chain ``c`` reads ``standard_rngs[c]`` (MC and SCOPE share that batch)
     and ``excluded_rngs[c]`` (REACH) alone, so its row is the one
     :func:`seqrisk.seqmodel.sample_batch` gives its chain on those streams.
     """
-    chain = _chain_model(spec, transitions[0])
     source = (transitions, chain.initial_state)
     mc_v, scope_v = _sample_stack(source, chain.vocabulary, chain.horizon, STANDARD, n,
                                   standard_rngs)
@@ -506,12 +511,13 @@ def variance_sweep(
             [base_spec], [base_spec.target_probability], [substream(seed, aid, 0, 0)])
         _raise_first(errors)
         rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
+        chain = _chain_model(base_spec, transitions[0])
         clock.lap("calibrate")
         for j, g in enumerate(grid):
             n = int(g)
             task = f"sample_count={n}"
             pools = _sample_pools(
-                base_spec, transitions, replications * n,
+                chain, transitions, replications * n,
                 [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
             )
             for kind, vals in pools.items():
@@ -550,7 +556,7 @@ def variance_sweep(
         rows.append(MetricRow(task, "", 0, "spontaneity", spontaneity(chain), seed=seed))
         clock.lap("calibrate")
         pools = _sample_pools(
-            points[j], transitions[i:i + 1], replications,
+            chain, transitions[i:i + 1], replications,
             [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
         )
         for kind, (vals,) in pools.items():
@@ -611,7 +617,7 @@ def estimate_distribution_experiment(
         [spec], [spec.target_probability], [substream(seed, 4, 0)])
     _raise_first(errors)
     total = n_estimates * samples_per_estimate
-    pools = _sample_pools(spec, transitions, total,
+    pools = _sample_pools(_chain_model(spec, transitions[0]), transitions, total,
                           [substream(seed, 4, 1)], [substream(seed, 4, 2)])
     shape = (n_estimates, samples_per_estimate)
     return DistributionResult(
@@ -653,17 +659,38 @@ def auroc(scores, labels) -> float:
 def _auroc_columns(score_matrix, labels) -> np.ndarray:
     """AUROC of every column of ``score_matrix`` against shared labels.
 
-    The exact average-rank U statistic (Hanley & McNeil, 1982), from two
-    sorts of integer keys and no permutation or pass over tie groups.
+    The exact average-rank U statistic (Hanley & McNeil, 1982), by
+    :func:`_key_sort_aurocs` on a copy with one contiguous row per column.
 
-    Contract: scores are nonnegative; a negative or NaN score raises
-    ValueError.  Adding ``0.0`` turns ``-0.0`` into ``0.0``.
+    Contract: scores are nonnegative (``-0.0`` included); a negative or NaN
+    score raises ValueError.
+    """
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    if n_pos == 0 or n_pos == labels.size:
+        raise UndefinedMetricError("AUROC needs both a positive and a negative label")
+    rows = np.array(score_matrix, dtype=float, order="F").T
+    if not (rows >= 0).all():
+        raise ValueError("scores must be nonnegative numbers")
+    keys = rows.view(np.uint64)
+    return _key_sort_aurocs(keys, pos.astype(np.uint64), np.empty_like(keys), n_pos)
 
-    Keys: each column becomes one contiguous row of ``uint64`` keys
-    ``bits << 1 | label``.  The bit pattern of a nonnegative double read as
-    an unsigned integer increases with its value and has a zero top bit,
-    so the shift cannot overflow and the keys order exactly like the
-    scores, breaking each tie by label.
+
+def _key_sort_aurocs(keys, label_bits, mask, n_pos: int) -> np.ndarray:
+    """AUROC of every row of ``keys``, from two sorts of integer keys and no
+    permutation or pass over tie groups; ``keys`` and ``mask`` are
+    overwritten.
+
+    ``keys`` is the ``uint64`` view of a C-contiguous float64 array of
+    nonnegative scores, one row per score column; ``label_bits`` holds the
+    labels (0 or 1, ``n_pos`` of them 1) as ``uint64``, and ``mask`` is a
+    ``uint64`` array of the keys' shape.
+
+    Keys: each score becomes ``bits << 1 | label``.  The bit pattern of a
+    nonnegative double read as an unsigned integer increases with its
+    value and has a zero top bit, so the shift cannot overflow and the keys
+    order exactly like the scores, breaking each tie by label.  The shift
+    drops the sign bit of ``-0.0``, which thus ties with ``0.0``.
 
     Tie orders: the first sort puts the negatives first inside every tie
     group; the second, with the label bit flipped, puts the positives
@@ -672,32 +699,51 @@ def _auroc_columns(score_matrix, labels) -> np.ndarray:
     ``k*f + k*(k-1)/2``, together ``k * (f + l)``: twice the sum of their
     average 1-based ranks ``(f + l)/2 + 1``, less ``2 * k``.
 
+    Sort kinds: equal keys are equal integers, so every algorithm gives
+    the same arrays.  The second sort's input is sorted except inside tie
+    groups, so a stable sort (timsort, which merges presorted runs) takes
+    a fraction of the first sort's time.
+
     Exactness: with ``ua`` and ``ub`` the positives' int64 position sums
     in the two sorts, ``U = (ua + ub - n_pos * (n_pos - 1)) / 2`` is an
     exact half-integer, so ``U / (n_pos * n_neg)`` has the bits of the
     rank-sum formula.
     """
-    pos = labels == 1
-    n = labels.size
-    n_pos = int(pos.sum())
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUROC needs both a positive and a negative label")
-    rows = np.add(np.asarray(score_matrix, dtype=float).T, 0.0, order="C")
-    if not (rows >= 0).all():
-        raise ValueError("scores must be nonnegative numbers")
-    keys = rows.view(np.uint64)
-    keys <<= np.uint64(1)  # the top bit of a nonnegative double is 0
-    keys |= pos.astype(np.uint64)
+    n = keys.shape[1]
     at = np.arange(n, dtype=np.int64)
+    one = np.uint64(1)
+    keys <<= one  # the top bit of a nonnegative double is 0
+    keys |= label_bits
     keys.sort(axis=1)
-    ua = (keys & np.uint64(1)).view(np.int64) @ at
-    keys ^= np.uint64(1)
-    keys.sort(axis=1)
+    ua = np.bitwise_and(keys, one, out=mask).view(np.int64) @ at
+    keys ^= one
+    keys.sort(axis=1, kind="stable")
     # bit 0 now marks the negatives
-    ub = n * (n - 1) // 2 - (keys & np.uint64(1)).view(np.int64) @ at
+    ub = n * (n - 1) // 2 - np.bitwise_and(keys, one, out=mask).view(np.int64) @ at
     u = (ua + ub - n_pos * (n_pos - 1)) / 2
-    return u / (n_pos * n_neg)
+    return u / (n_pos * (n - n_pos))
+
+
+def _count_aurocs(keys, pool_n: int, n_pos: int) -> np.ndarray:
+    """AUROC of the MC running means at every sample count ``1..pool_n``,
+    from one histogram of count keys and no sort.
+
+    ``keys`` is an int64 ``(pool_n, n_pat)`` array whose row ``j`` holds
+    ``2 * (j * (pool_n + 1) + hits) + label`` per patient, ``hits`` being
+    the patient's hit count over the first ``j + 1`` draws, and ``n_pos``
+    labels are 1.  The MC means of one row share the divisor
+    ``j + 1``, so they order and tie exactly like the counts.  Over the
+    histogram of one row, ``2U`` is the sum over counts ``c`` of
+    ``positives(c) * (2 * negatives(< c) + negatives(c))``, an exact
+    integer, so ``U / (n_pos * n_neg)`` has the bits of the rank-sum
+    formula, as in :func:`_key_sort_aurocs`.
+    """
+    width = pool_n + 1
+    hist = np.bincount(keys.ravel(), minlength=2 * width * pool_n).reshape(pool_n, width, 2)
+    neg, pos = hist[..., 0], hist[..., 1]
+    below = np.cumsum(neg, axis=1) - neg
+    u = (pos * (2 * below + neg)).sum(axis=1) / 2
+    return u / (n_pos * (keys.shape[1] - n_pos))
 
 
 def _check_scores(scores) -> np.ndarray:
@@ -883,7 +929,7 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     clock.lap("calibrate")
 
     pools = _sample_pools(
-        tpl, transitions, pool_n,
+        _chain_model(tpl, transitions[0]), transitions, pool_n,
         [substream(seed, 7, i) for i in range(n_pat)],
         [substream(seed, 8, i) for i in range(n_pat)],
     )
@@ -892,26 +938,90 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     return ExperimentTable(rows, stage_seconds=clock.seconds)
 
 
+def _bootstrap_aurocs(pools: dict, labels, rounds: int, seed: int) -> dict:
+    """``(pool_n, rounds)`` AUROCs of every kind: entry ``[j, r]`` ranks the
+    patients by the mean of ``j + 1`` timelines of their pool drawn with
+    replacement in round ``r``, from ``substream(seed, 9, r)``.
+
+    A round draws one ``(n_pat, pool_n)`` index matrix for MC and SCOPE,
+    which share their trajectories, and one for REACH.  The running means
+    are those of ``take_along_axis`` -> ``cumsum`` -> divide by the sample
+    count, computed in the ``(pool_n, n_pat)`` layout the rankings read:
+    flat gathers into buffers allocated once per cohort.  MC values are
+    0/1 hits, so MC ranks running hit counts by :func:`_count_aurocs`;
+    SCOPE and REACH rank their means by :func:`_key_sort_aurocs`.  Labels
+    must hold both classes; a negative or NaN pool value, or an MC value
+    other than 0 and 1, raises ValueError.
+    """
+    n_pat, pool_n = pools[MC].shape
+    hits = pools[MC]
+    if not ((hits == 0) | (hits == 1)).all():
+        raise ValueError("MC pool values must be 0 or 1")
+    if not all((pools[kind] >= 0).all() for kind in (SCOPE, REACH)):
+        raise ValueError("scores must be nonnegative numbers")
+    # MC key of sample count j + 1: 2 * (j * (pool_n + 1) + hits) + label
+    offsets = np.arange(0, 2 * (pool_n + 1) * pool_n, 2 * (pool_n + 1))[:, None]
+    n_pos = int(labels.sum())
+    label_bits = labels.astype(np.uint64)
+    denom = np.arange(1, pool_n + 1, dtype=float)[:, None]
+    row_start = np.arange(0, n_pat * pool_n, pool_n)
+    flat, keys = (np.empty((pool_n, n_pat), dtype=np.int64) for _ in range(2))
+    scores = np.empty((pool_n, n_pat))
+    auc = {k: np.empty((pool_n, rounds)) for k in KINDS}
+
+    def draw(rr):
+        np.add(rr.integers(0, pool_n, size=(n_pat, pool_n)).T, row_start, out=flat)
+
+    def key_sorted(kind):
+        np.take(pools[kind], flat, out=scores, mode="clip")
+        _running_sums(scores)
+        np.divide(scores, denom, out=scores)
+        return _key_sort_aurocs(scores.view(np.uint64), label_bits, keys.view(np.uint64), n_pos)
+
+    for r in range(rounds):
+        rr = substream(seed, 9, r)
+        draw(rr)  # MC and SCOPE read the same trajectories
+        np.take(hits, flat, out=scores, mode="clip")
+        np.multiply(scores, 2.0, out=keys, casting="unsafe")
+        keys[0] += labels  # the running sum carries it to every row
+        _running_sums(keys)
+        keys += offsets
+        auc[MC][:, r] = _count_aurocs(keys, pool_n, n_pos)
+        auc[SCOPE][:, r] = key_sorted(SCOPE)
+        draw(rr)
+        auc[REACH][:, r] = key_sorted(REACH)
+    return auc
+
+
+def _running_sums(rows) -> None:
+    """Replace row ``j`` of ``rows`` by the sum of rows ``0..j``, added in
+    that order, as ``np.cumsum(rows, axis=0)`` adds them; one vectorized add
+    per row is several times faster than numpy's strided accumulate."""
+    for j in range(1, len(rows)):
+        np.add(rows[j - 1], rows[j], out=rows[j])
+
+
+def _auroc_rows(kind: str, auc, seed: int) -> list:
+    """The ``auroc`` row of every sample count ``1..pool_n`` of ``kind`` from
+    its ``(pool_n, rounds)`` AUROCs: the rows :func:`_ci_row` gives one by
+    one, from one mean and one percentile call."""
+    means = auc.mean(axis=1)
+    lows, highs = np.percentile(auc, [2.5, 97.5], axis=1)
+    return [_widened_row("cohort", kind, j + 1, "auroc", float(means[j]), lows[j], highs[j],
+                         seed) for j in range(len(auc))]
+
+
 def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> list:
     """Metric rows of a scored cohort: ``pools[kind]`` is patients x timelines.
 
     Laps ``clock`` at ``bootstrap`` after the AUROC rounds and at
     ``summary`` at the end.
     """
-    n_pat, pool_n, rounds = spec.n_patients, spec.n_timelines, spec.bootstrap_rounds
-    denom = np.arange(1, pool_n + 1, dtype=float)
+    pool_n, rounds = spec.n_timelines, spec.bootstrap_rounds
     # every round shares the labels: with one class, no round has an AUROC
     one_class = labels.min() == labels.max()
-    auc = {k: np.empty((pool_n, rounds)) for k in KINDS}
-    for r in range(0 if one_class else rounds):
-        rr = substream(seed, 9, r)
-        idx_std = rr.integers(0, pool_n, size=(n_pat, pool_n))
-        idx_rea = rr.integers(0, pool_n, size=(n_pat, pool_n))
-        for kind in KINDS:
-            idx = idx_rea if kind == REACH else idx_std
-            scores = np.take_along_axis(pools[kind], idx, axis=1).cumsum(axis=1)
-            scores /= denom
-            auc[kind][:, r] = _auroc_columns(scores, labels)
+    if not one_class:
+        auc = _bootstrap_aurocs(pools, labels, rounds, seed)
     clock.lap("bootstrap")
 
     rows: list[MetricRow] = []
@@ -925,9 +1035,7 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
             continue
         for j, reps in enumerate(auc[kind]):
             replicate_table[(kind, j + 1)] = reps
-            rows.append(
-                _ci_row("cohort", kind, j + 1, "auroc", float(reps.mean()), reps, seed)
-            )
+        rows.extend(_auroc_rows(kind, auc[kind], seed))
 
     eq_count = {MC: pool_n}
     for stage, alt in enumerate((SCOPE, REACH)):

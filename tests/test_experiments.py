@@ -1,5 +1,6 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
+import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from seqrisk import (
     CohortSpec,
     ExperimentTable,
     InstanceTooLargeError,
+    MarkovModel,
     MC,
     OUTCOME_EXCLUDED,
     REACH,
@@ -41,7 +43,10 @@ from seqrisk.experiments import (
     SPONTANEITY_GRID,
     MetricRow,
     _auroc_columns,
+    _auroc_rows,
+    _bootstrap_aurocs,
     _calibrated_chains,
+    _ci_row,
     _cohort_metrics,
     _equivalence,
     _raise_first,
@@ -446,6 +451,23 @@ class TestStackedSweepCalibration:
         assert {r.task for r in table.rows_where(statistic="failed")} == failed
         assert len(table.rows_where(statistic="exact_variance")) == 3 * (len(grid) - len(failed))
         assert table.to_csv_text() == reference_sweep(axis, grid, base, 300).to_csv_text()
+
+    @pytest.mark.parametrize("axis,grid,models", [
+        ("probability", [0.2, 0.999, 0.45], 2),
+        ("sample_count", [1, 2, 4], 1),
+    ])
+    def test_one_model_per_calibrated_chain(self, monkeypatch, axis, grid, models):
+        # the sampler reads the stop rules of the model the sweep built
+        built = []
+        init = MarkovModel.__post_init__
+
+        def counting(model):
+            built.append(model)
+            init(model)
+
+        monkeypatch.setattr(MarkovModel, "__post_init__", counting)
+        variance_sweep(axis, grid, ChainSpec(4, 0.67, 4, seed=2, target_probability=0.3), 200)
+        assert len(built) == models
 
     @pytest.mark.parametrize("axis,grid,stages", [
         ("probability", [0.3, 1.5, 0.6], {"calibrate", "sample", "enumerate"}),
@@ -853,7 +875,123 @@ def small_cohort():
     return spec, synthetic_cohort_eval(spec)
 
 
+def reference_bootstrap_aurocs(pools, labels, rounds, seed):
+    """The cohort's AUROC rounds in straight lines: per round and kind,
+    ``take_along_axis`` -> ``cumsum`` -> divide by the sample count ->
+    ``_auroc_columns``."""
+    n_pat, pool_n = pools[MC].shape
+    denom = np.arange(1, pool_n + 1, dtype=float)
+    auc = {kind: np.empty((pool_n, rounds)) for kind in (MC, SCOPE, REACH)}
+    for r in range(rounds):
+        rr = substream(seed, 9, r)
+        idx_std = rr.integers(0, pool_n, size=(n_pat, pool_n))
+        idx_rea = rr.integers(0, pool_n, size=(n_pat, pool_n))
+        for kind in (MC, SCOPE, REACH):
+            idx = idx_rea if kind == REACH else idx_std
+            scores = np.take_along_axis(pools[kind], idx, axis=1).cumsum(axis=1)
+            scores /= denom
+            auc[kind][:, r] = _auroc_columns(scores, labels)
+    return auc
+
+
+def bootstrap_case(case):
+    """``(pools, labels, rounds)`` of a seeded cohort-like case."""
+    rng = substream(0, 50, sorted(BOOTSTRAP_CASES).index(case))
+    n_pat, pool_n, rounds = BOOTSTRAP_CASES[case]
+    risk = rng.uniform(0.02, 0.6, size=(n_pat, 1))
+    hits = (rng.random((n_pat, pool_n)) < risk).astype(float)
+    scope = risk * rng.pareto(1.5, size=(n_pat, pool_n))
+    reach = np.minimum(risk + 0.2 * rng.random((n_pat, pool_n)), 1.0)
+    labels = (rng.random(n_pat) < risk[:, 0]).astype(int)
+    labels[:2] = 0, 1
+    if case == "mc_rows_all_0_or_all_1":
+        hits[:] = rng.random((n_pat, 1)) < 0.4
+    elif case == "heavy_ties":
+        scope = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(n_pat, pool_n))
+        reach = rng.choice([-0.0, 0.25, 0.5], size=(n_pat, pool_n))
+    elif case == "ties_made_by_the_division":
+        # six draws of x and six of the next double sum apart, yet tie once
+        # divided by 6: a negative and a positive patient
+        x = 0.5331689761992734
+        scope[:2] = reach[:2] = [[np.nextafter(x, 1.0)], [x]]
+    elif case == "one_positive_patient":
+        labels[:] = 0
+        labels[n_pat // 2] = 1
+    return {MC: hits, SCOPE: scope, REACH: reach}, labels, rounds
+
+
+#: case -> (patients, timelines, rounds)
+BOOTSTRAP_CASES = {
+    "cohort_like": (60, 12, 5),
+    "mc_rows_all_0_or_all_1": (40, 9, 4),
+    "heavy_ties": (50, 10, 4),
+    "ties_made_by_the_division": (30, 6, 2),
+    "one_timeline": (30, 1, 3),
+    "two_timelines": (30, 2, 3),
+    "one_positive_patient": (25, 8, 3),
+    "one_round": (45, 16, 1),
+}
+
+
+class TestCohortBootstrap:
+    @pytest.mark.parametrize("case", BOOTSTRAP_CASES)
+    def test_equals_the_straight_line_rounds(self, case):
+        pools, labels, rounds = bootstrap_case(case)
+        got = _bootstrap_aurocs(pools, labels, rounds, 3)
+        want = reference_bootstrap_aurocs(pools, labels, rounds, 3)
+        for kind in (MC, SCOPE, REACH):
+            assert got[kind].shape == (pools[MC].shape[1], rounds)
+            np.testing.assert_array_equal(got[kind], want[kind])
+
+    def test_pools_are_not_modified(self):
+        pools, labels, rounds = bootstrap_case("heavy_ties")
+        before = {kind: v.copy() for kind, v in pools.items()}
+        _bootstrap_aurocs(pools, labels, rounds, 3)
+        for kind, v in pools.items():
+            assert np.array_equal(v.view(np.uint64), before[kind].view(np.uint64))
+
+    @pytest.mark.parametrize("kind,bad", [(MC, 0.5), (MC, 2.0), (SCOPE, -1e-300),
+                                          (REACH, float("nan"))])
+    def test_invalid_pool_values_rejected(self, kind, bad):
+        pools, labels, rounds = bootstrap_case("cohort_like")
+        pools[kind][3, 4] = bad
+        with pytest.raises(ValueError):
+            _bootstrap_aurocs(pools, labels, rounds, 3)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 7, 40, 129])
+    def test_auroc_rows_equal_one_ci_row_per_count(self, rounds):
+        rng = substream(0, 51, rounds)
+        auc = rng.uniform(0.4, 0.9, size=(6, rounds))
+        # constant rows whose mean is not the constant: the CI must widen
+        auc[1], auc[2] = 0.1, 0.7
+        auc[3, 0] = 0.05  # one low outlier
+        rows = _auroc_rows(SCOPE, auc, 4)
+        assert rows == [_ci_row("cohort", SCOPE, j + 1, "auroc", float(reps.mean()), reps, 4)
+                        for j, reps in enumerate(auc)]
+        if rounds in (7, 129):
+            assert rows[1].ci_low == rows[1].value < 0.1
+            assert rows[2].ci_high == rows[2].value > 0.7
+
+
 class TestSyntheticCohort:
+    # digests of to_csv_text(), taken before the bootstrap ranked MC by
+    # counting and gathered into reused buffers
+    PINNED = {
+        "equal": (CohortSpec(n_patients=80,
+                             chain_template=ChainSpec(5, 0.75, 8, equal_transitions=True),
+                             n_timelines=16, bootstrap_rounds=9, seed=4),
+                  "3df065a5aa51b99042dd128643af0a7323972290c0f28dda684166b6675384ec"),
+        "random": (CohortSpec(n_patients=70, chain_template=ChainSpec(6, 0.6, 10),
+                              n_timelines=13, bootstrap_rounds=5, seed=12),
+                   "0f78bfdd7b6cf799534c667a9524ada147911ffb419d306efd6f64bac0564d94"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_table_digest(self, case):
+        spec, digest = self.PINNED[case]
+        text = synthetic_cohort_eval(spec).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_auroc_rows_cover_all_counts(self, small_cohort):
         spec, table = small_cohort
         for kind in (MC, SCOPE, REACH):
@@ -905,7 +1043,8 @@ class TestSyntheticCohort:
         def unreachable(*args):
             raise AssertionError("a single-class round reached the AUROC")
 
-        monkeypatch.setattr(experiments, "_auroc_columns", unreachable)
+        for ranking in ("_auroc_columns", "_key_sort_aurocs", "_count_aurocs"):
+            monkeypatch.setattr(experiments, ranking, unreachable)
         spec = CohortSpec(
             n_patients=40,
             chain_template=ChainSpec(4, 1.0, 6, seed=0, equal_transitions=True),
