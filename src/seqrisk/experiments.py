@@ -371,7 +371,12 @@ def _calibrated_chains(specs, targets, gens) -> tuple:
     targets = np.asarray(targets, dtype=float)
     free = np.isnan(targets)
     tol = np.minimum(1e-6, 1e-4 * targets)
-    p_max = outcome_probability_dp(_assemble_chain(W, weights, theta_max), 0, m, steps)
+    # the largest outcome probability, of the chains with a target only (a
+    # chain's DP does not depend on the stack it is evaluated in)
+    p_max = np.full(len(specs), np.nan)
+    if not free.all():
+        p_max[~free] = outcome_probability_dp(
+            _assemble_chain(W[~free], weights[~free], theta_max[~free]), 0, m, steps)
     infeasible = ~free & ~((0.0 < targets) & (targets <= p_max + 1e-9))
     lo, hi, theta = np.zeros_like(theta_max), theta_max, theta_max
     running = ~(free | infeasible)
@@ -444,20 +449,24 @@ def spontaneity(model: MarkovModel) -> float:
 
 
 def _sample_pools(chain: MarkovModel, transitions, n: int, standard_rngs,
-                  excluded_rngs) -> dict:
+                  excluded_rngs, reduce=lambda values: values) -> dict:
     """``(P, n)`` sub-values of every kind for a ``(P, S, S)`` stack of
-    chains that share ``chain``'s initial state and stop rules.
+    chains that share ``chain``'s initial state and stop rules, each passed
+    through ``reduce``.
 
     Chain ``c`` reads ``standard_rngs[c]`` (MC and SCOPE share that batch)
     and ``excluded_rngs[c]`` (REACH) alone, so its row is the one
     :func:`seqrisk.seqmodel.sample_batch` gives its chain on those streams.
+    A mode's values are reduced before the next mode is sampled, so a
+    reducing caller holds one mode's pool at a time.
     """
     source = (transitions, chain.initial_state)
-    mc_v, scope_v = _sample_stack(source, chain.vocabulary, chain.horizon, STANDARD, n,
-                                  standard_rngs)
-    (reach_v,) = _sample_stack(source, chain.vocabulary, chain.horizon, OUTCOME_EXCLUDED,
-                               n, excluded_rngs)
-    return {MC: mc_v, SCOPE: scope_v, REACH: reach_v}
+    pools = {}
+    for mode, kinds, rngs in ((STANDARD, (MC, SCOPE), standard_rngs),
+                              (OUTCOME_EXCLUDED, (REACH,), excluded_rngs)):
+        pools.update(zip(kinds, map(reduce, _sample_stack(
+            source, chain.vocabulary, chain.horizon, mode, n, rngs))))
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +525,13 @@ def variance_sweep(
         for j, g in enumerate(grid):
             n = int(g)
             task = f"sample_count={n}"
-            pools = _sample_pools(
+            # each replication's n-sample estimate
+            estimates = _sample_pools(
                 chain, transitions, replications * n,
                 [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
+                reduce=lambda values: values[0].reshape(replications, n).mean(axis=1),
             )
-            for kind, vals in pools.items():
-                est = vals[0].reshape(replications, n).mean(axis=1)
+            for kind, est in estimates.items():
                 var = float(est.var(ddof=1))
                 rows.append(MetricRow(task, kind, n, "variance", var, seed=seed))
                 rows.append(MetricRow(task, kind, n, "variance_times_n", var * n, seed=seed))

@@ -69,6 +69,10 @@ PROBABILITY_TOL = 1e-12
 #: ``u * _BINS`` and ``cum * _BINS`` are exact
 _BINS = 1024
 
+#: running rows a step of :func:`_sample_stack` advances at once; its block
+#: buffers hold this many entries whatever the batch size
+_BLOCK = 65536
+
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
@@ -455,24 +459,29 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     ``source`` is a pair ``(transition, initial_state)``, a ``(P, S, S)``
     stack of row-stochastic matrices sharing the initial state, whose
     :func:`_draw_tables` are built once per (chain, state); or any other
-    model (``P = 1``), whose tables are built at every step from the
-    running trajectories' prefixes (:func:`_read_rows`).  Both share
-    ``vocab`` and ``horizon``; chain ``c`` reads its uniforms from
-    ``rngs[c]`` alone.  Rows ``c * n`` up to ``(c + 1) * n`` are chain
-    ``c``'s trajectories, and each step draws ``rngs[c].random(k)`` for the
-    ``k`` of them still running, chain after chain, so every chain gets
-    exactly the values :func:`sample_batch` gives for it alone on its
-    stream; the bucket-table path below reads those uniforms as the words
-    ``rngs[0].bit_generator.random_raw(k)``.  Returns ``(P, n)`` arrays in
-    the order of :func:`sample_batch`.
+    model (``P = 1``), whose tables are built from the running trajectories'
+    prefixes (:func:`_read_rows`).  Both share ``vocab`` and ``horizon``;
+    chain ``c`` reads its uniforms from ``rngs[c]`` alone.  Rows ``c * n``
+    up to ``(c + 1) * n`` are chain ``c``'s trajectories, and each step
+    draws ``rngs[c].random(k)`` for the ``k`` of them still running, so
+    every chain gets exactly the values :func:`sample_batch` gives for it
+    alone on its stream; the bucket-table path below reads those uniforms
+    as the words ``rngs[0].bit_generator.random_raw(k)``.  Returns
+    ``(P, n)`` arrays in the order of :func:`sample_batch`.
 
-    The running rows are kept compacted: their row numbers in ascending
-    order, with their states, hazard sums or survival products, chain
-    offsets and elapsed times in dense arrays aligned with them, so a
-    step's work scales with the rows still running, not with ``P * n``.
-    A row that stops has its values written to the result and leaves the
-    running arrays; ascending order keeps each chain's running rows one
-    contiguous block.
+    The running rows' state is allocated once per call and kept compacted
+    at its front: their last tokens, hazard sums or survival products,
+    chain offsets (stacks only), elapsed times (non-unit times only) and
+    row numbers in ascending order (only where a row can end before the
+    last step), 8 bytes per row each, plus the result arrays.  A step walks
+    the running rows in order in blocks of ``_BLOCK``: a block draws its
+    rows' uniforms from each chain's stream in row order (chained draws of
+    a stream give the words of one draw, so every row reads the uniform it
+    reads in one draw per step), finds their next tokens into buffers of
+    one block allocated once per call, writes them into the running state,
+    writes the values of the rows that stop to the result, and moves the
+    others forward in place.  Beyond the running state, a step allocates
+    nothing that grows with the rows past one block.
 
     A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
     least ``_BINS`` rows reads that count from :func:`_bucket_table` at
@@ -481,11 +490,11 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     cumulative probability (at most one bucket per token) build their ``u``
     and compare against the row.  Both ways give the same token for every
     ``u``.  Smaller batches, stacks and other models always compare, one
-    column of the cumulative rows at a time, so per-step temporaries stay at
-    one entry per row for any ``S``; a stack's table would take
-    ``P * S * _BINS`` entries.  With no
-    stopping token and no time limit (the outcome-excluded mode of a
-    chain), a step skips the stop test: only the step count ends a row.
+    column of the cumulative rows at a time, into the block buffers; a
+    stack's table would take ``P * S * _BINS`` entries.  With no stopping
+    token and no time limit (the outcome-excluded mode of a chain), a step
+    skips the stop test: only the step count, or a degenerate step, ends a
+    row.
     """
     _check_mode(mode)
     size, o = vocab.size, vocab.outcome
@@ -522,111 +531,148 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     # without a stopping token or a time limit, only the step count (or a
     # degenerate step) ends a row: no step needs the stop test
     can_stop = limit is not None or bool(stop_after.any())
+    # when no row can end early, every row runs every step in place: row
+    # numbers are positions and the running state is the result
+    ends_early = can_stop or check_degenerate
     # the bucket of a 64-bit word is its top log2(_BINS) bits
     shift = 64 - (_BINS.bit_length() - 1)
     rows = n_chains * n
-    # the running rows' numbers, ascending, and aligned with them each row's
-    # last token, hazard sum (survival product when excluded), chain offset
-    # in the flat tables (a lone chain's states index them directly) and
-    # elapsed time
-    ids = np.arange(rows)
+    # the running rows' state, compacted to the front of each array: last
+    # token, hazard sum (survival product when excluded), chain offset in
+    # the flat tables (a lone chain's states index them directly), elapsed
+    # time and row number, ascending
     st = np.full(rows, initial_state, dtype=np.intp)
     acc = np.ones(rows) if excluded else np.zeros(rows)
     off = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
     el = np.zeros(rows) if limit is not None else None
-    first_rows = np.arange(n_chains + 1) * n
+    ids = np.arange(rows) if ends_early else None
+    running = [a for a in (st, acc, off, el, ids) if a is not None]
     # each row's final hazard sum or survival product, and whether it drew
     # the outcome, written when it stops; a row that drew the outcome
     # stopped there, so none of the rows running at the end did
-    final, hit = np.empty(rows), np.zeros(rows, dtype=bool)
+    final = np.empty(rows) if ends_early else acc
+    hit = None if excluded else np.zeros(rows, dtype=bool)
+    first_rows = np.arange(n_chains + 1) * n
+    # one block's table entries (the bucket-table path: its keys), flags,
+    # gathered floats and uniforms (comparison only); the bucket-table path
+    # gathers its floats into the key buffer while it holds no keys
+    width = min(rows, _BLOCK)
+    idx_buf, flag_buf = np.empty(width, np.intp), np.empty(width, bool)
+    got_buf, u_buf = (np.empty(width), np.empty(width)) if table is None else (
+        idx_buf.view(float), None)
+    k = rows
     for _ in range(steps):
-        if model is not None:
-            dist = _read_rows(model, [prefixes[i] for i in ids.tolist()], size)
-            hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
-            row = np.arange(ids.size)
-        else:
-            row = st if off is None else off + st
-        if check_degenerate:
-            dead = degenerate[row]
-            if dead.any():
-                # such a step draws nothing and ends the row: survival 0, reach 1
-                final[ids[dead]] = 0.0
-                live = ~dead
-                ids, st, row, acc, off, el = (
-                    None if a is None else a[live] for a in (ids, st, row, acc, off, el))
-                if ids.size == 0:
-                    break
-        if excluded:
-            acc *= keep[row]
-        else:
-            acc += hazard[row]
-        if table is None:
-            u = np.empty(ids.size)
-            bounds = np.searchsorted(ids, first_rows).tolist()
-            for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
-                if hi > lo:
-                    rng.random(out=u[lo:hi])
-            # (cum[row] <= u).sum() a column at a time keeps the temporaries at
-            # one entry per row; the last column, 1 in every row that draws,
-            # never counts
-            nxt = np.zeros(ids.size, dtype=np.intp)
-            for column in cum.T[:-1]:
-                nxt += column[row] <= u
-            del u
-        else:
-            # random() turns a word into u = (word >> 11) * 2**-53, so u's
-            # bucket floor(u * _BINS) is the word's top bits
-            word = rngs[0].bit_generator.random_raw(ids.size)
-            bucket = np.right_shift(word, shift).view(np.intp)
-            # st becomes each row's table entry in place, st * _BINS + bucket:
-            # one per-row array fewer is alive than with a separate key
-            st *= _BINS
-            st += bucket
-            del bucket
-            nxt = table[st]
-            split = np.flatnonzero(nxt < 0)
-            if split.size:
-                # about S / _BINS of the rows: gathering their whole rows is cheap
-                u = (word[split] >> 11) * 2.0**-53
-                nxt[split] = (cum[st[split] // _BINS] <= u[:, None]).sum(axis=1)
-            del word
-        if model is not None:
-            for i, token in zip(ids.tolist(), nxt.tolist()):
-                prefixes[i].append(token)
-        # free the per-row temporaries before the next step allocates its own
-        del row
-        if not can_stop:
-            st = nxt
-            continue
-        stop = stop_after[nxt]
-        if el is not None:
-            el += times[nxt]
-            stop |= el > limit
-        # few rows stop in a step: index them by position, not by mask
-        at = np.flatnonzero(stop)
-        if at.size == 0:
-            st = nxt
-            continue
-        gone = ids[at]
-        final[gone] = acc[at]
-        hit[gone] = nxt[at] == o
-        # one array at a time, so no more than one old array waits to be freed
-        live = ~stop
-        ids = ids[live]
-        st = nxt[live]
-        acc = acc[live]
-        if off is not None:
-            off = off[live]
-        if el is not None:
-            el = el[live]
-        del nxt, stop, at, gone, live
-        if ids.size == 0:
+        # rows of this step kept so far, moved forward to positions 0 .. w
+        w = 0
+        for lo in range(0, k, _BLOCK):
+            hi = min(lo + _BLOCK, k)
+            m = hi - lo
+            if model is not None:
+                dist = _read_rows(model, [prefixes[i] for i in ids[lo:hi].tolist()], size)
+                hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
+                row = np.arange(m)
+            elif off is not None:
+                row = np.add(off[lo:hi], st[lo:hi], out=idx_buf[:m])
+            elif table is None:
+                # a copy: the comparison counts the next tokens in ``st``
+                row = idx_buf[:m]
+                row[...] = st[lo:hi]
+            else:
+                row = st[lo:hi]
+            if check_degenerate:
+                dead = _take(degenerate, row, flag_buf[:m])
+                if dead.any():
+                    # such a step draws nothing and ends the row: survival 0, reach 1
+                    final[ids[lo:hi][dead]] = 0.0
+                    live = ~dead
+                    row = row[live]
+                    m = _compact(running, lo, hi, live, lo)
+                    hi = lo + m
+                    if m == 0:
+                        continue
+            got, flag, tokens = got_buf[:m], flag_buf[:m], st[lo:hi]
+            if excluded:
+                acc[lo:hi] *= _take(keep, row, got)
+            else:
+                acc[lo:hi] += _take(hazard, row, got)
+            if table is None:
+                u = u_buf[:m]
+                starts = first_rows - lo if ids is None else np.searchsorted(ids[lo:hi], first_rows)
+                bounds = np.clip(starts, 0, m).tolist()
+                for rng, a, b in zip(rngs, bounds, bounds[1:]):
+                    if b > a:
+                        rng.random(out=u[a:b])
+                # (cum[row] <= u).sum() a column at a time; the last column,
+                # 1 in every row that draws, never counts
+                tokens.fill(0)
+                for column in cum.T[:-1]:
+                    tokens += np.less_equal(_take(column, row, got), u, out=flag)
+            else:
+                # random() turns a word into u = (word >> 11) * 2**-53, so u's
+                # bucket floor(u * _BINS) is the word's top bits, and a row's
+                # key is state * _BINS + bucket
+                word = rngs[0].bit_generator.random_raw(m)
+                key = idx_buf[:m]
+                np.right_shift(word, shift, out=key.view(np.uint64))
+                tokens *= _BINS
+                key += tokens
+                _take(table, key, tokens)
+                split = np.flatnonzero(np.less(tokens, 0, out=flag))
+                if split.size:
+                    # about S / _BINS of the rows: gathering their whole rows is cheap
+                    u = (word[split] >> 11) * 2.0**-53
+                    tokens[split] = (cum[key[split] // _BINS] <= u[:, None]).sum(axis=1)
+                del word
+            if model is not None:
+                for i, token in zip(ids[lo:hi].tolist(), tokens.tolist()):
+                    prefixes[i].append(token)
+            at = ()
+            if can_stop:
+                stop = _take(stop_after, tokens, flag)
+                if el is not None:
+                    el[lo:hi] += _take(times, tokens, got)
+                    stop |= el[lo:hi] > limit
+                # few rows stop in a step: index them by position, not by mask
+                at = np.flatnonzero(stop)
+            if len(at):
+                gone = ids[lo:hi][at]
+                final[gone] = acc[lo:hi][at]
+                if hit is not None:
+                    hit[gone] = tokens[at] == o
+                w += _compact(running, lo, hi, np.logical_not(stop, out=stop), w)
+            elif w < lo:
+                w += _compact(running, lo, hi, slice(None), w)
+            else:
+                w = hi
+        k = w
+        if k == 0:
             break
-    final[ids] = acc
+    if ends_early:
+        final[ids[:k]] = acc[:k]
+    # free the running state before the standard mode's hits become floats
+    del st, acc, off, el, ids, running
     shape = (n_chains, n)
     if excluded:
-        return ((1.0 - final).reshape(shape),)
+        return (np.subtract(1.0, final, out=final).reshape(shape),)
     return hit.astype(float).reshape(shape), final.reshape(shape)
+
+
+def _take(a, index, out) -> np.ndarray:
+    """``a[index]`` written into ``out``.  Mode "clip" writes there directly,
+    where the default mode fills a copy of ``out`` first; every index here
+    is in range."""
+    return np.take(a, index, out=out, mode="clip")
+
+
+def _compact(arrays, lo, hi, live, to) -> int:
+    """Move the entries ``lo:hi`` of every array that ``live`` keeps (a
+    boolean mask over them, or ``slice(None)`` for all of them) to ``to``
+    onward, in order, and return their count; ``to <= lo``, so no entry is
+    overwritten unread, and one array's copy is freed before the next."""
+    count = hi - lo if isinstance(live, slice) else int(np.count_nonzero(live))
+    for a in arrays:
+        a[to:to + count] = a[lo:hi][live]
+    return count
 
 
 def _bucket_table(cum: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
 import hashlib
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,6 +217,27 @@ class TestCalibratedStack:
             assert np.array_equal(stack[j], alone.transition)
             assert achieved[j] == exact_outcome_probability(alone)
 
+    def test_only_chains_with_a_target_get_its_bound(self):
+        # the largest outcome probability bounds a target; a chain's DP does
+        # not depend on its stack, so chains with and without one mix
+        specs = [ChainSpec(11, 0.5, 20, target_probability=t) for t in (None, 0.3, None, 0.6)]
+        gens = [substream(7, 6, i) for i in range(4)]
+        with mock.patch.object(experiments, "outcome_probability_dp",
+                               wraps=outcome_probability_dp) as dp:
+            stack, achieved, errors = _calibrated_chains(
+                specs, [s.target_probability for s in specs], gens)
+        assert dp.call_args_list[0].args[0].shape == (2, 11, 11)
+        assert errors == [None] * 4
+        for i, spec in enumerate(specs):
+            alone = lone_chain(spec, substream(7, 6, i))
+            assert np.array_equal(stack[i], alone.transition)
+            assert achieved[i] == exact_outcome_probability(alone)
+        # without a target, only the probability the chain ends on
+        with mock.patch.object(experiments, "outcome_probability_dp",
+                               wraps=outcome_probability_dp) as dp:
+            random_chain(specs[0])
+        assert dp.call_count == 1
+
     def test_failures_are_reported_per_chain(self):
         # targets of 0 are never achievable: those chains get the error they
         # raise alone, and the others their chains
@@ -361,6 +384,26 @@ class TestVarianceSweep:
             scaled = table.single(task=f"sample_count={n}", kind=MC,
                                   statistic="variance_times_n").value
             assert abs(scaled - var * n) <= 1e-12
+
+    def test_sample_count_axis_holds_one_mode_pool_at_a_time(self):
+        # MC and SCOPE are reduced to their estimates before REACH samples:
+        # no standard-mode array is alive when an excluded batch starts
+        base = ChainSpec(5, 1.0, 8, seed=12, target_probability=0.5)
+        standard, alive = [], []
+
+        def spy(source, vocab, horizon, mode, n, rngs):
+            if mode == OUTCOME_EXCLUDED:
+                alive.append(sum(ref() is not None for ref in standard))
+            values = sample_stack(source, vocab, horizon, mode, n, rngs)
+            if mode == STANDARD:
+                standard.extend(weakref.ref(v) for v in values)
+            return values
+
+        sample_stack = experiments._sample_stack
+        with mock.patch.object(experiments, "_sample_stack", spy):
+            table = variance_sweep("sample_count", [1, 4], base, 100)
+        assert alive == [0, 0]
+        assert table == variance_sweep("sample_count", [1, 4], base, 100)
 
     @pytest.mark.parametrize("axis, grid", [("probability", [0.3, 0.6]),
                                             ("spontaneity", [0.5, 1.0]),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 from unittest import mock
 
@@ -617,6 +618,81 @@ class TestSampleMarkovBatch:
             assert np.isclose(scope[[0, 2]].max(), 0.5, rtol=0.0, atol=1e-15)
 
 
+class TestBlockInvariance:
+    """A step walks the running rows in blocks of ``_BLOCK`` rows; every
+    block size gives the values and leaves every stream where one block
+    per step does."""
+
+    BLOCKS = [1, 7, 1000]
+
+    def case(self, name):
+        """``(source, vocab, horizon, n, number of streams)`` of a case."""
+        if name in ("table", "small batch"):
+            m = random_chain(ChainSpec(n_states=6, spontaneity=0.6, horizon_steps=9,
+                                       target_probability=0.4, seed=2))
+            n = seqmodel._BINS if name == "table" else 40
+            return (m.transition[None], 0), m.vocabulary, m.horizon, n, 1
+        if name == "stack":
+            rows, vocab, horizon = ruled_rows(0, (4, 5, 5))
+            return (rows, 0), vocab, horizon, 60, 4
+        if name == "stack without early ends":
+            # unit times, no terminal token and an absorbing outcome: when
+            # excluded, every row runs every step and no row number is kept
+            rows = substream(0, 40, 2).random((3, 4, 4)) + 0.05
+            rows[:, 3] = [0.0, 0.0, 0.0, 1.0]
+            rows /= rows.sum(axis=-1, keepdims=True)
+            m = MarkovModel.step_mode(rows[0], 0, 3, 5)
+            return (rows, 0), m.vocabulary, m.horizon, 40, 3
+        rows, vocab, horizon = ruled_rows(1, (5, 5))
+        if name == "terminal token and time limit":
+            return (rows[None], 0), vocab, horizon, seqmodel._BINS, 1
+        if name == "other model":
+            return RuledChain(rows, 0, vocab, horizon), vocab, horizon, 50, 1
+        # state 2 is degenerate when the outcome 3 is excluded
+        m = MarkovModel.step_mode(TestDegenerateGate.ROWS, 0, 3, 6)
+        if name == "degenerate":
+            return (m.transition[None], 0), m.vocabulary, m.horizon, seqmodel._BINS, 1
+        # every row starts on the outcome, so every step 1 is degenerate
+        return (m.transition[None], 3), m.vocabulary, m.horizon, 30, 1
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    @pytest.mark.parametrize("name", ["table", "small batch", "stack",
+                                      "stack without early ends",
+                                      "terminal token and time limit", "other model",
+                                      "degenerate", "start on the outcome"])
+    def test_values_and_streams_do_not_depend_on_the_block(self, name, mode):
+        source, vocab, horizon, n, n_streams = self.case(name)
+
+        def run():
+            streams = [substream(3, 50, c) for c in range(n_streams)]
+            values = seqmodel._sample_stack(source, vocab, horizon, mode, n, streams)
+            # where each stream stands: the words it gives next
+            return ([v.tobytes() for v in values],
+                    [s.bit_generator.random_raw(5).tobytes() for s in streams])
+
+        want = run()
+        for block in self.BLOCKS:
+            with mock.patch.object(seqmodel, "_BLOCK", block):
+                assert run() == want, block
+
+    @pytest.mark.parametrize("mode,most", [(STANDARD, 48.0), (OUTCOME_EXCLUDED, 32.0)])
+    def test_traced_bytes_per_row(self, mode, most):
+        # the running state is allocated once and a step's buffers hold one
+        # block; a sampler that allocates its per-step temporaries afresh,
+        # one entry per running row, peaks at 51.9 and 50.7 bytes per row
+        chain = random_chain(ChainSpec(n_states=11, spontaneity=0.5, horizon_steps=20,
+                                       target_probability=0.3, seed=0))
+        n = 256_000
+        rng = trajectory_stream(7)
+        tracemalloc.start()
+        try:
+            sample_batch(chain, mode, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= most
+
+
 def check_stack_against_each_chain(stack, initial, vocab, horizon, mode, n, seed):
     """Chain ``c``'s rows of the stack equal its batch alone on
     ``substream(seed, 30, c)``, and both streams stand at the same position
@@ -639,6 +715,19 @@ def sha256_of(values):
     for v in values:
         h.update(v.tobytes())
     return h.hexdigest()
+
+
+def ruled_rows(key, shape):
+    """Random rows from ``substream(0, 40, key)`` with zeros, over a
+    vocabulary whose token 3 is terminal and whose token times differ,
+    under a time limit: ``(rows, vocab, horizon)``."""
+    rows = substream(0, 40, key).random(shape)
+    rows[rows < 0.25] = 0.0
+    rows[..., 0] += 0.01
+    rows /= rows.sum(axis=-1, keepdims=True)
+    vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
+                       time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
+    return rows, vocab, HorizonPolicy(max_steps=12, time_limit=6.0)
 
 
 class TestPinnedBits:
@@ -666,40 +755,44 @@ class TestPinnedBits:
         OUTCOME_EXCLUDED: "a8f0034d89ef81387841648c36d3c9e1977eec92d57ae8958fc1233f7bc49aa4",
     }
 
-    @pytest.mark.parametrize("n,mode", CHAIN)
-    def test_benchmark_chain(self, n, mode):
+    @staticmethod
+    def chain_values(n, mode):
         chain = random_chain(ChainSpec(n_states=11, spontaneity=0.5, horizon_steps=20,
                                        target_probability=0.3, seed=0))
-        assert sha256_of(sample_batch(chain, mode, n, trajectory_stream(7))) == self.CHAIN[n, mode]
+        return sample_batch(chain, mode, n, trajectory_stream(7))
+
+    @staticmethod
+    def stack_values(mode):
+        rows, vocab, horizon = ruled_rows(0, (4, 5, 5))
+        return seqmodel._sample_stack((rows, 0), vocab, horizon, mode, 300,
+                                      [substream(0, 41, c) for c in range(4)])
+
+    @staticmethod
+    def table_values(mode):
+        # n = 2 * _BINS rows of one chain draw from its bucket table
+        rows, vocab, horizon = ruled_rows(1, (5, 5))
+        return seqmodel._sample_stack((rows[None], 0), vocab, horizon, mode,
+                                      2 * seqmodel._BINS, [substream(0, 42, 0)])
+
+    @pytest.mark.parametrize("n,mode", CHAIN)
+    def test_benchmark_chain(self, n, mode):
+        assert sha256_of(self.chain_values(n, mode)) == self.CHAIN[n, mode]
 
     @pytest.mark.parametrize("mode", STACK)
     def test_four_chain_stack(self, mode):
-        # token 3 is terminal and token times differ, under a time limit
-        rows = substream(0, 40, 0).random((4, 5, 5))
-        rows[rows < 0.25] = 0.0
-        rows[:, :, 0] += 0.01
-        rows /= rows.sum(axis=2, keepdims=True)
-        vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
-                           time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
-        horizon = HorizonPolicy(max_steps=12, time_limit=6.0)
-        values = seqmodel._sample_stack((rows, 0), vocab, horizon, mode, 300,
-                                        [substream(0, 41, c) for c in range(4)])
-        assert sha256_of(values) == self.STACK[mode]
+        assert sha256_of(self.stack_values(mode)) == self.STACK[mode]
 
     @pytest.mark.parametrize("mode", TABLE)
     def test_single_chain_bucket_table(self, mode):
-        # n = 2 * _BINS rows of one chain draw from its bucket table; token 3
-        # is terminal and token times differ, under a time limit
-        rows = substream(0, 40, 1).random((5, 5))
-        rows[rows < 0.25] = 0.0
-        rows[:, 0] += 0.01
-        rows /= rows.sum(axis=1, keepdims=True)
-        vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
-                           time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
-        horizon = HorizonPolicy(max_steps=12, time_limit=6.0)
-        values = seqmodel._sample_stack((rows[None], 0), vocab, horizon, mode,
-                                        2 * seqmodel._BINS, [substream(0, 42, 0)])
-        assert sha256_of(values) == self.TABLE[mode]
+        assert sha256_of(self.table_values(mode)) == self.TABLE[mode]
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    def test_digests_hold_in_blocks_of_7_rows(self, mode):
+        with mock.patch.object(seqmodel, "_BLOCK", 7):
+            for n in (4096, 500):
+                assert sha256_of(self.chain_values(n, mode)) == self.CHAIN[n, mode]
+            assert sha256_of(self.stack_values(mode)) == self.STACK[mode]
+            assert sha256_of(self.table_values(mode)) == self.TABLE[mode]
 
 
 class TestWordDraws:
@@ -715,6 +808,26 @@ class TestWordDraws:
             got = (words.bit_generator.random_raw(k) >> 11) * 2.0**-53
             assert got.tobytes() == doubles.random(k).tobytes()
         assert words.random() == doubles.random()
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64,
+                                        np.random.SFC64])
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 6), (5, 4), (7, 1001), (4, 8)])
+    def test_chained_draws_are_one_draw(self, bitgen, a, b):
+        # a step draws its rows block after block: random_raw(a) then
+        # random_raw(b) must be random_raw(a + b), and so for random(out=),
+        # whatever buffered words a size that is no multiple of 4 leaves
+        one, two = (np.random.Generator(bitgen(5)) for _ in range(2))
+        chained = np.concatenate([two.bit_generator.random_raw(a),
+                                  two.bit_generator.random_raw(b)])
+        assert chained.tobytes() == one.bit_generator.random_raw(a + b).tobytes()
+        whole, parts = np.empty(a + b), np.empty(a + b)
+        one.random(out=whole)
+        two.random(out=parts[:a])
+        two.random(out=parts[a:])
+        assert whole.tobytes() == parts.tobytes()
+        # and both streams stand at the same position
+        assert (one.bit_generator.random_raw(9).tobytes()
+                == two.bit_generator.random_raw(9).tobytes())
 
     def test_mt19937_rejected(self):
         m = chain([[0.5, 0.5], [0.0, 1.0]])
