@@ -17,7 +17,9 @@ the points of its axis together and samples each point alone; a cohort
 calibrates and samples all its patients as one stack.  Every chain's
 numbers are those it gets alone.  Each experiment reads one seed, its
 spec's ``seed``, and derives every stage stream from it, so results are
-reproducible bit-for-bit from the spec.  Default sweep parameters:
+reproducible bit-for-bit from the spec; the per-chain streams of a stack
+travel as Philox keys (:func:`seqrisk.rng.stream_keys`).  Default sweep
+parameters:
 11-state chains, 20-step horizon, 10,000 replications, probability grid
 0.05..0.95 (step 0.05), spontaneity grid 0.1..1.0 (step 0.1).
 """
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .estimators import CLIP_TO_UNIT, KINDS, MC, REACH, SCOPE, apply_clip
 from .oracle import enumerate_sub_distribution, outcome_probability_dp
-from .rng import substream
+from .rng import KeyedStream, stream_keys, substream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
@@ -340,21 +342,23 @@ def _chain_parts(spec: ChainSpec, gen) -> tuple:
     return W, hazard_weights
 
 
-def _calibrated_chains(specs, targets, gens) -> tuple:
+def _calibrated_chains(specs, targets, keys) -> tuple:
     """``(transitions, achieved, errors)``: a transition stack with chain
     ``i`` calibrated onto ``targets[i]``, the exact outcome probability of
     every chain, and the :class:`CalibrationError` of every chain that
     failed (None for the others).
 
     Chain ``i`` has the shape of ``specs[i]`` (all share ``n_states`` and
-    ``horizon_steps``) with parts drawn from ``gens[i]``.  Its hazard scale
+    ``horizon_steps``) with parts drawn from the stream of the Philox key
+    ``keys[i]`` (:func:`seqrisk.rng.stream_keys`).  Its hazard scale
     ``theta`` is bisected on ``(0, theta_max]`` until the exact outcome
     probability lies within ``min(1e-6, 1e-4 * target)`` of the target, so
     rare targets are met to a relative 1e-4, or falls back to ``theta_max``
     after 200 halvings.  All chains bisect together, each on its own
     interval until it stops, so every chain follows the ``theta`` sequence
     it follows alone.  A chain whose target is None bisects nothing: it
-    draws ``theta`` from its stream after its parts.
+    draws ``theta`` from its stream after its parts.  A chain's stream is
+    read only where it draws: for random transitions or a free target.
 
     Nothing here raises :class:`CalibrationError`: an infeasible or stalled
     chain gets in ``errors`` the error it gets alone (:func:`_raise_first`
@@ -363,13 +367,20 @@ def _calibrated_chains(specs, targets, gens) -> tuple:
     """
     m = specs[0].n_states - 1
     steps = specs[0].horizon_steps
-    parts = [_chain_parts(spec, gen) for spec, gen in zip(specs, gens)]
-    W = np.stack([w for w, _ in parts])
-    weights = np.stack([h for _, h in parts])
-    theta_max = 1.0 / weights.max(axis=1)
     # a target of None reads as NaN
     targets = np.asarray(targets, dtype=float)
     free = np.isnan(targets)
+    stream = KeyedStream()
+    parts, draws = [], np.empty(len(specs))
+    for i, spec in enumerate(specs):
+        gen = stream.at(keys[i]) if free[i] or not spec.equal_transitions else None
+        parts.append(_chain_parts(spec, gen))
+        if free[i]:
+            # the free chain's stream stands right after its parts
+            draws[i] = gen.uniform(0.05, 0.9)
+    W = np.stack([w for w, _ in parts])
+    weights = np.stack([h for _, h in parts])
+    theta_max = 1.0 / weights.max(axis=1)
     tol = np.minimum(1e-6, 1e-4 * targets)
     # the largest outcome probability, of the chains with a target only (a
     # chain's DP does not depend on the stack it is evaluated in)
@@ -391,8 +402,7 @@ def _calibrated_chains(specs, targets, gens) -> tuple:
         lo = np.where(running & below, theta, lo)
         hi = np.where(running & ~below, theta, hi)
     theta = np.where(running, theta_max, theta)
-    for i in np.flatnonzero(free):
-        theta[i] = gens[i].uniform(0.05, 0.9) * theta_max[i]
+    theta[free] = draws[free] * theta_max[free]
     transitions = _assemble_chain(W, weights, theta)
     violations = validate(transitions)
     if violations:
@@ -426,7 +436,7 @@ def random_chain(spec: ChainSpec) -> MarkovModel:
     parts are drawn from ``substream(spec.seed, 0, 0)``.
     """
     (transition,), _, errors = _calibrated_chains(
-        [spec], [spec.target_probability], [substream(spec.seed, 0, 0)])
+        [spec], [spec.target_probability], stream_keys(spec.seed, 0, 0))
     _raise_first(errors)
     return _chain_model(spec, transition)
 
@@ -448,24 +458,25 @@ def spontaneity(model: MarkovModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_pools(chain: MarkovModel, transitions, n: int, standard_rngs,
-                  excluded_rngs, reduce=lambda values: values) -> dict:
+def _sample_pools(chain: MarkovModel, transitions, n: int, standard_keys,
+                  excluded_keys, reduce=lambda values: values) -> dict:
     """``(P, n)`` sub-values of every kind for a ``(P, S, S)`` stack of
     chains that share ``chain``'s initial state and stop rules, each passed
     through ``reduce``.
 
-    Chain ``c`` reads ``standard_rngs[c]`` (MC and SCOPE share that batch)
-    and ``excluded_rngs[c]`` (REACH) alone, so its row is the one
-    :func:`seqrisk.seqmodel.sample_batch` gives its chain on those streams.
+    Chain ``c`` reads the streams of the Philox keys ``standard_keys[c]``
+    (MC and SCOPE share that batch) and ``excluded_keys[c]`` (REACH) alone,
+    so its row is the one :func:`seqrisk.seqmodel.sample_batch` gives its
+    chain on those streams.
     A mode's values are reduced before the next mode is sampled, so a
     reducing caller holds one mode's pool at a time.
     """
     source = (transitions, chain.initial_state)
     pools = {}
-    for mode, kinds, rngs in ((STANDARD, (MC, SCOPE), standard_rngs),
-                              (OUTCOME_EXCLUDED, (REACH,), excluded_rngs)):
+    for mode, kinds, keys in ((STANDARD, (MC, SCOPE), standard_keys),
+                              (OUTCOME_EXCLUDED, (REACH,), excluded_keys)):
         pools.update(zip(kinds, map(reduce, _sample_stack(
-            source, chain.vocabulary, chain.horizon, mode, n, rngs))))
+            source, chain.vocabulary, chain.horizon, mode, n, keys))))
     return pools
 
 
@@ -517,7 +528,7 @@ def variance_sweep(
             if not (float(g).is_integer() and g >= 1):
                 raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
         transitions, (p,), errors = _calibrated_chains(
-            [base_spec], [base_spec.target_probability], [substream(seed, aid, 0, 0)])
+            [base_spec], [base_spec.target_probability], stream_keys(seed, aid, 0, 0))
         _raise_first(errors)
         rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
         chain = _chain_model(base_spec, transitions[0])
@@ -528,7 +539,7 @@ def variance_sweep(
             # each replication's n-sample estimate
             estimates = _sample_pools(
                 chain, transitions, replications * n,
-                [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
+                stream_keys(seed, aid, j, 1), stream_keys(seed, aid, j, 2),
                 reduce=lambda values: values[0].reshape(replications, n).mean(axis=1),
             )
             for kind, est in estimates.items():
@@ -550,7 +561,7 @@ def variance_sweep(
     if points:
         transitions, achieved, errors = _calibrated_chains(
             list(points.values()), [p.target_probability for p in points.values()],
-            [substream(seed, aid, j, 0) for j in points],
+            stream_keys(seed, aid, list(points), 0),
         )
     # grid index -> the point's chain in the stack, for every calibrated point
     calibrated = {j: i for i, j in enumerate(points) if errors[i] is None}
@@ -567,7 +578,7 @@ def variance_sweep(
         clock.lap("calibrate")
         pools = _sample_pools(
             chain, transitions[i:i + 1], replications,
-            [substream(seed, aid, j, 1)], [substream(seed, aid, j, 2)],
+            stream_keys(seed, aid, j, 1), stream_keys(seed, aid, j, 2),
         )
         for kind, (vals,) in pools.items():
             rows.append(MetricRow(task, kind, 1, "mean", float(vals.mean()), seed=seed))
@@ -624,11 +635,11 @@ def estimate_distribution_experiment(
         raise ValueError("n_estimates and samples_per_estimate must be >= 1")
     seed = spec.seed
     transitions, (p,), errors = _calibrated_chains(
-        [spec], [spec.target_probability], [substream(seed, 4, 0)])
+        [spec], [spec.target_probability], stream_keys(seed, 4, 0))
     _raise_first(errors)
     total = n_estimates * samples_per_estimate
     pools = _sample_pools(_chain_model(spec, transitions[0]), transitions, total,
-                          [substream(seed, 4, 1)], [substream(seed, 4, 2)])
+                          stream_keys(seed, 4, 1), stream_keys(seed, 4, 2))
     shape = (n_estimates, samples_per_estimate)
     return DistributionResult(
         estimates={kind: v.reshape(shape).mean(axis=1) for kind, (v,) in pools.items()},
@@ -919,9 +930,13 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     The whole cohort runs as one stack: one bisection calibrates every
     chain, and one sampler call per mode draws every pool, patient ``i``
     from its own streams ``substream(spec.seed, 6 | 7 | 8, i)``, so the
-    table is the one patient-by-patient runs give.  The table's
-    ``stage_seconds`` times the stages ``calibrate``, ``sample``, ``bootstrap`` (the AUROC
-    rounds) and ``summary`` (equivalence, Brier, calibration).
+    table is the one patient-by-patient runs give.  The streams are passed
+    as Philox keys (:func:`seqrisk.rng.stream_keys`) and read through one
+    :class:`seqrisk.rng.KeyedStream`, only where they are read: an
+    equal-transition patient with a target reads no calibration stream.
+    The table's ``stage_seconds`` times the stages ``calibrate``,
+    ``sample``, ``bootstrap`` (the AUROC rounds) and ``summary``
+    (equivalence, Brier, calibration).
     """
     clock = _StageClock()
     seed = spec.seed
@@ -932,17 +947,14 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
 
     targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
     transitions, p_exact, errors = _calibrated_chains(
-        [tpl] * n_pat, targets, [substream(seed, 6, i) for i in range(n_pat)]
-    )
+        [tpl] * n_pat, targets, stream_keys(seed, 6, np.arange(n_pat)))
     _raise_first(errors)
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
     clock.lap("calibrate")
 
     pools = _sample_pools(
         _chain_model(tpl, transitions[0]), transitions, pool_n,
-        [substream(seed, 7, i) for i in range(n_pat)],
-        [substream(seed, 8, i) for i in range(n_pat)],
-    )
+        stream_keys(seed, 7, np.arange(n_pat)), stream_keys(seed, 8, np.arange(n_pat)))
     clock.lap("sample")
     rows = _cohort_metrics(spec, seed, pools, labels, clock)
     return ExperimentTable(rows, stage_seconds=clock.seconds)
@@ -951,7 +963,8 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
 def _bootstrap_aurocs(pools: dict, labels, rounds: int, seed: int) -> dict:
     """``(pool_n, rounds)`` AUROCs of every kind: entry ``[j, r]`` ranks the
     patients by the mean of ``j + 1`` timelines of their pool drawn with
-    replacement in round ``r``, from ``substream(seed, 9, r)``.
+    replacement in round ``r``, from ``substream(seed, 9, r)`` (read through
+    one :class:`seqrisk.rng.KeyedStream`).
 
     A round draws one ``(n_pat, pool_n)`` index matrix for MC and SCOPE,
     which share their trajectories, and one for REACH.  The running means
@@ -988,8 +1001,9 @@ def _bootstrap_aurocs(pools: dict, labels, rounds: int, seed: int) -> dict:
         np.divide(scores, denom, out=scores)
         return _key_sort_aurocs(scores.view(np.uint64), label_bits, keys.view(np.uint64), n_pos)
 
-    for r in range(rounds):
-        rr = substream(seed, 9, r)
+    stream = KeyedStream()
+    for r, key in enumerate(stream_keys(seed, 9, np.arange(rounds))):
+        rr = stream.at(key)
         draw(rr)  # MC and SCOPE read the same trajectories
         np.take(hits, flat, out=scores, mode="clip")
         np.multiply(scores, 2.0, out=keys, casting="unsafe")

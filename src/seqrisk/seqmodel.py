@@ -25,15 +25,17 @@ model the same tables built at each step from the running trajectories'
 prefixes.  It is the one-model case of a core that also advances the
 trajectories of a stack of chains together, each chain drawing from its
 own stream exactly what it draws alone; the synthetic cohort samples all
-of its patients this way.  A token is drawn by one inverse-CDF rule: the
-next token is the number of cumulative probabilities at or below the
-uniform ``u``, where every entry from the last token that can be drawn
-onward is 1, so no ``u`` draws a token of probability 0.  A single chain's
-batch of at least ``_BINS`` rows looks that count up in an exact bucket
-table (Chen & Asau's guide table), falling back to the comparison only
-where a cumulative probability lies inside ``u``'s bucket; it reads its
-uniforms as the 64-bit words they are made of, so a stream over MT19937,
-whose doubles take two 32-bit words, is rejected.
+of its patients this way, its streams given as Philox keys, from which
+groups of its chains draw their uniforms ahead.  A token is drawn by one
+inverse-CDF rule: the next token is the number of cumulative
+probabilities at or below the uniform ``u``, where every entry from the
+last token that can be drawn onward is 1, so no ``u`` draws a token of
+probability 0.  A single chain's batch of at least ``_BINS`` rows looks
+that count up in an exact bucket table (Chen & Asau's guide table),
+falling back to the comparison only where a cumulative probability lies
+inside ``u``'s bucket; it reads its uniforms as the 64-bit words they are
+made of, so a stream over MT19937, whose doubles take two 32-bit words,
+is rejected.
 
 A :class:`MarkovModel` is validated once, at construction.  The
 distributions of any other model are checked as the sampler and the
@@ -45,6 +47,7 @@ probability distribution over the vocabulary raises
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Protocol, Sequence, runtime_checkable
@@ -52,6 +55,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .errors import ModelValidationError
+from .rng import KeyedStream
 
 STANDARD = "standard"
 OUTCOME_EXCLUDED = "outcome_excluded"
@@ -72,6 +76,10 @@ _BINS = 1024
 #: running rows a step of :func:`_sample_stack` advances at once; its block
 #: buffers hold this many entries whatever the batch size
 _BLOCK = 65536
+
+#: uniforms a keyed stack in :func:`_sample_stack` draws ahead at most,
+#: whatever its size: the buffer of one group of chains
+_GROUP = 1 << 17
 
 
 def _check_mode(mode: str) -> None:
@@ -390,7 +398,8 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     The stop rules are the module's, on the model's own ``vocabulary`` and
     ``horizon``.  All trajectories advance together; each step draws
     ``rng.random(k)`` for the ``k`` still running, in index order, and
-    nothing else, so a trajectory reads one uniform per token it draws.
+    nothing else, so a trajectory reads one uniform per token it draws, and
+    ``rng`` is left right after the last uniform read.
     Standard mode returns the arrays ``(mc, scope)``: 1 for a trajectory
     that ends on the outcome, and the sum of its hazards in step order.
     Outcome-excluded mode returns ``(reach,)``: one minus the survival
@@ -409,7 +418,7 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     model's are built at each step from one ``next_distribution`` call per
     running trajectory, and that path keeps every trajectory's tokens, ``n``
     lists of at most ``max_steps`` ints.  This is the one-model case of
-    :func:`_sample_stack`.
+    :func:`_sample_stack`, which reads ``rng`` step by step.
     """
     if isinstance(getattr(rng, "bit_generator", None), np.random.MT19937):
         raise ValueError(
@@ -420,7 +429,7 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
         source = (model.transition[None], model.initial_state)
     else:
         source = model
-    values = _sample_stack(source, model.vocabulary, model.horizon, mode, n, [rng])
+    values = _sample_stack(source, model.vocabulary, model.horizon, mode, n, rng)
     return tuple(v[0] for v in values)
 
 
@@ -452,7 +461,7 @@ def _draw_tables(dist: np.ndarray, outcome: int, excluded: bool) -> tuple:
     return hazard, cum, degenerate, 1.0 - hazard
 
 
-def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
+def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     """Sub-estimator values of ``n`` trajectories of every chain in a stack,
     or of one model.
 
@@ -460,33 +469,50 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     stack of row-stochastic matrices sharing the initial state, whose
     :func:`_draw_tables` are built once per (chain, state); or any other
     model (``P = 1``), whose tables are built from the running trajectories'
-    prefixes (:func:`_read_rows`).  Both share ``vocab`` and ``horizon``;
-    chain ``c`` reads its uniforms from ``rngs[c]`` alone.  Rows ``c * n``
-    up to ``(c + 1) * n`` are chain ``c``'s trajectories, and each step
-    draws ``rngs[c].random(k)`` for the ``k`` of them still running, so
-    every chain gets exactly the values :func:`sample_batch` gives for it
-    alone on its stream; the bucket-table path below reads those uniforms
-    as the words ``rngs[0].bit_generator.random_raw(k)``.  Returns
-    ``(P, n)`` arrays in the order of :func:`sample_batch`.
+    prefixes (:func:`_read_rows`).  Both share ``vocab`` and ``horizon``.
+    Rows ``c * n`` up to ``(c + 1) * n`` are chain ``c``'s trajectories, and
+    every step draws, for the ``k`` of them still running, the next ``k``
+    uniforms of chain ``c``'s stream, so every chain gets exactly the values
+    :func:`sample_batch` gives for it alone on its stream.  ``streams`` is
+    one generator, read step by step and left where those draws leave it,
+    for a lone chain or model; or a ``(P, 2)`` array of Philox keys
+    (:func:`seqrisk.rng.stream_keys`), chain ``c``'s stream being
+    ``Generator(Philox(key=streams[c]))`` from its start, read through one
+    :class:`seqrisk.rng.KeyedStream`.  Returns ``(P, n)`` arrays in the
+    order of :func:`sample_batch`.
 
-    The running rows' state is allocated once per call and kept compacted
-    at its front: their last tokens, hazard sums or survival products,
-    chain offsets (stacks only), elapsed times (non-unit times only) and
-    row numbers in ascending order (only where a row can end before the
-    last step), 8 bytes per row each, plus the result arrays.  A step walks
-    the running rows in order in blocks of ``_BLOCK``: a block draws its
-    rows' uniforms from each chain's stream in row order (chained draws of
-    a stream give the words of one draw, so every row reads the uniform it
-    reads in one draw per step), finds their next tokens into buffers of
-    one block allocated once per call, writes them into the running state,
-    writes the values of the rows that stop to the result, and moves the
-    others forward in place.  Beyond the running state, a step allocates
-    nothing that grows with the rows past one block.
+    A keyed stack of several chains steps in groups of whole chains, each
+    group through the whole step loop before the next.  A group first draws
+    each chain's uniforms for every step, ``n`` per step, with one
+    ``random(out=)`` call, and a step then gathers its rows' uniforms from
+    them with one ``take``; chained draws of a stream give the doubles of
+    one draw, so every row gets the uniform it reads step by step.  A group
+    holds as many chains as fit in a buffer of ``_GROUP`` uniforms.  Where
+    one chain's uniforms do not fit, a group of about ``sqrt(_GROUP / n)``
+    chains draws ahead a window of fewer steps at a time, each chain
+    resuming its stream at the Philox block (4 doubles) of its next
+    uniform; only where not even that fits (``n`` above ``_GROUP / 4``) does
+    a group hold one chain, which reads its stream step by step, as a lone
+    chain does.
+
+    The running rows' state is allocated once per group, freed before the
+    next group's, and kept compacted at its front: their last tokens,
+    hazard sums or survival products, chain offsets (groups of several
+    chains only), elapsed times (non-unit times only) and row numbers in
+    ascending order (only where a row can end before the last step), 8
+    bytes per row each, plus the result arrays.  A step walks the running
+    rows in order in blocks of ``_BLOCK``: a block takes its rows'
+    uniforms, finds their next tokens into buffers of one block allocated
+    once per call, writes them into the running state, writes the values
+    of the rows that stop to the result, and moves the others forward in
+    place.  Beyond the result arrays, a call allocates nothing that grows
+    with the rows past one group.
 
     A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
     least ``_BINS`` rows reads that count from :func:`_bucket_table` at
     ``floor(u * _BINS)``, the top ``log2(_BINS)`` bits of the word that
-    ``u = (word >> 11) * 2**-53`` is made of; only rows whose bucket holds a
+    ``u = (word >> 11) * 2**-53`` is made of (it draws the words
+    ``bit_generator.random_raw(k)``); only rows whose bucket holds a
     cumulative probability (at most one bucket per token) build their ``u``
     and compare against the row.  Both ways give the same token for every
     ``u``.  Smaller batches, stacks and other models always compare, one
@@ -505,8 +531,9 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
         if transition.shape[-1] != size:
             raise ValueError("vocabulary size does not match the model")
         # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
-        hazard, cum, degenerate, keep = _draw_tables(transition.reshape(-1, size), o, excluded)
-        table = _bucket_table(cum) if n_chains == 1 and n >= _BINS else None
+        tables = _draw_tables(transition.reshape(-1, size), o, excluded)
+        degenerate = tables[2]
+        table = _bucket_table(tables[1]) if n_chains == 1 and n >= _BINS else None
         # a running row stands on the initial state or on a drawn token, and
         # an outcome-excluded draw never gives the outcome
         check_degenerate = excluded and (
@@ -517,6 +544,12 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
         model, n_chains, initial_state, table = source, 1, 0, None
         prefixes = [[] for _ in range(n)]
         check_degenerate = excluded
+    keyed = isinstance(streams, np.ndarray)
+    if keyed and streams.shape != (n_chains, 2):
+        raise ValueError(f"{n_chains} chains read {n_chains} Philox keys, "
+                         f"got an array of shape {streams.shape}")
+    if not keyed and n_chains > 1:
+        raise ValueError("a stack of chains reads a (P, 2) array of Philox keys")
     # tokens after which a trajectory stops, whatever the time or step count
     stop_after = np.zeros(size, dtype=bool)
     stop_after[list(vocab.terminal)] = True
@@ -536,121 +569,167 @@ def _sample_stack(source, vocab, horizon, mode, n, rngs) -> tuple:
     ends_early = can_stop or check_degenerate
     # the bucket of a 64-bit word is its top log2(_BINS) bits
     shift = 64 - (_BINS.bit_length() - 1)
+    # chains per group, the steps a group's chains draw ahead at a time, and
+    # each chain's part of the buffer: a window of uniforms, plus up to 3
+    # from the Philox block the window starts in
+    per, window = 1, steps
+    if keyed and n_chains > 1:
+        if n * steps + 3 <= _GROUP:
+            per = min(n_chains, _GROUP // (n * steps + 3))
+        else:
+            # windows of fewer steps, for groups of about sqrt(_GROUP / n) chains
+            per = min(n_chains, max(1, math.isqrt(_GROUP // n)))
+            window = max(1, (_GROUP // per - 3) // n)
+    slot = n * window + 3
     rows = n_chains * n
-    # the running rows' state, compacted to the front of each array: last
-    # token, hazard sum (survival product when excluded), chain offset in
-    # the flat tables (a lone chain's states index them directly), elapsed
-    # time and row number, ascending
-    st = np.full(rows, initial_state, dtype=np.intp)
-    acc = np.ones(rows) if excluded else np.zeros(rows)
-    off = np.repeat(np.arange(n_chains) * size, n) if n_chains > 1 else None
-    el = np.zeros(rows) if limit is not None else None
-    ids = np.arange(rows) if ends_early else None
-    running = [a for a in (st, acc, off, el, ids) if a is not None]
     # each row's final hazard sum or survival product, and whether it drew
     # the outcome, written when it stops; a row that drew the outcome
-    # stopped there, so none of the rows running at the end did
-    final = np.empty(rows) if ends_early else acc
+    # stopped there, so none of the rows running at the end did.  With no
+    # early end, one group's running state is the result
+    final = None if per == n_chains and not ends_early else np.empty(rows)
     hit = None if excluded else np.zeros(rows, dtype=bool)
-    first_rows = np.arange(n_chains + 1) * n
     # one block's table entries (the bucket-table path: its keys), flags,
     # gathered floats and uniforms (comparison only); the bucket-table path
     # gathers its floats into the key buffer while it holds no keys
-    width = min(rows, _BLOCK)
-    idx_buf, flag_buf = np.empty(width, np.intp), np.empty(width, bool)
-    got_buf, u_buf = (np.empty(width), np.empty(width)) if table is None else (
+    block = min(per * n, _BLOCK)
+    idx_buf, flag_buf = np.empty(block, np.intp), np.empty(block, bool)
+    got_buf, u_buf = (np.empty(block), np.empty(block)) if table is None else (
         idx_buf.view(float), None)
-    k = rows
-    for _ in range(steps):
-        # rows of this step kept so far, moved forward to positions 0 .. w
-        w = 0
-        for lo in range(0, k, _BLOCK):
-            hi = min(lo + _BLOCK, k)
-            m = hi - lo
-            if model is not None:
-                dist = _read_rows(model, [prefixes[i] for i in ids[lo:hi].tolist()], size)
-                hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
-                row = np.arange(m)
-            elif off is not None:
-                row = np.add(off[lo:hi], st[lo:hi], out=idx_buf[:m])
-            elif table is None:
-                # a copy: the comparison counts the next tokens in ``st``
-                row = idx_buf[:m]
-                row[...] = st[lo:hi]
-            else:
-                row = st[lo:hi]
-            if check_degenerate:
-                dead = _take(degenerate, row, flag_buf[:m])
-                if dead.any():
-                    # such a step draws nothing and ends the row: survival 0, reach 1
-                    final[ids[lo:hi][dead]] = 0.0
-                    live = ~dead
-                    row = row[live]
-                    m = _compact(running, lo, hi, live, lo)
-                    hi = lo + m
-                    if m == 0:
-                        continue
-            got, flag, tokens = got_buf[:m], flag_buf[:m], st[lo:hi]
-            if excluded:
-                acc[lo:hi] *= _take(keep, row, got)
-            else:
-                acc[lo:hi] += _take(hazard, row, got)
-            if table is None:
-                u = u_buf[:m]
-                starts = first_rows - lo if ids is None else np.searchsorted(ids[lo:hi], first_rows)
-                bounds = np.clip(starts, 0, m).tolist()
-                for rng, a, b in zip(rngs, bounds, bounds[1:]):
-                    if b > a:
-                        rng.random(out=u[a:b])
-                # (cum[row] <= u).sum() a column at a time; the last column,
-                # 1 in every row that draws, never counts
-                tokens.fill(0)
-                for column in cum.T[:-1]:
-                    tokens += np.less_equal(_take(column, row, got), u, out=flag)
-            else:
-                # random() turns a word into u = (word >> 11) * 2**-53, so u's
-                # bucket floor(u * _BINS) is the word's top bits, and a row's
-                # key is state * _BINS + bucket
-                word = rngs[0].bit_generator.random_raw(m)
-                key = idx_buf[:m]
-                np.right_shift(word, shift, out=key.view(np.uint64))
-                tokens *= _BINS
-                key += tokens
-                _take(table, key, tokens)
-                split = np.flatnonzero(np.less(tokens, 0, out=flag))
-                if split.size:
-                    # about S / _BINS of the rows: gathering their whole rows is cheap
-                    u = (word[split] >> 11) * 2.0**-53
-                    tokens[split] = (cum[key[split] // _BINS] <= u[:, None]).sum(axis=1)
-                del word
-            if model is not None:
-                for i, token in zip(ids[lo:hi].tolist(), tokens.tolist()):
-                    prefixes[i].append(token)
-            at = ()
-            if can_stop:
-                stop = _take(stop_after, tokens, flag)
-                if el is not None:
-                    el[lo:hi] += _take(times, tokens, got)
-                    stop |= el[lo:hi] > limit
-                # few rows stop in a step: index them by position, not by mask
-                at = np.flatnonzero(stop)
-            if len(at):
-                gone = ids[lo:hi][at]
-                final[gone] = acc[lo:hi][at]
-                if hit is not None:
-                    hit[gone] = tokens[at] == o
-                w += _compact(running, lo, hi, np.logical_not(stop, out=stop), w)
-            elif w < lo:
-                w += _compact(running, lo, hi, slice(None), w)
-            else:
-                w = hi
-        k = w
-        if k == 0:
-            break
-    if ends_early:
-        final[ids[:k]] = acc[:k]
-    # free the running state before the standard mode's hits become floats
-    del st, acc, off, el, ids, running
+    if per > 1:
+        # the uniforms a group's chains drew ahead, one chain's slot after another
+        uniforms, ramp = np.empty(per * slot), np.arange(block)
+        slots = np.arange(per) * slot
+    stream = KeyedStream() if keyed else None
+    for c0 in range(0, n_chains, per):
+        c1 = min(c0 + per, n_chains)
+        k = (c1 - c0) * n
+        # the group's running rows' state, compacted to the front of each
+        # array: last token, hazard sum (survival product when excluded),
+        # chain offset in the group's flat tables (a lone chain's states
+        # index them directly), elapsed time and row number, ascending
+        st = np.full(k, initial_state, dtype=np.intp)
+        acc = np.ones(k) if excluded else np.zeros(k)
+        off = np.repeat(np.arange(c1 - c0) * size, n) if per > 1 else None
+        el = np.zeros(k) if limit is not None else None
+        ids = np.arange(c0 * n, c1 * n) if ends_early else None
+        running = [a for a in (st, acc, off, el, ids) if a is not None]
+        if model is None:
+            hazard, cum, degenerate, keep = (a[c0 * size:c1 * size] for a in tables)
+        if per == 1:
+            rng = stream.at(streams[c0]) if keyed else streams
+        else:
+            first_rows = np.arange(c0, c1 + 1) * n
+            # uniforms each chain of the group has read
+            read = np.zeros(c1 - c0, dtype=np.intp)
+        for t in range(steps):
+            if per > 1 and t % window == 0:
+                # each chain draws ahead from the Philox block (4 uniforms)
+                # its next uniform is in; ``base + read`` indexes that uniform
+                for i, c in enumerate(range(c0, c1)):
+                    stream.at(streams[c], read[i] // 4).random(
+                        out=uniforms[i * slot:(i + 1) * slot])
+                base = slots[:c1 - c0] - read // 4 * 4
+            # rows of this step kept so far, moved forward to positions 0 .. w
+            w = 0
+            for lo in range(0, k, _BLOCK):
+                hi = min(lo + _BLOCK, k)
+                m = hi - lo
+                if model is not None:
+                    dist = _read_rows(model, [prefixes[i] for i in ids[lo:hi].tolist()], size)
+                    hazard, cum, degenerate, keep = _draw_tables(dist, o, excluded)
+                    row = np.arange(m)
+                elif off is not None:
+                    row = np.add(off[lo:hi], st[lo:hi], out=idx_buf[:m])
+                elif table is None:
+                    # a copy: the comparison counts the next tokens in ``st``
+                    row = idx_buf[:m]
+                    row[...] = st[lo:hi]
+                else:
+                    row = st[lo:hi]
+                if check_degenerate:
+                    dead = _take(degenerate, row, flag_buf[:m])
+                    if dead.any():
+                        # such a step draws nothing and ends the row: survival 0, reach 1
+                        final[ids[lo:hi][dead]] = 0.0
+                        live = ~dead
+                        row = row[live]
+                        m = _compact(running, lo, hi, live, lo)
+                        hi = lo + m
+                        if m == 0:
+                            continue
+                got, flag, tokens = got_buf[:m], flag_buf[:m], st[lo:hi]
+                if excluded:
+                    acc[lo:hi] *= _take(keep, row, got)
+                else:
+                    acc[lo:hi] += _take(hazard, row, got)
+                if table is None:
+                    u = u_buf[:m]
+                    if per == 1:
+                        rng.random(out=u)
+                    else:
+                        # each chain's rows take its next uniforms, in row order
+                        starts = (first_rows - (c0 * n + lo) if ids is None
+                                  else np.searchsorted(ids[lo:hi], first_rows))
+                        bounds = np.clip(starts, 0, m)
+                        counts = np.diff(bounds)
+                        pick = np.repeat(base + read - bounds[:-1], counts)
+                        pick += ramp[:m]
+                        _take(uniforms, pick, u)
+                        read += counts
+                    # (cum[row] <= u).sum() a column at a time; the last column,
+                    # 1 in every row that draws, never counts
+                    tokens.fill(0)
+                    for column in cum.T[:-1]:
+                        tokens += np.less_equal(_take(column, row, got), u, out=flag)
+                else:
+                    # random() turns a word into u = (word >> 11) * 2**-53, so u's
+                    # bucket floor(u * _BINS) is the word's top bits, and a row's
+                    # key is state * _BINS + bucket
+                    word = rng.bit_generator.random_raw(m)
+                    key = idx_buf[:m]
+                    np.right_shift(word, shift, out=key.view(np.uint64))
+                    tokens *= _BINS
+                    key += tokens
+                    _take(table, key, tokens)
+                    split = np.flatnonzero(np.less(tokens, 0, out=flag))
+                    if split.size:
+                        # about S / _BINS of the rows: gathering their whole rows is cheap
+                        u = (word[split] >> 11) * 2.0**-53
+                        tokens[split] = (cum[key[split] // _BINS] <= u[:, None]).sum(axis=1)
+                    del word
+                if model is not None:
+                    for i, token in zip(ids[lo:hi].tolist(), tokens.tolist()):
+                        prefixes[i].append(token)
+                at = ()
+                if can_stop:
+                    stop = _take(stop_after, tokens, flag)
+                    if el is not None:
+                        el[lo:hi] += _take(times, tokens, got)
+                        stop |= el[lo:hi] > limit
+                    # few rows stop in a step: index them by position, not by mask
+                    at = np.flatnonzero(stop)
+                if len(at):
+                    gone = ids[lo:hi][at]
+                    final[gone] = acc[lo:hi][at]
+                    if hit is not None:
+                        hit[gone] = tokens[at] == o
+                    w += _compact(running, lo, hi, np.logical_not(stop, out=stop), w)
+                elif w < lo:
+                    w += _compact(running, lo, hi, slice(None), w)
+                else:
+                    w = hi
+            k = w
+            if k == 0:
+                break
+        if ends_early:
+            final[ids[:k]] = acc[:k]
+        elif final is None:
+            final = acc
+        else:
+            final[c0 * n:c1 * n] = acc
+        # free the running state before the next group's, and before the
+        # standard mode's hits become floats
+        del st, acc, off, el, ids, running
     shape = (n_chains, n)
     if excluded:
         return (np.subtract(1.0, final, out=final).reshape(shape),)

@@ -23,6 +23,7 @@ from seqrisk import (
     experiments,
     seqmodel,
 )
+from seqrisk.rng import stream_keys
 
 SUITE_SEED_BASE = 1000
 SUITE_SIZE = 200
@@ -56,11 +57,12 @@ def make_random_model(seed: int, max_states: int = 5, max_horizon: int = 6) -> M
     return MarkovModel.step_mode(t, initial, outcome, horizon)
 
 
-def lone_chain(spec, gen):
-    """The chain ``spec`` gets alone with its parts drawn from ``gen``: a
-    one-chain calibration, raising the :class:`CalibrationError` it gets."""
+def lone_chain(spec, seed, *key):
+    """The chain ``spec`` gets alone with its parts drawn from
+    ``substream(seed, *key)``: a one-chain calibration, raising the
+    :class:`CalibrationError` it gets."""
     (transition,), _, (error,) = experiments._calibrated_chains(
-        [spec], [spec.target_probability], [gen])
+        [spec], [spec.target_probability], stream_keys(seed, *key))
     if error is not None:
         raise error
     return experiments._chain_model(spec, transition)
@@ -86,7 +88,7 @@ def ruled_batch(m, mode, n, rng):
     """Batch values of a :class:`RuledChain` from the per-state tables of the
     stacked sampler core, which takes the stop rules explicitly."""
     values = seqmodel._sample_stack((m.rows[None], m.initial), m.vocabulary, m.horizon,
-                                    mode, n, [rng])
+                                    mode, n, rng)
     return tuple(v[0] for v in values)
 
 

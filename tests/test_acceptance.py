@@ -161,7 +161,7 @@ def test_figure_panels_qualitative():
     for j, g in enumerate(SPONTANEITY_GRID):
         point = ChainSpec(11, g, 20, seed=PANEL_C_SEED, target_probability=0.5,
                           equal_transitions=True)
-        chain = lone_chain(point, substream(PANEL_C_SEED, 2, j, 0))
+        chain = lone_chain(point, PANEL_C_SEED, 2, j, 0)
         mc_v, _ = sample_batch(chain, STANDARD, r, substream(PANEL_C_SEED, 2, j, 1))
         (re_v,) = sample_batch(chain, OUTCOME_EXCLUDED, r, substream(PANEL_C_SEED, 2, j, 2))
         if abs(mc_v.var(ddof=1) - 0.25) > 3.0 * mc_se:

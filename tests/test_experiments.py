@@ -1,6 +1,7 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -55,7 +56,7 @@ from seqrisk.experiments import (
     _StageClock,
 )
 from seqrisk.oracle import outcome_probability_dp
-from seqrisk.rng import substream
+from seqrisk.rng import KeyedStream, stream_keys, substream
 
 from conftest import lone_chain
 
@@ -107,6 +108,21 @@ class TestCohortSpec:
 
 
 class TestRandomChain:
+    # digests of the transition matrices of untargeted chains, taken before
+    # the chains' streams were read through one keyed Philox generator
+    UNTARGETED = {
+        (True, 0): "ace67c26133fb12fcbd09bdb40d4580cc2fbfb538bcd43642ec0a89ab73a6578",
+        (True, 3): "abe3a63af48fe9488087db2c78261af2af56dc87d70603f6710d86a046c4865f",
+        (False, 0): "fc11b6f62895f23621458af15da614313e2c0646adeebd92b063665484c81eab",
+        (False, 3): "908cd182d9fb7883f6e67fdc82e203f5ce9c780dfcd11ead1e34091fa08259ee",
+    }
+
+    @pytest.mark.parametrize("equal,seed", UNTARGETED)
+    def test_untargeted_chain_digest(self, equal, seed):
+        chain = random_chain(ChainSpec(11, 0.5, 20, seed=seed, equal_transitions=equal))
+        assert hashlib.sha256(chain.transition.tobytes()).hexdigest() == \
+            self.UNTARGETED[equal, seed]
+
     def test_spontaneity_round_trip(self):
         spec = ChainSpec(11, 0.4, 20, seed=1)
         chain = random_chain(spec)
@@ -162,7 +178,7 @@ class TestRandomChain:
     def test_seed_comes_from_the_spec(self):
         spec = ChainSpec(5, 0.5, 6, seed=6)
         assert np.array_equal(random_chain(spec).transition,
-                              lone_chain(spec, substream(6, 0, 0)).transition)
+                              lone_chain(spec, 6, 0, 0).transition)
 
     def test_equal_transitions_uniform_rows(self):
         chain = random_chain(ChainSpec(5, 1.0, 6, seed=6, target_probability=0.5,
@@ -179,13 +195,12 @@ class TestCalibratedStack:
         tpl = ChainSpec(*shape, equal_transitions=equal)
         targets = substream(4, 5, 0).uniform(0.03, 0.55, size=40)
         stack, achieved, errors = _calibrated_chains(
-            [tpl] * 40, targets, [substream(4, 6, i) for i in range(40)])
+            [tpl] * 40, targets, stream_keys(4, 6, np.arange(40)))
         assert errors == [None] * 40
         assert np.array_equal(
             achieved, outcome_probability_dp(stack, 0, tpl.n_states - 1, tpl.horizon_steps))
         for i, target in enumerate(targets):
-            alone = lone_chain(replace(tpl, target_probability=float(target)),
-                               substream(4, 6, i))
+            alone = lone_chain(replace(tpl, target_probability=float(target)), 4, 6, i)
             assert np.array_equal(stack[i], alone.transition)
 
     def test_infeasible_target_raises_as_alone_for_the_first_such_chain(self):
@@ -194,11 +209,11 @@ class TestCalibratedStack:
         tpl = ChainSpec(5, 0.5, 3)
         targets = [0.1, 0.1, 0.0, 0.1, 0.0]
         _, _, errors = _calibrated_chains(
-            [tpl] * 5, targets, [substream(2, 6, i) for i in range(5)])
+            [tpl] * 5, targets, stream_keys(2, 6, np.arange(5)))
         with pytest.raises(CalibrationError) as stacked:
             _raise_first(errors)
         with pytest.raises(CalibrationError) as alone:
-            lone_chain(replace(tpl, target_probability=0.0), substream(2, 6, 2))
+            lone_chain(replace(tpl, target_probability=0.0), 2, 6, 2)
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.achievable == alone.value.achievable
 
@@ -210,10 +225,10 @@ class TestCalibratedStack:
         specs = [ChainSpec(11, g, 20, target_probability=target, equal_transitions=equal)
                  for g in SPONTANEITY_GRID]
         stack, achieved, errors = _calibrated_chains(
-            specs, [target] * len(specs), [substream(5, 2, j, 0) for j in range(len(specs))])
+            specs, [target] * len(specs), stream_keys(5, 2, np.arange(len(specs)), 0))
         assert errors == [None] * len(specs)
         for j, spec in enumerate(specs):
-            alone = lone_chain(spec, substream(5, 2, j, 0))
+            alone = lone_chain(spec, 5, 2, j, 0)
             assert np.array_equal(stack[j], alone.transition)
             assert achieved[j] == exact_outcome_probability(alone)
 
@@ -221,15 +236,15 @@ class TestCalibratedStack:
         # the largest outcome probability bounds a target; a chain's DP does
         # not depend on its stack, so chains with and without one mix
         specs = [ChainSpec(11, 0.5, 20, target_probability=t) for t in (None, 0.3, None, 0.6)]
-        gens = [substream(7, 6, i) for i in range(4)]
+        keys = stream_keys(7, 6, np.arange(4))
         with mock.patch.object(experiments, "outcome_probability_dp",
                                wraps=outcome_probability_dp) as dp:
             stack, achieved, errors = _calibrated_chains(
-                specs, [s.target_probability for s in specs], gens)
+                specs, [s.target_probability for s in specs], keys)
         assert dp.call_args_list[0].args[0].shape == (2, 11, 11)
         assert errors == [None] * 4
         for i, spec in enumerate(specs):
-            alone = lone_chain(spec, substream(7, 6, i))
+            alone = lone_chain(spec, 7, 6, i)
             assert np.array_equal(stack[i], alone.transition)
             assert achieved[i] == exact_outcome_probability(alone)
         # without a target, only the probability the chain ends on
@@ -244,17 +259,52 @@ class TestCalibratedStack:
         tpl = ChainSpec(5, 0.5, 3)
         targets = [0.1, 0.1, 0.0, 0.1, 0.0]
         stack, _, errors = _calibrated_chains(
-            [tpl] * 5, targets, [substream(2, 6, i) for i in range(5)])
+            [tpl] * 5, targets, stream_keys(2, 6, np.arange(5)))
         for i, target in enumerate(targets):
             spec = replace(tpl, target_probability=target)
             if target == 0.0:
                 with pytest.raises(CalibrationError) as alone:
-                    lone_chain(spec, substream(2, 6, i))
+                    lone_chain(spec, 2, 6, i)
                 assert str(errors[i]) == str(alone.value)
                 assert errors[i].achievable == alone.value.achievable
             else:
                 assert errors[i] is None
-                assert np.array_equal(stack[i], lone_chain(spec, substream(2, 6, i)).transition)
+                assert np.array_equal(stack[i], lone_chain(spec, 2, 6, i).transition)
+
+
+class TestKeyedStreams:
+    """A stack's streams travel as Philox keys, read through one generator
+    only where a chain draws."""
+
+    def test_equal_transitions_with_targets_read_no_stream(self):
+        tpl = ChainSpec(6, 1.0, 12, equal_transitions=True)
+        targets = substream(4, 5, 0).uniform(0.03, 0.55, size=20)
+        with mock.patch.object(KeyedStream, "at") as at:
+            _, _, errors = _calibrated_chains(
+                [tpl] * 20, targets, stream_keys(4, 6, np.arange(20)))
+        at.assert_not_called()
+        assert errors == [None] * 20
+
+    def test_traced_bytes_per_row_of_the_benchmark_cohort(self):
+        # the benchmark cohort's 500 x 100 stack, 12 steps, reads about 64
+        # bytes per row: one generator per chain, read step by step, peaked
+        # at 78.4, a buffer of 2**18 uniforms at 101, and drawing the whole
+        # stack's uniforms ahead at once at 190
+        tpl = ChainSpec(6, 1.0, 12, equal_transitions=True)
+        n_pat, n = 500, 100
+        targets = 0.03 + 0.52 * substream(9, 5, 0).beta(1.8, 2.2, size=n_pat)
+        transitions, _, errors = _calibrated_chains(
+            [tpl] * n_pat, targets, stream_keys(9, 6, np.arange(n_pat)))
+        assert errors == [None] * n_pat
+        chain = experiments._chain_model(tpl, transitions[0])
+        keys = stream_keys(9, 7, np.arange(n_pat)), stream_keys(9, 8, np.arange(n_pat))
+        tracemalloc.start()
+        try:
+            experiments._sample_pools(chain, transitions, n, *keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n_pat * n) <= 70.0
 
 
 class TestCalibrationFailures:
@@ -273,14 +323,14 @@ class TestCalibrationFailures:
         with pytest.raises(CalibrationError) as raised:
             variance_sweep("sample_count", [1, 2], self.SPEC, 10)
         with pytest.raises(CalibrationError) as alone:
-            lone_chain(self.SPEC, substream(2, 3, 0, 0))
+            lone_chain(self.SPEC, 2, 3, 0, 0)
         self.assert_same_error(raised, alone)
 
     def test_distribution(self):
         with pytest.raises(CalibrationError) as raised:
             estimate_distribution_experiment(self.SPEC, 10, 5)
         with pytest.raises(CalibrationError) as alone:
-            lone_chain(self.SPEC, substream(2, 4, 0))
+            lone_chain(self.SPEC, 2, 4, 0)
         self.assert_same_error(raised, alone)
 
     def test_cohort_raises_for_the_lowest_numbered_failing_patient(self):
@@ -294,7 +344,7 @@ class TestCalibrationFailures:
         failing = []
         for i, target in enumerate(targets):
             try:
-                lone_chain(replace(tpl, target_probability=float(target)), substream(5, 6, i))
+                lone_chain(replace(tpl, target_probability=float(target)), 5, 6, i)
             except CalibrationError as exc:
                 failing.append(exc)
         assert len(failing) == 2
@@ -445,8 +495,7 @@ def reference_sweep(axis, grid, base, replications):
     for j, g in enumerate(grid):
         task = f"{axis}={g:g}"
         try:
-            chain = lone_chain(replace(base, **{varied: float(g)}),
-                               substream(seed, aid, j, 0))
+            chain = lone_chain(replace(base, **{varied: float(g)}), seed, aid, j, 0)
         except (CalibrationError, ValueError):
             rows.append(MetricRow(task, "", 0, "failed", float("nan"), seed=seed))
             continue
@@ -894,8 +943,7 @@ def per_patient_cohort_csv(spec):
     p_exact = np.empty(n_pat)
     pools = {kind: np.empty((n_pat, n)) for kind in (MC, SCOPE, REACH)}
     for i in range(n_pat):
-        chain = lone_chain(replace(tpl, target_probability=float(targets[i])),
-                           substream(seed, 6, i))
+        chain = lone_chain(replace(tpl, target_probability=float(targets[i])), seed, 6, i)
         p_exact[i] = exact_outcome_probability(chain)
         pools[MC][i], pools[SCOPE][i] = sample_batch(
             chain, STANDARD, n, substream(seed, 7, i))

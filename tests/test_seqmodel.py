@@ -32,7 +32,7 @@ from seqrisk import (
     validate,
 )
 from seqrisk import seqmodel
-from seqrisk.rng import substream
+from seqrisk.rng import KeyedStream, stream_keys, substream
 
 from conftest import (
     RuledChain,
@@ -618,10 +618,99 @@ class TestSampleMarkovBatch:
             assert np.isclose(scope[[0, 2]].max(), 0.5, rtol=0.0, atol=1e-15)
 
 
+class TestKeyedGroups:
+    """A keyed stack steps in groups of whole chains: a group of one chain
+    reads its stream step by step, a larger group draws every step's
+    uniforms of each chain ahead.  Whatever the groups, each chain gets the
+    values :func:`sample_batch` gives it alone on its key's stream."""
+
+    N = 30
+
+    def case(self, name):
+        """``(stack, initial state, vocab, horizon)``; every case's loop runs
+        ``horizon.max_steps`` steps."""
+        if name == "terminal token and time limit":
+            rows, vocab, horizon = ruled_rows(0, (4, 5, 5))
+            return rows, 0, vocab, horizon
+        if name == "degenerate rows":
+            # state 2 of chains 0 and 2 and state 1 of chain 1 send all
+            # their mass to the outcome 3
+            rows = np.array(TestDegenerateGate.ROWS)
+            other = rows.copy()
+            other[0] = [0.3, 0.3, 0.2, 0.2]
+            other[1] = [0.0, 0.0, 0.0, 1.0]
+            m = MarkovModel.step_mode(rows, 0, 3, 6)
+            return np.array([rows, other, rows]), 0, m.vocabulary, m.horizon
+        if name == "rows that all stop at step 1":
+            vocab = Vocabulary(size=3, outcome=2, terminal=frozenset({1}),
+                               time_map=[0.5, 1.0, 1.0])
+            drift = [[0.9, 0.0, 0.1]] * 3
+            stack = np.array([drift, [[0.0, 1.0, 0.0]] * 3, drift])
+            return stack, 0, vocab, HorizonPolicy(max_steps=8, time_limit=2.0)
+        # unit times, no terminal token and an absorbing outcome: when
+        # excluded, every row runs every step
+        rows = substream(0, 40, 2).random((5, 4, 4)) + 0.05
+        rows[:, 3] = [0.0, 0.0, 0.0, 1.0]
+        rows /= rows.sum(axis=-1, keepdims=True)
+        m = MarkovModel.step_mode(rows[0], 0, 3, 5)
+        return rows, 0, m.vocabulary, m.horizon
+
+    def budget(self, grouping, chains, steps):
+        """A ``_GROUP`` that makes the groups of ``grouping``."""
+        if grouping == "one chain":
+            # one step of one chain: too small for a window of two chains
+            return self.N
+        if grouping == "windows":
+            # two chains per group, drawing 2 steps ahead at a time
+            return 2 * (2 * self.N + 3)
+        per_group = chains if grouping == "whole stack" else 2
+        return per_group * (self.N * steps + 3)
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    @pytest.mark.parametrize("grouping", ["one chain", "two chains", "whole stack",
+                                          "windows"])
+    @pytest.mark.parametrize("name", ["terminal token and time limit", "degenerate rows",
+                                      "rows that all stop at step 1", "no early ends"])
+    def test_each_chain_equals_its_batch_alone(self, name, grouping, mode):
+        stack, initial, vocab, horizon = self.case(name)
+        budget = self.budget(grouping, len(stack), horizon.max_steps)
+        with mock.patch.object(seqmodel, "_GROUP", budget):
+            check_stack_against_each_chain(stack, initial, vocab, horizon, mode, self.N, 4)
+
+    @pytest.mark.parametrize("grouping,draws", [("one chain", 1), ("two chains", 1),
+                                                ("whole stack", 1), ("windows", 3)])
+    def test_each_window_sets_each_stream_once(self, grouping, draws):
+        # a group of one chain sets the stream to its key and reads it step
+        # by step; a larger group sets it once per chain and window: every
+        # row runs all 5 steps, 3 windows of up to 2
+        stack, initial, vocab, horizon = self.case("no early ends")
+        keys = stream_keys(4, 30, np.arange(len(stack)))
+        budget = self.budget(grouping, len(stack), horizon.max_steps)
+        with mock.patch.object(seqmodel, "_GROUP", budget), \
+                mock.patch.object(KeyedStream, "at", autospec=True,
+                                  side_effect=KeyedStream.at) as at:
+            seqmodel._sample_stack((stack, initial), vocab, horizon, OUTCOME_EXCLUDED,
+                                   self.N, keys)
+        got = [call.args[1].tobytes() for call in at.call_args_list]
+        per = {"one chain": 1, "whole stack": len(keys)}.get(grouping, 2)
+        want = [key.tobytes() for g in range(0, len(keys), per)
+                for _ in range(draws) for key in keys[g:g + per]]
+        assert got == want
+
+    def test_a_stack_reads_keys(self):
+        stack, initial, vocab, horizon = self.case("no early ends")
+        with pytest.raises(ValueError, match="Philox keys"):
+            seqmodel._sample_stack((stack, initial), vocab, horizon, STANDARD, 3,
+                                   substream(0, 1, 2))
+        with pytest.raises(ValueError, match="Philox keys"):
+            seqmodel._sample_stack((stack, initial), vocab, horizon, STANDARD, 3,
+                                   stream_keys(0, 1, np.arange(2)))
+
+
 class TestBlockInvariance:
     """A step walks the running rows in blocks of ``_BLOCK`` rows; every
-    block size gives the values and leaves every stream where one block
-    per step does."""
+    block size gives the values one block per step gives, and leaves a lone
+    chain's stream where it does."""
 
     BLOCKS = [1, 7, 1000]
 
@@ -664,11 +753,14 @@ class TestBlockInvariance:
         source, vocab, horizon, n, n_streams = self.case(name)
 
         def run():
-            streams = [substream(3, 50, c) for c in range(n_streams)]
-            values = seqmodel._sample_stack(source, vocab, horizon, mode, n, streams)
-            # where each stream stands: the words it gives next
-            return ([v.tobytes() for v in values],
-                    [s.bit_generator.random_raw(5).tobytes() for s in streams])
+            if n_streams > 1:
+                keys = stream_keys(3, 50, np.arange(n_streams))
+                values = seqmodel._sample_stack(source, vocab, horizon, mode, n, keys)
+                return [v.tobytes() for v in values]
+            rng = substream(3, 50, 0)
+            values = seqmodel._sample_stack(source, vocab, horizon, mode, n, rng)
+            # where the stream stands: the words it gives next
+            return [v.tobytes() for v in values], rng.bit_generator.random_raw(5).tobytes()
 
         want = run()
         for block in self.BLOCKS:
@@ -694,18 +786,17 @@ class TestBlockInvariance:
 
 
 def check_stack_against_each_chain(stack, initial, vocab, horizon, mode, n, seed):
-    """Chain ``c``'s rows of the stack equal its batch alone on
-    ``substream(seed, 30, c)``, and both streams stand at the same position
-    afterwards.  Returns the stack's values."""
-    streams = [substream(seed, 30, c) for c in range(len(stack))]
-    values = seqmodel._sample_stack((stack, initial), vocab, horizon, mode, n, streams)
+    """Chain ``c``'s rows of the stack, keyed by ``stream_keys(seed, 30, c)``,
+    equal its batch alone on ``Generator(Philox(key=keys[c]))``.  Returns
+    the stack's values."""
+    keys = stream_keys(seed, 30, np.arange(len(stack)))
+    values = seqmodel._sample_stack((stack, initial), vocab, horizon, mode, n, keys)
     for c, rows in enumerate(stack):
-        rng = substream(seed, 30, c)
+        rng = np.random.Generator(np.random.Philox(key=keys[c]))
         alone = ruled_batch(RuledChain(rows, initial, vocab, horizon), mode, n, rng)
         assert len(values) == len(alone)
         for got, want in zip(values, alone):
             assert np.array_equal(got[c], want)
-        assert streams[c].random() == rng.random()
     return values
 
 
@@ -765,14 +856,14 @@ class TestPinnedBits:
     def stack_values(mode):
         rows, vocab, horizon = ruled_rows(0, (4, 5, 5))
         return seqmodel._sample_stack((rows, 0), vocab, horizon, mode, 300,
-                                      [substream(0, 41, c) for c in range(4)])
+                                      stream_keys(0, 41, np.arange(4)))
 
     @staticmethod
     def table_values(mode):
         # n = 2 * _BINS rows of one chain draw from its bucket table
         rows, vocab, horizon = ruled_rows(1, (5, 5))
         return seqmodel._sample_stack((rows[None], 0), vocab, horizon, mode,
-                                      2 * seqmodel._BINS, [substream(0, 42, 0)])
+                                      2 * seqmodel._BINS, substream(0, 42, 0))
 
     @pytest.mark.parametrize("n,mode", CHAIN)
     def test_benchmark_chain(self, n, mode):
