@@ -215,8 +215,32 @@ def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
     without samples, a row without a CI."""
     if len(samples) == 0:
         return MetricRow(task, kind, n, statistic, value, seed=seed)
-    return _widened_row(task, kind, n, statistic, value,
-                        *np.percentile(samples, [2.5, 97.5]), seed)
+    return _widened_row(task, kind, n, statistic, value, *_ci_bounds(samples), seed)
+
+
+def _ci_bounds(samples) -> tuple:
+    """The 2.5th and 97.5th percentiles of ``samples`` along the last axis,
+    bit for bit those of ``np.percentile(samples, [2.5, 97.5], axis=-1)``
+    (method "linear") for samples without NaN, from one sort.
+
+    The ``q``-quantile lies at the virtual index ``(n - 1) * q`` of the
+    sorted samples, between the entries ``a`` and ``b`` around it, at the
+    fraction ``g`` of the way; like numpy it is ``a + (b - a) * g`` below
+    ``g = 0.5`` and ``b - (b - a) * (1 - g)`` from there on.
+    ``np.percentile`` itself imports ``numpy.ma`` (through ``np.unique``),
+    about 1 MB and 12 ms that no other step of a cohort needs.
+    """
+    ordered = np.sort(samples, axis=-1)
+    last = ordered.shape[-1] - 1
+    bounds = []
+    for q in (2.5 / 100, 97.5 / 100):
+        virtual = last * q
+        below = math.floor(virtual)
+        gamma = virtual - below
+        a, b = ordered[..., below], ordered[..., min(below + 1, last)]
+        diff = b - a
+        bounds.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return tuple(bounds)
 
 
 def _widened_row(task, kind, n, statistic, value, lo, hi, seed) -> MetricRow:
@@ -1028,9 +1052,9 @@ def _running_sums(rows) -> None:
 def _auroc_rows(kind: str, auc, seed: int) -> list:
     """The ``auroc`` row of every sample count ``1..pool_n`` of ``kind`` from
     its ``(pool_n, rounds)`` AUROCs: the rows :func:`_ci_row` gives one by
-    one, from one mean and one percentile call."""
+    one, from one mean and one sort (:func:`_ci_bounds`)."""
     means = auc.mean(axis=1)
-    lows, highs = np.percentile(auc, [2.5, 97.5], axis=1)
+    lows, highs = _ci_bounds(auc)
     return [_widened_row("cohort", kind, j + 1, "auroc", float(means[j]), lows[j], highs[j],
                          seed) for j in range(len(auc))]
 

@@ -496,44 +496,54 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     chain does.
 
     The running rows' state is allocated once per group, freed before the
-    next group's, and kept compacted at its front: their last tokens,
-    hazard sums or survival products, chain offsets (groups of several
-    chains only), elapsed times (non-unit times only) and row numbers in
-    ascending order (only where a row can end before the last step), 8
-    bytes per row each, plus the result arrays.  A step walks the running
-    rows in order in blocks of ``_BLOCK``: a block takes its rows'
-    uniforms, finds their next tokens into buffers of one block allocated
-    once per call, writes them into the running state, writes the values
-    of the rows that stop to the result, and moves the others forward in
-    place.  Beyond the result arrays, a call allocates nothing that grows
-    with the rows past one group.
+    next group's, and kept compacted at its front: their last tokens
+    (int16, or int32 from 2**15 tokens on), hazard sums or survival
+    products (float64), chain offsets (groups of several chains only),
+    elapsed times (float64, non-unit times only) and row numbers in
+    ascending order (only where a row can end before the last step); chain
+    offsets and row numbers are int32 below 2**31 rows, else intp
+    (:func:`_state_types`).  So a running row of one chain under unit
+    times takes 14 bytes in standard mode (token, hazard sum, row number)
+    plus 9 of results (value and hit), and 10 bytes in outcome-excluded
+    mode on a chain where no row ends early, its survival products being
+    the result.  A step walks the running rows in order in blocks of
+    ``_BLOCK``: a block takes its rows' uniforms, finds their next tokens
+    into buffers of one block allocated once per call, writes them into
+    the running state, writes the values of the rows that stop to the
+    result, and moves the others forward in place.  Beyond the result
+    arrays, a call allocates nothing that grows with the rows past one
+    group.
 
     A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
-    least ``_BINS`` rows reads that count from :func:`_bucket_table` at
-    ``floor(u * _BINS)``, the top ``log2(_BINS)`` bits of the word that
-    ``u = (word >> 11) * 2**-53`` is made of (it draws the words
-    ``bit_generator.random_raw(k)``); only rows whose bucket holds a
-    cumulative probability (at most one bucket per token) build their ``u``
-    and compare against the row.  Both ways give the same token for every
-    ``u``.  Smaller batches, stacks and other models always compare, one
-    column of the cumulative rows at a time, into the block buffers; a
-    stack's table would take ``P * S * _BINS`` entries.  With no stopping
-    token and no time limit (the outcome-excluded mode of a chain), a step
-    skips the stop test: only the step count, or a degenerate step, ends a
-    row.
+    least ``_BINS`` rows reads that count from :func:`_bucket_table`, built
+    in the tokens' type, at ``floor(u * _BINS)``, the top ``log2(_BINS)``
+    bits of the word that ``u = (word >> 11) * 2**-53`` is made of (it
+    draws the words ``bit_generator.random_raw(k)``); only rows whose
+    bucket holds a cumulative probability (at most one bucket per token)
+    build their ``u`` and compare against the row.  Both ways give the
+    same token for every ``u``.  Smaller batches, stacks and other models
+    always compare, one column of the cumulative rows at a time, into the
+    block buffers; a stack's table would take ``P * S * _BINS`` entries.
+    With no stopping token and no time limit (the outcome-excluded mode of
+    a chain), a step skips the stop test: only the step count, or a
+    degenerate step, ends a row.
     """
     _check_mode(mode)
     size, o = vocab.size, vocab.outcome
     excluded = mode == OUTCOME_EXCLUDED
+    n_chains = source[0].shape[0] if isinstance(source, tuple) else 1
+    # chain offsets stay below P * S, far below 2**31 for any stack that
+    # fits in memory (it holds P * S * S floats)
+    token_type, row_type = _state_types(size, n_chains * n)
     if isinstance(source, tuple):
         transition, initial_state = source
-        n_chains, model = transition.shape[0], None
+        model = None
         if transition.shape[-1] != size:
             raise ValueError("vocabulary size does not match the model")
         # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
         tables = _draw_tables(transition.reshape(-1, size), o, excluded)
         degenerate = tables[2]
-        table = _bucket_table(tables[1]) if n_chains == 1 and n >= _BINS else None
+        table = _bucket_table(tables[1], token_type) if n_chains == 1 and n >= _BINS else None
         # a running row stands on the initial state or on a drawn token, and
         # an outcome-excluded draw never gives the outcome
         check_degenerate = excluded and (
@@ -541,7 +551,7 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         )
     else:
         # the initial state only fills ``st``, which holds each row's last token
-        model, n_chains, initial_state, table = source, 1, 0, None
+        model, initial_state, table = source, 0, None
         prefixes = [[] for _ in range(n)]
         check_degenerate = excluded
     keyed = isinstance(streams, np.ndarray)
@@ -607,18 +617,19 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         # array: last token, hazard sum (survival product when excluded),
         # chain offset in the group's flat tables (a lone chain's states
         # index them directly), elapsed time and row number, ascending
-        st = np.full(k, initial_state, dtype=np.intp)
+        st = np.full(k, initial_state, dtype=token_type)
         acc = np.ones(k) if excluded else np.zeros(k)
-        off = np.repeat(np.arange(c1 - c0) * size, n) if per > 1 else None
+        off = np.repeat(np.arange(c1 - c0, dtype=row_type) * size, n) if per > 1 else None
         el = np.zeros(k) if limit is not None else None
-        ids = np.arange(c0 * n, c1 * n) if ends_early else None
+        ids = np.arange(c0 * n, c1 * n, dtype=row_type) if ends_early else None
         running = [a for a in (st, acc, off, el, ids) if a is not None]
         if model is None:
             hazard, cum, degenerate, keep = (a[c0 * size:c1 * size] for a in tables)
         if per == 1:
             rng = stream.at(streams[c0]) if keyed else streams
         else:
-            first_rows = np.arange(c0, c1 + 1) * n
+            # the dtype of ``ids``, so that searchsorted converts neither
+            first_rows = np.arange(c0, c1 + 1, dtype=row_type) * n
             # uniforms each chain of the group has read
             read = np.zeros(c1 - c0, dtype=np.intp)
         for t in range(steps):
@@ -684,18 +695,19 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                 else:
                     # random() turns a word into u = (word >> 11) * 2**-53, so u's
                     # bucket floor(u * _BINS) is the word's top bits, and a row's
-                    # key is state * _BINS + bucket
+                    # key is bucket * S + state, built in the intp buffer: scaled
+                    # in place, the narrow tokens would overflow
                     word = rng.bit_generator.random_raw(m)
                     key = idx_buf[:m]
                     np.right_shift(word, shift, out=key.view(np.uint64))
-                    tokens *= _BINS
+                    key *= size
                     key += tokens
                     _take(table, key, tokens)
                     split = np.flatnonzero(np.less(tokens, 0, out=flag))
                     if split.size:
                         # about S / _BINS of the rows: gathering their whole rows is cheap
                         u = (word[split] >> 11) * 2.0**-53
-                        tokens[split] = (cum[key[split] // _BINS] <= u[:, None]).sum(axis=1)
+                        tokens[split] = (cum[key[split] % size] <= u[:, None]).sum(axis=1)
                     del word
                 if model is not None:
                     for i, token in zip(ids[lo:hi].tolist(), tokens.tolist()):
@@ -709,7 +721,8 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                     # few rows stop in a step: index them by position, not by mask
                     at = np.flatnonzero(stop)
                 if len(at):
-                    gone = ids[lo:hi][at]
+                    # intp: numpy scatters through int32 indices 2-3 times slower
+                    gone = ids[lo:hi][at].astype(np.intp)
                     final[gone] = acc[lo:hi][at]
                     if hit is not None:
                         hit[gone] = tokens[at] == o
@@ -754,27 +767,39 @@ def _compact(arrays, lo, hi, live, to) -> int:
     return count
 
 
-def _bucket_table(cum: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup table: the next token of ``cum[s]`` by ``u``'s bucket.
+def _state_types(size: int, rows: int) -> tuple:
+    """``(token type, row type)`` of :func:`_sample_stack`'s running state
+    for a vocabulary of ``size`` tokens and indices below ``rows``: tokens
+    (and the bucket table) in int16 below 2**15 tokens, else int32; row
+    numbers and chain offsets in int32 below 2**31, else intp."""
+    return (np.dtype(np.int16 if size < 1 << 15 else np.int32),
+            np.dtype(np.int32 if rows < 1 << 31 else np.intp))
 
-    Entry ``s * _BINS + b`` holds ``(cum[s] <= u).sum()``, the count every
-    ``u`` in ``[b / _BINS, (b + 1) / _BINS)`` gives, or -1 when some entry
-    of ``cum[s]`` lies strictly inside that interval and the count depends
-    on ``u``.  It is exact because ``cum * _BINS`` is: an entry ``c`` is at
+
+def _bucket_table(cum: np.ndarray, dtype) -> np.ndarray:
+    """Inverse-CDF lookup table, in ``dtype``: the next token of ``cum[s]``
+    by ``u``'s bucket.
+
+    Entry ``b * R + s``, for the ``R`` rows of ``cum``, holds
+    ``(cum[s] <= u).sum()``, the count every ``u`` in
+    ``[b / _BINS, (b + 1) / _BINS)`` gives, or -1 when some entry of
+    ``cum[s]`` lies strictly inside that interval and the count depends on
+    ``u``.  It is exact because ``cum * _BINS`` is: an entry ``c`` is at
     most ``b / _BINS`` iff ``ceil(c * _BINS) <= b``, and below
     ``(b + 1) / _BINS`` iff ``floor(c * _BINS) <= b``, so two per-row
     histograms of those integers and their cumulative sums give both
-    counts.  Rows need not be sorted.
+    counts.  Rows need not be sorted.  Bucket-major entries let the sampler
+    scale a bucket by ``R`` in place and add the row's state to it.
     """
     rows = cum.shape[0]
     scaled = cum * _BINS
-    # one histogram slot per bucket plus one for "above the last bucket"
-    offsets = np.arange(rows)[:, None] * (_BINS + 1)
+    # one histogram slot per (bucket, row), plus a bucket for "above the last"
+    offsets = np.arange(rows)[:, None]
 
     def at_or_below(edges):
-        slot = np.clip(edges, 0, _BINS).astype(np.intp) + offsets
-        hist = np.bincount(slot.ravel(), minlength=rows * (_BINS + 1))
-        return hist.reshape(rows, _BINS + 1).cumsum(axis=1)[:, :_BINS]
+        slot = np.clip(edges, 0, _BINS).astype(np.intp) * rows + offsets
+        hist = np.bincount(slot.ravel(), minlength=(_BINS + 1) * rows)
+        return hist.reshape(_BINS + 1, rows).cumsum(axis=0, dtype=dtype)[:_BINS]
 
     first = at_or_below(np.ceil(scaled))
     return np.where(first == at_or_below(np.floor(scaled)), first, -1).ravel()

@@ -459,3 +459,17 @@ def test_import_leaves_scipy_unloaded():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_a_cohort_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile imports numpy.ma through np.unique, about 1 MB and 12 ms
+    # of every cold cohort; the cohort's CIs sort their samples instead
+    out_path = tmp_path / "cohort.csv"
+    code = ("import sys; from seqrisk import cli; "
+            "code = cli.main(['cohort', '--patients', '30', '--timelines', '20', "
+            f"'--rounds', '5', '--seed', '3', '--out', {str(out_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert ",auroc," in out_path.read_text()

@@ -49,6 +49,7 @@ from seqrisk.experiments import (
     _auroc_rows,
     _bootstrap_aurocs,
     _calibrated_chains,
+    _ci_bounds,
     _ci_row,
     _cohort_metrics,
     _equivalence,
@@ -1048,6 +1049,19 @@ class TestCohortBootstrap:
         pools[kind][3, 4] = bad
         with pytest.raises(ValueError):
             _bootstrap_aurocs(pools, labels, rounds, 3)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_ci_bounds_equal_numpy_percentiles(self, ties):
+        rng = substream(0, 52, int(ties))
+        for n in range(1, 101):
+            samples = rng.random(n)
+            if ties:
+                samples = rng.choice(samples[:max(1, n // 4)], size=n)
+            want = np.percentile(samples, [2.5, 97.5])
+            assert np.array(_ci_bounds(samples)).tobytes() == want.tobytes(), n
+            rows = np.stack([samples, samples[::-1] * 3.0, np.full(n, 0.1)])
+            want = np.percentile(rows, [2.5, 97.5], axis=1)
+            assert np.array(_ci_bounds(rows)).tobytes() == want.tobytes(), n
 
     @pytest.mark.parametrize("rounds", [1, 2, 7, 40, 129])
     def test_auroc_rows_equal_one_ci_row_per_count(self, rounds):

@@ -767,11 +767,13 @@ class TestBlockInvariance:
             with mock.patch.object(seqmodel, "_BLOCK", block):
                 assert run() == want, block
 
-    @pytest.mark.parametrize("mode,most", [(STANDARD, 48.0), (OUTCOME_EXCLUDED, 32.0)])
+    @pytest.mark.parametrize("mode,most", [(STANDARD, 30.0), (OUTCOME_EXCLUDED, 16.0)])
     def test_traced_bytes_per_row(self, mode, most):
-        # the running state is allocated once and a step's buffers hold one
-        # block; a sampler that allocates its per-step temporaries afresh,
-        # one entry per running row, peaks at 51.9 and 50.7 bytes per row
+        # the running state is allocated once, its tokens in 16 bits and its
+        # row numbers in 32, and a step's buffers hold one block; with every
+        # integer in 8 bytes the peak is 38.5 and 21.3 bytes per row, and a
+        # sampler that allocates its per-step temporaries afresh, one entry
+        # per running row, peaks at 51.9 and 50.7
         chain = random_chain(ChainSpec(n_states=11, spontaneity=0.5, horizon_steps=20,
                                        target_probability=0.3, seed=0))
         n = 256_000
@@ -819,6 +821,57 @@ def ruled_rows(key, shape):
     vocab = Vocabulary(size=5, outcome=4, terminal=frozenset({3}),
                        time_map=[1.0, 0.5, 1.5, 0.0, 1.0])
     return rows, vocab, HorizonPolicy(max_steps=12, time_limit=6.0)
+
+
+class WideVocabulary:
+    """A model over 2**15 + 5 tokens that draws only four of them, two
+    beyond int16's range, its next distribution set by the last one, under
+    a terminal token and a time limit: the sampler holds its tokens in
+    int32.  A :class:`MarkovModel` that wide would take 8 GiB."""
+
+    SIZE = 2**15 + 5
+    TOKENS = np.array([0, 9, 2**15, 2**15 + 4])  # the last is the outcome
+
+    def __init__(self, seed):
+        rows = substream(0, 43, seed).random((4, 4))
+        rows[rows < 0.2] = 0.0
+        rows[:, 0] += 0.01
+        self.rows = rows / rows.sum(axis=1, keepdims=True)
+        times = np.zeros(self.SIZE)
+        times[self.TOKENS] = [1.0, 0.5, 1.5, 1.0]
+        self.vocabulary = Vocabulary(size=self.SIZE, outcome=self.SIZE - 1,
+                                     terminal=frozenset({9}), time_map=times)
+        self.horizon = HorizonPolicy(max_steps=5, time_limit=3.5)
+
+    def next_distribution(self, prefix):
+        dist = np.zeros(self.SIZE)
+        dist[self.TOKENS] = self.rows[np.searchsorted(self.TOKENS, prefix[-1]) if prefix else 0]
+        return dist
+
+
+class TestStateTypes:
+    """The running state's integers take the narrowest types the vocabulary
+    and the row count allow (:func:`seqmodel._state_types`)."""
+
+    @pytest.mark.parametrize("size,rows,want", [
+        (2**15 - 1, 1, (np.int16, np.int32)),
+        (2**15, 1, (np.int32, np.int32)),
+        (2, 2**31 - 1, (np.int16, np.int32)),
+        (2, 2**31, (np.int16, np.intp)),
+        (2**31, 2**31, (np.int32, np.intp)),
+    ])
+    def test_types_at_their_edges(self, size, rows, want):
+        assert seqmodel._state_types(size, rows) == tuple(np.dtype(t) for t in want)
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_int32_tokens_match_the_reference(self, mode, seed):
+        model = WideVocabulary(seed)
+        with mock.patch.object(seqmodel, "_state_types",
+                               wraps=seqmodel._state_types) as types:
+            check_against_reference(sample_batch, model, mode,
+                                    lambda: trajectory_stream(seed), n=8)
+        assert seqmodel._state_types(*types.call_args.args)[0] == np.int32
 
 
 class TestPinnedBits:
@@ -876,6 +929,18 @@ class TestPinnedBits:
     @pytest.mark.parametrize("mode", TABLE)
     def test_single_chain_bucket_table(self, mode):
         assert sha256_of(self.table_values(mode)) == self.TABLE[mode]
+
+    @pytest.mark.parametrize("types", [(np.int32, np.int32), (np.int16, np.intp),
+                                       (np.int32, np.intp)])
+    def test_digests_hold_in_wider_types(self, types):
+        # what a vocabulary of 2**15 tokens or a call of 2**31 rows runs
+        with mock.patch.object(seqmodel, "_state_types",
+                               return_value=tuple(np.dtype(t) for t in types)):
+            for mode in (STANDARD, OUTCOME_EXCLUDED):
+                for n in (4096, 500):
+                    assert sha256_of(self.chain_values(n, mode)) == self.CHAIN[n, mode]
+                assert sha256_of(self.stack_values(mode)) == self.STACK[mode]
+                assert sha256_of(self.table_values(mode)) == self.TABLE[mode]
 
     @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
     def test_digests_hold_in_blocks_of_7_rows(self, mode):
@@ -963,7 +1028,7 @@ class TestBucketTable:
 
     def test_lookup_equals_comparison_at_every_edge_and_boundary(self):
         for cum in self.CUMS:
-            table = seqmodel._bucket_table(cum[None, :])
+            table = seqmodel._bucket_table(cum[None, :], np.int16)
             assert table.shape == (self.B,)
             us = [b / self.B for b in range(self.B)]
             for c in cum:
@@ -979,10 +1044,10 @@ class TestBucketTable:
 
     def test_rows_are_independent(self):
         cums = np.array([c for c in self.CUMS if c.size == 3])
-        table = seqmodel._bucket_table(cums)
+        table = seqmodel._bucket_table(cums, np.int16)
         for s, cum in enumerate(cums):
-            own = seqmodel._bucket_table(cum[None, :])
-            assert np.array_equal(table[s * self.B:(s + 1) * self.B], own)
+            own = seqmodel._bucket_table(cum[None, :], np.int16)
+            assert np.array_equal(table[s::len(cums)], own)
 
 
 class TestValidate:
