@@ -157,20 +157,18 @@ _SWEEP_DEFAULTS = {
 
 
 def _write_table(args, table, **svg_kw) -> None:
-    """Render the table as ``--format`` asks, then write it; a table that
-    timed its stages gets them, plus ``write``, in the manifest."""
+    """Render the table as CSV, plus an SVG plot under ``--format svg``,
+    then write it; a table that timed its stages gets them, plus ``write``,
+    in the manifest."""
     started = time.perf_counter()
     out = Path(args.out)
-    if args.format == "json":
-        files = {out: table.to_json().encode()}
-    else:
-        files = {out: table.to_csv_text().encode()}
-        if args.format == "svg":
-            svg = out.with_suffix(".svg")
-            try:
-                files[svg] = table_plot(table, **svg_kw).encode()
-            except EmptyPlotError:
-                print(f"skipped {svg}: nothing to plot", file=sys.stderr)
+    files = {out: table.to_csv_text().encode()}
+    if args.format == "svg":
+        svg = out.with_suffix(".svg")
+        try:
+            files[svg] = table_plot(table, **svg_kw).encode()
+        except EmptyPlotError:
+            print(f"skipped {svg}: nothing to plot", file=sys.stderr)
     _write(args, files, table.stage_seconds, started)
 
 
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def table(p):
         artifact(p)
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+        p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     p = sub.add_parser("validate", help="check a chain file for stochasticity")
     p.add_argument("--model", required=True)

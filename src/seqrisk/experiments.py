@@ -26,7 +26,6 @@ parameters:
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import time
@@ -206,9 +205,6 @@ class MetricRow:
                 f"value {self.value} outside CI [{self.ci_low}, {self.ci_high}]"
             )
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 def _ci_row(task, kind, n, statistic, value, samples, seed) -> MetricRow:
     """Row with a percentile 95% CI, widened if needed to contain the value;
@@ -325,9 +321,6 @@ class ExperimentTable:
                     )
                 )
         return cls(tuple(rows))
-
-    def to_json(self) -> str:
-        return json.dumps([r.as_record() for r in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +533,7 @@ def variance_sweep(
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    _check_number("replications", replications, numbers.Integral)
     if replications < 2:
         raise ValueError("replications must be >= 2")
     clock = _StageClock()
@@ -655,6 +649,8 @@ def estimate_distribution_experiment(
     by construction; the other two fill in between.  Every stream derives
     from ``spec.seed``.
     """
+    _check_number("n_estimates", n_estimates, numbers.Integral)
+    _check_number("samples_per_estimate", samples_per_estimate, numbers.Integral)
     if n_estimates < 1 or samples_per_estimate < 1:
         raise ValueError("n_estimates and samples_per_estimate must be >= 1")
     seed = spec.seed
@@ -1085,16 +1081,15 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
             replicate_table[(kind, j + 1)] = reps
         rows.extend(_auroc_rows(kind, auc[kind], seed))
 
-    eq_count = {MC: pool_n}
+    # with one class no replicate AUROC exists: every kind scores at pool_n
+    eq_count = dict.fromkeys(KINDS, pool_n)
     for stage, alt in enumerate((SCOPE, REACH)):
-        try:
-            res = _equivalence(
-                replicate_table, MC, pool_n, alt, rounds,
-                substream(seed, 10, stage), seed_label=seed,
-            )
-        except ValueError:
-            eq_count[alt] = pool_n
-            continue
+        if one_class:
+            break
+        res = _equivalence(
+            replicate_table, MC, pool_n, alt, rounds,
+            substream(seed, 10, stage), seed_label=seed,
+        )
         rows.append(res.row)
         m_value = float(res.m_point) if res.m_point is not None else float("nan")
         rows.append(

@@ -265,7 +265,7 @@ def dispersion_probability(n_samples: int, p_base: float, p_elevated: float) -> 
     ``sum_k Binom(k; n, p_base) * P(Binom(n, p_elevated) > k)``.
     Binomial terms are evaluated in log space.
     """
-    if n_samples < 1 or int(n_samples) != n_samples:
+    if isinstance(n_samples, bool) or n_samples < 1 or int(n_samples) != n_samples:
         raise ValueError("n_samples must be a positive integer")
     for name, p in (("p_base", p_base), ("p_elevated", p_elevated)):
         if not 0.0 <= p <= 1.0:

@@ -30,12 +30,11 @@ groups of its chains draw their uniforms ahead.  A token is drawn by one
 inverse-CDF rule: the next token is the number of cumulative
 probabilities at or below the uniform ``u``, where every entry from the
 last token that can be drawn onward is 1, so no ``u`` draws a token of
-probability 0.  A single chain's batch of at least ``_BINS`` rows looks
-that count up in an exact bucket table (Chen & Asau's guide table),
-falling back to the comparison only where a cumulative probability lies
-inside ``u``'s bucket; it reads its uniforms as the 64-bit words they are
-made of, so a stream over MT19937, whose doubles take two 32-bit words,
-is rejected.
+probability 0.  A chain that steps alone looks that count up in an exact
+bucket table (Chen & Asau's guide table), falling back to the comparison
+only where a cumulative probability lies inside ``u``'s bucket; it reads
+its uniforms as the 64-bit words they are made of, so a stream over
+MT19937, whose doubles take two 32-bit words, is rejected.
 
 A :class:`MarkovModel` is validated once, at construction.  The
 distributions of any other model are checked as the sampler and the
@@ -68,9 +67,8 @@ DEGENERATE_HAZARD = 1.0 - 1e-15
 #: tolerance for "sums to one" checks on probability vectors
 PROBABILITY_TOL = 1e-12
 
-#: buckets per state of the inverse-CDF table in :func:`_sample_stack`, which
-#: a single chain uses for batches of at least this many rows; a power of two, so
-#: ``u * _BINS`` and ``cum * _BINS`` are exact
+#: buckets per state of the inverse-CDF table in :func:`_sample_stack`; a
+#: power of two, so ``u * _BINS`` and ``cum * _BINS`` are exact
 _BINS = 1024
 
 #: running rows a step of :func:`_sample_stack` advances at once; its block
@@ -406,12 +404,12 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     product ``prod(1 - h)``, exactly 1 for a trajectory that ends on a
     degenerate step.
 
-    A :class:`MarkovModel` batch of at least ``_BINS`` trajectories reads
-    the same uniforms as the 64-bit words ``rng.bit_generator.random_raw(k)``
-    they are made of: ``random()`` gives ``(word >> 11) * 2**-53`` on
-    Philox, which every seqrisk stream uses, and on PCG64, PCG64DXSM and
-    SFC64.  A Generator over MT19937, which makes a double from two 32-bit
-    words, raises ValueError.
+    A :class:`MarkovModel` batch, of any size, reads the same uniforms as
+    the 64-bit words ``rng.bit_generator.random_raw(k)`` they are made of:
+    ``random()`` gives ``(word >> 11) * 2**-53`` on Philox, which every
+    seqrisk stream uses, and on PCG64, PCG64DXSM and SFC64.  A Generator
+    over MT19937, which makes a double from two 32-bit words, raises
+    ValueError, as does an ``n`` that is not an integer of at least 0.
 
     The values depend only on the model's distributions.  A
     :class:`MarkovModel`'s draw tables are built once per state; any other
@@ -420,6 +418,9 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     lists of at most ``max_steps`` ints.  This is the one-model case of
     :func:`_sample_stack`, which reads ``rng`` step by step.
     """
+    _check_number("n", n, numbers.Integral)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(getattr(rng, "bit_generator", None), np.random.MT19937):
         raise ValueError(
             "sample_batch reads a uniform as (word >> 11) * 2**-53 of one 64-bit "
@@ -514,16 +515,16 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     arrays, a call allocates nothing that grows with the rows past one
     group.
 
-    A row moves to token ``(cum[row] <= u).sum()``.  A single chain of at
-    least ``_BINS`` rows reads that count from :func:`_bucket_table`, built
-    in the tokens' type, at ``floor(u * _BINS)``, the top ``log2(_BINS)``
-    bits of the word that ``u = (word >> 11) * 2**-53`` is made of (it
-    draws the words ``bit_generator.random_raw(k)``); only rows whose
-    bucket holds a cumulative probability (at most one bucket per token)
-    build their ``u`` and compare against the row.  Both ways give the
-    same token for every ``u``.  Smaller batches, stacks and other models
-    always compare, one column of the cumulative rows at a time, into the
-    block buffers; a stack's table would take ``P * S * _BINS`` entries.
+    A row moves to token ``(cum[row] <= u).sum()``.  A group of one chain
+    reads that count from its chain's :func:`_bucket_table`, built in the
+    tokens' type, at ``floor(u * _BINS)``, the top ``log2(_BINS)`` bits of
+    the word that ``u = (word >> 11) * 2**-53`` is made of (it draws the
+    words ``bit_generator.random_raw(k)``); only rows whose bucket holds a
+    cumulative probability (at most one bucket per token) build their ``u``
+    and compare against the row.  Both ways give the same token for every
+    ``u``.  A group of ``g > 1`` chains and any other model always compare,
+    one column of the cumulative rows at a time, into the block buffers; the
+    group's tables would take ``g * S * _BINS`` entries.
     With no stopping token and no time limit (the outcome-excluded mode of
     a chain), a step skips the stop test: only the step count, or a
     degenerate step, ends a row.
@@ -543,7 +544,6 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         # per-(chain, state) tables are flat: chain c's state s is entry c * S + s
         tables = _draw_tables(transition.reshape(-1, size), o, excluded)
         degenerate = tables[2]
-        table = _bucket_table(tables[1], token_type) if n_chains == 1 and n >= _BINS else None
         # a running row stands on the initial state or on a drawn token, and
         # an outcome-excluded draw never gives the outcome
         check_degenerate = excluded and (
@@ -551,7 +551,7 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         )
     else:
         # the initial state only fills ``st``, which holds each row's last token
-        model, initial_state, table = source, 0, None
+        model, initial_state = source, 0
         prefixes = [[] for _ in range(n)]
         check_degenerate = excluded
     keyed = isinstance(streams, np.ndarray)
@@ -592,19 +592,21 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
             window = max(1, (_GROUP // per - 3) // n)
     slot = n * window + 3
     rows = n_chains * n
+    # a group of one chain reads its bucket table
+    lookup = model is None and per == 1
     # each row's final hazard sum or survival product, and whether it drew
     # the outcome, written when it stops; a row that drew the outcome
     # stopped there, so none of the rows running at the end did.  With no
     # early end, one group's running state is the result
     final = None if per == n_chains and not ends_early else np.empty(rows)
     hit = None if excluded else np.zeros(rows, dtype=bool)
-    # one block's table entries (the bucket-table path: its keys), flags,
-    # gathered floats and uniforms (comparison only); the bucket-table path
+    # one block's table rows (a group of several chains) or bucket-table
+    # keys, flags, gathered floats and uniforms (comparison only); a lookup
     # gathers its floats into the key buffer while it holds no keys
     block = min(per * n, _BLOCK)
     idx_buf, flag_buf = np.empty(block, np.intp), np.empty(block, bool)
-    got_buf, u_buf = (np.empty(block), np.empty(block)) if table is None else (
-        idx_buf.view(float), None)
+    got_buf, u_buf = (idx_buf.view(float), None) if lookup else (
+        np.empty(block), np.empty(block))
     if per > 1:
         # the uniforms a group's chains drew ahead, one chain's slot after another
         uniforms, ramp = np.empty(per * slot), np.arange(block)
@@ -615,8 +617,8 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         k = (c1 - c0) * n
         # the group's running rows' state, compacted to the front of each
         # array: last token, hazard sum (survival product when excluded),
-        # chain offset in the group's flat tables (a lone chain's states
-        # index them directly), elapsed time and row number, ascending
+        # chain offset in the group's flat tables (one chain's states index
+        # them directly), elapsed time and row number, ascending
         st = np.full(k, initial_state, dtype=token_type)
         acc = np.ones(k) if excluded else np.zeros(k)
         off = np.repeat(np.arange(c1 - c0, dtype=row_type) * size, n) if per > 1 else None
@@ -625,6 +627,8 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         running = [a for a in (st, acc, off, el, ids) if a is not None]
         if model is None:
             hazard, cum, degenerate, keep = (a[c0 * size:c1 * size] for a in tables)
+        if lookup:
+            table = _bucket_table(cum, token_type)
         if per == 1:
             rng = stream.at(streams[c0]) if keyed else streams
         else:
@@ -651,10 +655,6 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                     row = np.arange(m)
                 elif off is not None:
                     row = np.add(off[lo:hi], st[lo:hi], out=idx_buf[:m])
-                elif table is None:
-                    # a copy: the comparison counts the next tokens in ``st``
-                    row = idx_buf[:m]
-                    row[...] = st[lo:hi]
                 else:
                     row = st[lo:hi]
                 if check_degenerate:
@@ -673,7 +673,7 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                     acc[lo:hi] *= _take(keep, row, got)
                 else:
                     acc[lo:hi] += _take(hazard, row, got)
-                if table is None:
+                if not lookup:
                     u = u_buf[:m]
                     if per == 1:
                         rng.random(out=u)

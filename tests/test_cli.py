@@ -293,6 +293,16 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"sweep.csv", "sweep.svg"}
 
+    def test_json_is_not_a_format(self, tmp_path, capsys):
+        # CSV is the one table format; its reader reads it back
+        out_path = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--axis", "probability", "--grid", "0.3,1.5",
+                      "--replications", "100", "--format", "json", "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_nothing_to_plot_skips_the_svg(self, tmp_path, run_cli):
         # no chain reaches probability 1.5, so every point fails
         out_path = tmp_path / "s.csv"

@@ -410,6 +410,12 @@ class TestVarianceSweep:
         se = np.sqrt(2.0 / 20_000) * p * (1 - p) + 0.25 / 20_000
         assert abs(var - p * (1 - p)) <= 5 * se + 1e-4
 
+    @pytest.mark.parametrize("replications", [100.5, 100.0, True, "100"])
+    def test_replications_must_be_an_integer(self, replications):
+        base = ChainSpec(4, 0.67, 3, seed=2, equal_transitions=True)
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            variance_sweep("probability", [0.3], base, replications)
+
     def test_failed_point_marked_and_sweep_continues(self):
         base = ChainSpec(4, 0.67, 1, seed=2, equal_transitions=False)
         table = variance_sweep("probability", [0.3, 0.999], base, 100)
@@ -592,6 +598,14 @@ class TestDistributionExperiment:
         reach = result.estimates[REACH]
         se = reach.std(ddof=1) / np.sqrt(reach.size)
         assert abs(reach.mean() - result.true_probability) <= 4 * max(se, 1e-12)
+
+    @pytest.mark.parametrize("counts,name", [((10.5, 3), "n_estimates"),
+                                             ((True, 3), "n_estimates"),
+                                             ((10, 3.0), "samples_per_estimate")])
+    def test_counts_must_be_integers(self, counts, name):
+        spec = ChainSpec(4, 1.0, 3, seed=1, target_probability=0.3)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            estimate_distribution_experiment(spec, *counts)
 
     def test_scope_mass_above_one_on_high_probability_chain(self):
         spec = ChainSpec(11, 1.0, 20, seed=5, target_probability=0.9,
@@ -1143,6 +1157,21 @@ class TestSyntheticCohort:
         spec, table = small_cohort
         again = synthetic_cohort_eval(spec)
         assert again.to_csv_text() == table.to_csv_text()
+
+    def test_an_equivalence_error_propagates(self, monkeypatch):
+        # only a one-class cohort skips the equivalence rows; on a two-class
+        # cohort an error there is not turned into a table without them
+        spec = CohortSpec(n_patients=60,
+                          chain_template=ChainSpec(5, 0.75, 8, equal_transitions=True),
+                          n_timelines=12, bootstrap_rounds=6, seed=3)
+        assert synthetic_cohort_eval(spec).rows_where(statistic="equivalence_ratio")
+
+        def broken(*args, **kwargs):
+            raise ValueError("equivalence failed")
+
+        monkeypatch.setattr(experiments, "_equivalence", broken)
+        with pytest.raises(ValueError, match="equivalence failed"):
+            synthetic_cohort_eval(spec)
 
     def test_degenerate_labels_drop_rounds(self, monkeypatch):
         def unreachable(*args):

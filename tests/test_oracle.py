@@ -251,6 +251,11 @@ class TestDispersionProbability:
         with pytest.raises(ValueError):
             dispersion_probability(10, 0.1, 1.2)
 
+    def test_a_bool_is_not_a_sample_count(self):
+        # True == 1 would answer for one sample
+        with pytest.raises(ValueError, match="n_samples"):
+            dispersion_probability(True, 0.1, 0.2)
+
 
 @pytest.mark.parametrize("n", [1, 5, 100, 1000])
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 0.999, 1.0])

@@ -325,7 +325,8 @@ class TestDegenerateGate:
 
     @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
     def test_degenerate_state_first_reached_at_step_3(self, mode):
-        # n = _BINS: the chain draws from its bucket table
+        # the chain draws from its bucket table; the same rows as another
+        # model compare
         m = MarkovModel.step_mode(self.ROWS, 0, 3, 6)
         n = seqmodel._BINS
         check_against_reference(sample_batch, m, mode, lambda: trajectory_stream(5), n=n)
@@ -554,6 +555,12 @@ class TestSampleMarkovBatch:
         with pytest.raises(ValueError):
             ruled_batch(m, STANDARD, 1, trajectory_stream(0))
 
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "4"])
+    def test_n_must_be_a_count(self, n):
+        m = chain(self.ROWS)
+        with pytest.raises(ValueError, match="^n must be"):
+            sample_batch(m, STANDARD, n, trajectory_stream(0))
+
     @settings(max_examples=400, deadline=None, database=None)
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
     def test_single_trajectory_matches_reference(self, case, seed):
@@ -573,19 +580,25 @@ class TestSampleMarkovBatch:
         assert len(got) == len(want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @pytest.mark.parametrize("n", [1, 7, 1023, 2 * seqmodel._BINS])
+    @settings(max_examples=40, deadline=None, database=None)
     @given(case=random_case(), seed=st.integers(0, 2**32 - 1))
-    def test_bucket_table_draws_match_comparison(self, case, seed):
-        # a batch of 2 * _BINS rows uses the table; with 4 buckets most rows
-        # fall back to the comparison, with _BINS above n the table is off
-        m, mode = case
-        n = 2 * seqmodel._BINS
-        runs = []
-        for bins in (seqmodel._BINS, 4, 4 * n):
-            with mock.patch.object(seqmodel, "_BINS", bins):
-                runs.append(ruled_batch(m, mode, n, trajectory_stream(seed)))
-        for other in runs[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+    def test_bucket_table_draws_match_comparison(self, n, case, seed):
+        # the chain's bucket table, with _BINS buckets and with 4 (most rows
+        # fall back to the comparison), against the same rows as a model
+        # that is not a MarkovModel, which compares column by column: equal
+        # values, and the streams left at the same position
+        m, _ = case
+        for mode in (STANDARD, OUTCOME_EXCLUDED):
+            r = trajectory_stream(seed)
+            compared = sample_batch(m, mode, n, r)
+            after = r.bit_generator.random_raw(2).tobytes()
+            for bins in (seqmodel._BINS, 4):
+                r = trajectory_stream(seed)
+                with mock.patch.object(seqmodel, "_BINS", bins):
+                    table = ruled_batch(m, mode, n, r)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(table, compared))
+                assert r.bit_generator.random_raw(2).tobytes() == after
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(case=random_stack(),
@@ -593,7 +606,7 @@ class TestSampleMarkovBatch:
            seed=st.integers(0, 2**32 - 1))
     def test_stack_rows_equal_each_chain_alone(self, case, n, seed):
         # each chain reads only its own stream, so its rows of the stack are
-        # exactly its batch alone; alone, n > _BINS uses the bucket table
+        # exactly its batch alone, which reads its bucket table
         stack, initial, vocab, horizon, mode = case
         check_stack_against_each_chain(stack, initial, vocab, horizon, mode, n, seed)
 
@@ -879,8 +892,8 @@ class TestPinnedBits:
     sampler's running rows were kept compacted (alive-mask loop).  A speed
     change that moves one bit of the values fails here by name."""
 
-    # the benchmark's estimate chain on trajectory_stream(7): n = 4,096 draws
-    # from the bucket table, n = 500 compares
+    # the benchmark's estimate chain on trajectory_stream(7), both sizes
+    # drawn from the bucket table; n = 500 was taken when it compared
     CHAIN = {
         (4096, STANDARD): "f8b5dc464f58f227858c4b7393e7c39d2f520710b67f1b49eec40b76df19ba7f",
         (4096, OUTCOME_EXCLUDED):
@@ -991,18 +1004,49 @@ class TestWordDraws:
             with pytest.raises(ValueError, match="MT19937"):
                 sample_batch(m, STANDARD, n, np.random.Generator(np.random.MT19937(0)))
 
+    @pytest.mark.parametrize("n", [1, 7, 1023, 2 * seqmodel._BINS])
     @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
-    def test_table_path_leaves_the_stream_where_random_does(self, mode):
-        # the comparison path (_BINS above n) draws doubles, the table path words
+    def test_table_path_leaves_the_stream_where_random_does(self, mode, n):
+        # the chain draws words through its bucket table; the same rows as a
+        # model that is not a MarkovModel compare doubles
         m = random_chain(ChainSpec(n_states=6, spontaneity=0.6, horizon_steps=9,
                                    target_probability=0.4, seed=2))
-        n = 2 * seqmodel._BINS
+        twin = RuledChain(m.transition, m.initial_state, m.vocabulary, m.horizon)
         r1, r2 = trajectory_stream(3), trajectory_stream(3)
         table = sample_batch(m, mode, n, r1)
-        with mock.patch.object(seqmodel, "_BINS", 4 * n):
-            compared = sample_batch(m, mode, n, r2)
+        compared = sample_batch(twin, mode, n, r2)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(table, compared))
         assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("mode", [STANDARD, OUTCOME_EXCLUDED])
+    def test_each_group_of_one_chain_builds_one_table(self, mode):
+        # a lone chain at n = 1 and every chain of a keyed stack that steps
+        # alone build their chain's table, once; a group of several chains
+        # and another model build none
+        stack, initial, vocab, horizon = TestKeyedGroups().case("no early ends")
+        n = TestKeyedGroups.N
+        keys = stream_keys(4, 30, np.arange(len(stack)))
+        m = MarkovModel.step_mode(stack[0], initial, vocab.outcome, horizon.max_steps)
+        cums = seqmodel._draw_tables(stack.reshape(-1, vocab.size), vocab.outcome,
+                                     mode == OUTCOME_EXCLUDED)[1]
+
+        def built(run, budget=seqmodel._GROUP):
+            with mock.patch.object(seqmodel, "_bucket_table",
+                                   wraps=seqmodel._bucket_table) as table, \
+                    mock.patch.object(seqmodel, "_GROUP", budget):
+                run()
+            return [call.args[0] for call in table.call_args_list]
+
+        (cum,) = built(lambda: sample_batch(m, mode, 1, trajectory_stream(2)))
+        assert np.array_equal(cum, cums[:vocab.size])
+        alone = built(lambda: seqmodel._sample_stack((stack, initial), vocab, horizon,
+                                                     mode, n, keys), budget=n)
+        assert len(alone) == len(stack)
+        assert np.array_equal(np.concatenate(alone), cums)
+        assert built(lambda: seqmodel._sample_stack((stack, initial), vocab, horizon,
+                                                    mode, n, keys)) == []
+        twin = RuledChain(stack[0], initial, vocab, horizon)
+        assert built(lambda: sample_batch(twin, mode, n, trajectory_stream(2))) == []
 
 
 def _cum(row):
