@@ -67,6 +67,11 @@ _AXIS_ID = {"probability": 1, "spontaneity": 2, "sample_count": 3}
 #: transition mass below this counts as "no transition" for spontaneity
 SPONTANEITY_EPS = 1e-12
 
+#: Beta shape ``(a, b)`` of a cohort's per-patient target risks
+COHORT_RISK_BETA = (1.8, 2.2)
+#: equal-width bins of a cohort's calibration rows
+COHORT_CALIBRATION_BINS = 10
+
 CSV_COLUMNS = ("task", "kind", "n", "statistic", "value", "ci_low", "ci_high", "seed")
 
 
@@ -135,10 +140,10 @@ class CohortSpec:
     """Synthetic cohort: one calibrated chain per patient.
 
     Per-patient target probabilities are drawn as
-    ``lo + (hi - lo) * Beta(a, b)`` with ``(a, b) = risk_beta`` and
-    ``(lo, hi) = risk_range``; labels come from the exact outcome
-    probability of each patient's chain, so cohort ground truth carries no
-    estimation noise.  ``seed`` keys every stage stream of
+    ``lo + (hi - lo) * Beta(a, b)`` with ``(lo, hi) = risk_range`` and the
+    fixed shape ``(a, b) = COHORT_RISK_BETA`` (1.8, 2.2); labels come from
+    the exact outcome probability of each patient's chain, so cohort ground
+    truth carries no estimation noise.  ``seed`` keys every stage stream of
     :func:`synthetic_cohort_eval`; ``chain_template.seed`` is not read, as
     each patient's chain draws its parts from its own stage stream.
     """
@@ -147,27 +152,21 @@ class CohortSpec:
     chain_template: ChainSpec
     n_timelines: int = 100
     bootstrap_rounds: int = 40
-    risk_beta: tuple = (1.8, 2.2)
     risk_range: tuple = (0.03, 0.55)
-    calibration_bins: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_patients", "n_timelines", "bootstrap_rounds",
-                     "calibration_bins", "seed"):
+        for name in ("n_patients", "n_timelines", "bootstrap_rounds", "seed"):
             _check_number(name, getattr(self, name), numbers.Integral)
         if not isinstance(self.chain_template, ChainSpec):
             raise ValueError(
                 f"chain_template must be a ChainSpec, got {self.chain_template!r}"
             )
-        for name in ("risk_beta", "risk_range"):
-            pair = getattr(self, name)
-            if not isinstance(pair, Sequence) or len(pair) != 2:
-                raise ValueError(f"{name} must be a pair of numbers, got {pair!r}")
-            for x in pair:
-                _check_number(name, x)
-        if not all(0.0 < x < math.inf for x in self.risk_beta):
-            raise ValueError("risk_beta must be two positive finite numbers")
+        pair = self.risk_range
+        if not isinstance(pair, Sequence) or len(pair) != 2:
+            raise ValueError(f"risk_range must be a pair of numbers, got {pair!r}")
+        for x in pair:
+            _check_number("risk_range", x)
         if self.n_patients < 2:
             raise ValueError("n_patients must be >= 2")
         if self.n_timelines < 1:
@@ -177,8 +176,6 @@ class CohortSpec:
         lo, hi = self.risk_range
         if not 0.0 < lo < hi < 1.0:
             raise ValueError("risk_range must satisfy 0 < lo < hi < 1")
-        if self.calibration_bins < 1:
-            raise ValueError("calibration_bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -826,6 +823,7 @@ def calibration_curve(scores, labels, n_bins: int = 10) -> list:
 
     Empty bins are omitted.
     """
+    _check_number("n_bins", n_bins, numbers.Integral)
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     return [(ms, er, c) for _, ms, er, c in _calibration_bins(scores, labels, n_bins)]
@@ -836,47 +834,28 @@ def calibration_curve(scores, labels, n_bins: int = 10) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    """Equivalence outcome: point estimate row plus bootstrap detail."""
+def _equivalence(ref, counts, alts, kind: str, reference_n: int, rounds: int, rng,
+                 seed: int) -> tuple:
+    """``(row, m_point, m_samples, not_reached)`` of :func:`equivalence_ratio`:
+    ``ref`` holds the reference cell's replicates, ``counts`` the ascending
+    sample counts of ``kind`` and ``alts`` one row of replicates per count.
+    ``m_point`` is the point estimate's count (None if no count qualifies),
+    ``m_samples`` the counts of the rounds that found one, and
+    ``not_reached`` the number of rounds that did not; the row carries
+    ``seed``."""
 
-    row: MetricRow
-    m_point: int | None
-    m_samples: tuple
-    not_reached: int
-
-
-def _resampled_mean(values, rng) -> float:
-    return float(values[rng.integers(0, values.size, values.size)].mean())
-
-
-def _equivalence(
-    auc_table: Mapping,
-    reference_kind: str,
-    reference_n: int,
-    alt_kind: str,
-    bootstrap_rounds: int,
-    rng,
-    seed_label: int = 0,
-) -> EquivalenceResult:
-    ref_key = (reference_kind, int(reference_n))
-    if ref_key not in auc_table:
-        raise ValueError(f"auc_table missing reference cell {ref_key}")
-    counts = sorted(n for k, n in auc_table if k == alt_kind)
-    if not counts:
-        raise ValueError(f"auc_table has no cells for kind {alt_kind!r}")
-    ref = np.asarray(auc_table[ref_key], dtype=float)
-    alts = {n: np.asarray(auc_table[(alt_kind, n)], dtype=float) for n in counts}
+    def resampled_mean(values) -> float:
+        return float(values[rng.integers(0, values.size, values.size)].mean())
 
     ref_mean = float(ref.mean())
-    m_point = next((n for n in counts if float(alts[n].mean()) > ref_mean), None)
+    m_point = next((n for n, alt in zip(counts, alts) if float(alt.mean()) > ref_mean), None)
 
     m_samples = []
     not_reached = 0
-    for _ in range(bootstrap_rounds):
-        ref_b = _resampled_mean(ref, rng)
-        for n in counts:
-            if _resampled_mean(alts[n], rng) > ref_b:
+    for _ in range(rounds):
+        ref_b = resampled_mean(ref)
+        for n, alt in zip(counts, alts):
+            if resampled_mean(alt) > ref_b:
                 m_samples.append(n)
                 break
         else:
@@ -884,9 +863,9 @@ def _equivalence(
 
     value = reference_n / m_point if m_point is not None else float("nan")
     ratios = reference_n / np.asarray(m_samples, dtype=float)
-    row = _ci_row("equivalence", alt_kind, int(reference_n),
-                  "equivalence_ratio", value, ratios, seed_label)
-    return EquivalenceResult(row, m_point, tuple(m_samples), not_reached)
+    row = _ci_row("equivalence", kind, int(reference_n), "equivalence_ratio", value, ratios,
+                  seed)
+    return row, m_point, tuple(m_samples), not_reached
 
 
 def equivalence_ratio(
@@ -908,10 +887,17 @@ def equivalence_ratio(
     ``not_reached`` (see :func:`synthetic_cohort_eval` rows).  The rounds
     draw from ``substream(seed, 10, 0)``, and the row carries ``seed``.
     """
+    ref_key = (reference_kind, int(reference_n))
+    if ref_key not in auc_table:
+        raise ValueError(f"auc_table missing reference cell {ref_key}")
+    counts = sorted(n for k, n in auc_table if k == alt_kind)
+    if not counts:
+        raise ValueError(f"auc_table has no cells for kind {alt_kind!r}")
+    alts = [np.asarray(auc_table[(alt_kind, n)], dtype=float) for n in counts]
     return _equivalence(
-        auc_table, reference_kind, reference_n, alt_kind, bootstrap_rounds,
-        substream(seed, 10, 0), seed_label=seed,
-    ).row
+        np.asarray(auc_table[ref_key], dtype=float), counts, alts, alt_kind, reference_n,
+        bootstrap_rounds, substream(seed, 10, 0), seed,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -936,16 +922,20 @@ class _StageClock:
 def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     """Score a synthetic cohort with all three estimators and evaluate.
 
-    Every patient gets a chain calibrated to a drawn target risk, one label
-    drawn from the exact outcome probability, ``n_timelines`` standard
+    Every patient gets a chain calibrated to a target risk drawn from
+    ``spec.risk_range`` by the fixed Beta shape ``COHORT_RISK_BETA``, one
+    label drawn from the exact outcome probability, ``n_timelines`` standard
     trajectories (shared by MC and SCOPE) and ``n_timelines``
     outcome-excluded trajectories (REACH).  AUROC is computed at every
     sample count ``1..n_timelines`` by resampling each patient's pool with
     replacement, ``bootstrap_rounds`` times; equivalence ratios compare
     SCOPE/REACH to MC at the full pool size.  Brier scores and calibration
-    curves are reported at each estimator's equivalence sample count (SCOPE
-    scores are clipped to [0, 1] for those two metrics only, with the clip
-    count reported).
+    curves (``COHORT_CALIBRATION_BINS`` equal-width bins) are reported at
+    each estimator's equivalence sample count (SCOPE scores are clipped to
+    [0, 1] for those two metrics only, with the clip count reported).  A
+    cohort whose labels are all one class gets ``auroc_rounds_dropped``
+    rows instead of AUROC and equivalence rows, and scores every kind at
+    ``n_timelines``.
 
     The whole cohort runs as one stack: one bisection calibrates every
     chain, and one sampler call per mode draws every pool, patient ``i``
@@ -962,10 +952,9 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
     seed = spec.seed
     tpl = spec.chain_template
     n_pat, pool_n = spec.n_patients, spec.n_timelines
-    a, b = spec.risk_beta
     lo, hi = spec.risk_range
 
-    targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
+    targets = lo + (hi - lo) * substream(seed, 5, 0).beta(*COHORT_RISK_BETA, size=n_pat)
     transitions, p_exact, errors = _calibrated_chains(
         [tpl] * n_pat, targets, stream_keys(seed, 6, np.arange(n_pat)))
     _raise_first(errors)
@@ -976,7 +965,7 @@ def synthetic_cohort_eval(spec: CohortSpec) -> ExperimentTable:
         _chain_model(tpl, transitions[0]), transitions, pool_n,
         stream_keys(seed, 7, np.arange(n_pat)), stream_keys(seed, 8, np.arange(n_pat)))
     clock.lap("sample")
-    rows = _cohort_metrics(spec, seed, pools, labels, clock)
+    rows = _cohort_metrics(spec, pools, labels, clock)
     return ExperimentTable(rows, stage_seconds=clock.seconds)
 
 
@@ -1055,52 +1044,38 @@ def _auroc_rows(kind: str, auc, seed: int) -> list:
                          seed) for j in range(len(auc))]
 
 
-def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> list:
+def _cohort_metrics(spec: CohortSpec, pools: dict, labels, clock) -> list:
     """Metric rows of a scored cohort: ``pools[kind]`` is patients x timelines.
 
     Laps ``clock`` at ``bootstrap`` after the AUROC rounds and at
     ``summary`` at the end.
     """
-    pool_n, rounds = spec.n_timelines, spec.bootstrap_rounds
-    # every round shares the labels: with one class, no round has an AUROC
-    one_class = labels.min() == labels.max()
-    if not one_class:
-        auc = _bootstrap_aurocs(pools, labels, rounds, seed)
-    clock.lap("bootstrap")
-
-    rows: list[MetricRow] = []
-    replicate_table: dict = {}
-    for kind in KINDS:
-        if one_class:
-            rows.append(
-                MetricRow("cohort", kind, 0, "auroc_rounds_dropped", float(rounds),
-                          seed=seed)
-            )
-            continue
-        for j, reps in enumerate(auc[kind]):
-            replicate_table[(kind, j + 1)] = reps
-        rows.extend(_auroc_rows(kind, auc[kind], seed))
-
-    # with one class no replicate AUROC exists: every kind scores at pool_n
+    seed, pool_n, rounds = spec.seed, spec.n_timelines, spec.bootstrap_rounds
+    # a kind without an equivalence count scores at pool_n
     eq_count = dict.fromkeys(KINDS, pool_n)
-    for stage, alt in enumerate((SCOPE, REACH)):
-        if one_class:
-            break
-        res = _equivalence(
-            replicate_table, MC, pool_n, alt, rounds,
-            substream(seed, 10, stage), seed_label=seed,
-        )
-        rows.append(res.row)
-        m_value = float(res.m_point) if res.m_point is not None else float("nan")
-        rows.append(
-            _ci_row("equivalence", alt, pool_n, "equivalence_m",
-                    m_value, np.asarray(res.m_samples, dtype=float), seed)
-        )
-        rows.append(
-            MetricRow("equivalence", alt, pool_n, "equivalence_not_reached",
-                      float(res.not_reached), seed=seed)
-        )
-        eq_count[alt] = res.m_point if res.m_point is not None else pool_n
+    if labels.min() == labels.max():
+        # every round shares the labels: with one class no round has an AUROC
+        clock.lap("bootstrap")
+        rows = [MetricRow("cohort", kind, 0, "auroc_rounds_dropped", float(rounds), seed=seed)
+                for kind in KINDS]
+    else:
+        auc = _bootstrap_aurocs(pools, labels, rounds, seed)
+        clock.lap("bootstrap")
+        rows = [row for kind in KINDS for row in _auroc_rows(kind, auc[kind], seed)]
+        for stage, alt in enumerate((SCOPE, REACH)):
+            row, m_point, m_samples, not_reached = _equivalence(
+                auc[MC][-1], range(1, pool_n + 1), auc[alt], alt, pool_n, rounds,
+                substream(seed, 10, stage), seed)
+            m_value = float(m_point) if m_point is not None else float("nan")
+            rows += [
+                row,
+                _ci_row("equivalence", alt, pool_n, "equivalence_m", m_value,
+                        np.asarray(m_samples, dtype=float), seed),
+                MetricRow("equivalence", alt, pool_n, "equivalence_not_reached",
+                          float(not_reached), seed=seed),
+            ]
+            if m_point is not None:
+                eq_count[alt] = m_point
 
     for kind in KINDS:
         m = int(eq_count[kind])
@@ -1114,7 +1089,7 @@ def _cohort_metrics(spec: CohortSpec, seed: int, pools: dict, labels, clock) -> 
             MetricRow("cohort", kind, m, "brier", brier(scores, labels), seed=seed)
         )
         for bin_id, mean_score, event_rate, count in _calibration_bins(
-            scores, labels, spec.calibration_bins
+            scores, labels, COHORT_CALIBRATION_BINS
         ):
             task = f"calibration_bin_{bin_id}"
             rows.append(MetricRow(task, kind, m, "cal_mean_score", mean_score, seed=seed))

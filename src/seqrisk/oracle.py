@@ -23,6 +23,7 @@ to any statistic, far below every tolerance used in the package).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,7 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
+    _check_number,
     _degenerate,
     _read_rows,
     _stop_reason,
@@ -43,6 +45,8 @@ from .seqmodel import (
 )
 
 LEAF_GUARD = 10_000_000
+#: atoms closer than this are floating-point duplicates of one value
+MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,10 @@ class ValueDistribution:
     atoms: tuple
 
     @classmethod
-    def from_pairs(cls, pairs, *, merge_tol: float = 1e-12) -> "ValueDistribution":
+    def from_pairs(cls, pairs) -> "ValueDistribution":
         """Build from raw (value, probability) pairs.
 
-        Atoms whose values lie within ``merge_tol`` of each other are merged
+        Atoms whose values lie within ``MERGE_TOL`` of each other are merged
         (they are floating-point duplicates of the same analytic value).
         """
         pairs = sorted((float(v), float(p)) for v, p in pairs)
@@ -65,7 +69,7 @@ class ValueDistribution:
             raise ValueError("negative atom probability")
         merged: list[list[float]] = []
         for v, p in pairs:
-            if merged and v - merged[-1][0] <= merge_tol:
+            if merged and v - merged[-1][0] <= MERGE_TOL:
                 v0, p0 = merged[-1]
                 total = p0 + p
                 if total > 0:
@@ -251,6 +255,7 @@ class _BranchCoinModel:
 def counterexample_model(p: float) -> _BranchCoinModel:
     """Model showing no outcome-probability threshold makes the hazard-sum
     estimator dominate Monte Carlo; see :class:`_BranchCoinModel`."""
+    _check_number("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return _BranchCoinModel(p)
@@ -265,9 +270,11 @@ def dispersion_probability(n_samples: int, p_base: float, p_elevated: float) -> 
     ``sum_k Binom(k; n, p_base) * P(Binom(n, p_elevated) > k)``.
     Binomial terms are evaluated in log space.
     """
-    if isinstance(n_samples, bool) or n_samples < 1 or int(n_samples) != n_samples:
+    _check_number("n_samples", n_samples, numbers.Integral)
+    if n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
     for name, p in (("p_base", p_base), ("p_elevated", p_elevated)):
+        _check_number(name, p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
     n = int(n_samples)

@@ -88,11 +88,8 @@ COHORT_SPEC_ERRORS = {
     "fractional_timelines": ({"n_timelines": 10.7}, "n_timelines must be an integer"),
     "fractional_patients": ({"n_patients": 20.9}, "n_patients must be an integer"),
     "float_rounds": ({"bootstrap_rounds": 3.0}, "bootstrap_rounds must be an integer"),
-    "bool_bins": ({"calibration_bins": True}, "calibration_bins must be an integer"),
     "float_seed": ({"seed": 1.5}, "seed must be an integer"),
-    "short_beta": ({"risk_beta": (1.0,)}, "risk_beta must be a pair of numbers"),
-    "string_beta": ({"risk_beta": (1.0, "2")}, "risk_beta must be a number"),
-    "zero_beta": ({"risk_beta": (0.0, 2.0)}, "risk_beta must be two positive"),
+    "short_range": ({"risk_range": (0.1,)}, "risk_range must be a pair of numbers"),
     "string_range": ({"risk_range": ("0.1", 0.5)}, "risk_range must be a number"),
     "dict_template": ({"chain_template": {"n_states": 4}},
                       "chain_template must be a ChainSpec"),
@@ -340,7 +337,7 @@ class TestCalibrationFailures:
         tpl = ChainSpec(5, 0.5, 1)
         spec = CohortSpec(n_patients=8, chain_template=tpl, n_timelines=4,
                           bootstrap_rounds=2, risk_range=(0.5, 0.55), seed=5)
-        (a, b), (lo, hi) = spec.risk_beta, spec.risk_range
+        (a, b), (lo, hi) = experiments.COHORT_RISK_BETA, spec.risk_range
         targets = lo + (hi - lo) * substream(5, 5, 0).beta(a, b, size=8)
         failing = []
         for i, target in enumerate(targets):
@@ -826,6 +823,12 @@ class TestBrierAndCalibration:
         mean_score, event_rate, count = rows[0]
         assert count == 2 and event_rate == 0.0 and abs(mean_score - 0.065) < 1e-12
 
+    @pytest.mark.parametrize("n_bins", [2.5, True, "10", None])
+    def test_bin_count_must_be_an_integer(self, n_bins):
+        # 2.5 raised a TypeError from range, and True gave one bin
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            calibration_curve([0.1, 0.9], [0, 1], n_bins)
+
     def test_scores_from_true_probabilities_are_calibrated(self):
         rng = np.random.default_rng(6)
         p = rng.uniform(0.05, 0.95, size=4000)
@@ -842,6 +845,11 @@ def make_auc_table(curves, reps=40, noise=0.0, seed=0):
         for n, v in enumerate(values, start=1):
             table[(kind, n)] = v + noise * rng.standard_normal(reps)
     return table
+
+
+def auc_rows(table, kind):
+    """The replicates of ``kind`` in ``table``, one row per ascending count."""
+    return np.array([table[key] for key in sorted(k for k in table if k[0] == kind)])
 
 
 class TestEquivalenceRatio:
@@ -862,16 +870,20 @@ class TestEquivalenceRatio:
         curves = {"mc": np.linspace(0.6, 0.7, 10)}
         table = make_auc_table(curves)
         table.update({("alt", n): table[("mc", n)] for n in range(1, 11)})
-        res = _equivalence(table, "mc", 5, "alt", 10, substream(0, 30, 0))
-        assert res.m_point == 6
-        assert res.row.value == pytest.approx(5 / 6)
+        row, m_point, _, _ = _equivalence(auc_rows(table, "mc")[4], range(1, 11),
+                                          auc_rows(table, "alt"), "alt", 5, 10,
+                                          substream(0, 30, 0), 0)
+        assert m_point == 6
+        assert row.value == pytest.approx(5 / 6)
 
     def test_flat_identical_curve_never_reached(self):
         table = make_auc_table({"mc": np.full(5, 0.7), "alt": np.full(5, 0.7)})
-        res = _equivalence(table, "mc", 5, "alt", 25, substream(0, 30, 1))
-        assert res.m_point is None
-        assert res.not_reached == 25
-        assert np.isnan(res.row.value)
+        row, m_point, _, not_reached = _equivalence(auc_rows(table, "mc")[4], range(1, 6),
+                                                    auc_rows(table, "alt"), "alt", 5, 25,
+                                                    substream(0, 30, 1), 0)
+        assert m_point is None
+        assert not_reached == 25
+        assert np.isnan(row.value)
 
     def test_missing_cells_rejected(self):
         table = make_auc_table({"mc": np.linspace(0.6, 0.7, 5)})
@@ -889,8 +901,24 @@ class TestEquivalenceRatio:
         row = equivalence_ratio(table, "mc", 8, "alt", 60, seed=1)
         assert (row.value, row.ci_low, row.ci_high) == (8 / 7, 1.0, 4 / 3)
         assert row.seed == 1
-        twin = _equivalence(table, "mc", 8, "alt", 60, substream(1, 10, 0), seed_label=1)
-        assert row == twin.row
+        twin, *_ = _equivalence(auc_rows(table, "mc")[7], range(1, 9), auc_rows(table, "alt"),
+                                "alt", 8, 60, substream(1, 10, 0), 1)
+        assert row == twin
+
+    def test_counts_need_not_be_contiguous(self):
+        # cells at 1, 2, 4, 8, inserted out of order: the alternative first
+        # beats mc @ 8 (0.75) at count 4, the third cell
+        curves = {"mc": {1: 0.6, 2: 0.65, 4: 0.7, 8: 0.75},
+                  "alt": {1: 0.62, 2: 0.7, 4: 0.8, 8: 0.85}}
+        table = {(kind, n): np.full(40, curve[n])
+                 for n in (8, 1, 4, 2) for kind, curve in curves.items()}
+        row = equivalence_ratio(table, "mc", 8, "alt", 20, seed=2)
+        assert (row.value, row.ci_low, row.ci_high) == (2.0, 2.0, 2.0)
+        twin, m_point, m_samples, not_reached = _equivalence(
+            table[("mc", 8)], (1, 2, 4, 8), auc_rows(table, "alt"), "alt", 8, 20,
+            substream(2, 10, 0), 2)
+        assert row == twin
+        assert (m_point, m_samples, not_reached) == (4, (4,) * 20, 0)
 
     def test_bootstrap_ci_matches_independent_reimplementation(self):
         curves = {
@@ -899,7 +927,9 @@ class TestEquivalenceRatio:
         }
         table = make_auc_table(curves, reps=40, noise=0.01, seed=5)
         rounds = 60
-        got = _equivalence(table, "mc", 8, "alt", rounds, substream(7, 30, 2))
+        got_row, _, m_samples, not_reached = _equivalence(
+            auc_rows(table, "mc")[7], range(1, 9), auc_rows(table, "alt"), "alt", 8, rounds,
+            substream(7, 30, 2), 0)
 
         # from-scratch percentile bootstrap with a twin stream
         rng = substream(7, 30, 2)
@@ -915,11 +945,11 @@ class TestEquivalenceRatio:
                     break
             else:
                 missed += 1
-        assert tuple(m_vals) == got.m_samples and missed == got.not_reached
+        assert tuple(m_vals) == m_samples and missed == not_reached
         ratios = 8 / np.asarray(m_vals, float)
         lo, hi = np.percentile(ratios, [2.5, 97.5])
-        assert got.row.ci_low == pytest.approx(min(lo, got.row.value))
-        assert got.row.ci_high == pytest.approx(max(hi, got.row.value))
+        assert got_row.ci_low == pytest.approx(min(lo, got_row.value))
+        assert got_row.ci_high == pytest.approx(max(hi, got_row.value))
 
 
 class TestExperimentTable:
@@ -953,7 +983,7 @@ def per_patient_cohort_csv(spec):
     one ``random_chain`` and two ``sample_batch`` calls each."""
     seed, tpl = spec.seed, spec.chain_template
     n_pat, n = spec.n_patients, spec.n_timelines
-    (a, b), (lo, hi) = spec.risk_beta, spec.risk_range
+    (a, b), (lo, hi) = experiments.COHORT_RISK_BETA, spec.risk_range
     targets = lo + (hi - lo) * substream(seed, 5, 0).beta(a, b, size=n_pat)
     p_exact = np.empty(n_pat)
     pools = {kind: np.empty((n_pat, n)) for kind in (MC, SCOPE, REACH)}
@@ -965,7 +995,7 @@ def per_patient_cohort_csv(spec):
         (pools[REACH][i],) = sample_batch(
             chain, OUTCOME_EXCLUDED, n, substream(seed, 8, i))
     labels = (substream(seed, 5, 1).random(n_pat) < p_exact).astype(int)
-    rows = _cohort_metrics(spec, seed, pools, labels, _StageClock())
+    rows = _cohort_metrics(spec, pools, labels, _StageClock())
     return ExperimentTable(rows).to_csv_text()
 
 
@@ -1093,8 +1123,10 @@ class TestCohortBootstrap:
 
 
 class TestSyntheticCohort:
-    # digests of to_csv_text(), taken before the bootstrap ranked MC by
-    # counting and gathered into reused buffers
+    # digests of to_csv_text(): "equal" and "random" taken before the
+    # bootstrap ranked MC by counting and gathered into reused buffers, the
+    # benchmark-size and one-class cohorts before the equivalence read the
+    # bootstrap's arrays
     PINNED = {
         "equal": (CohortSpec(n_patients=80,
                              chain_template=ChainSpec(5, 0.75, 8, equal_transitions=True),
@@ -1103,6 +1135,17 @@ class TestSyntheticCohort:
         "random": (CohortSpec(n_patients=70, chain_template=ChainSpec(6, 0.6, 10),
                               n_timelines=13, bootstrap_rounds=5, seed=12),
                    "0f78bfdd7b6cf799534c667a9524ada147911ffb419d306efd6f64bac0564d94"),
+        "benchmark": (CohortSpec(n_patients=500,
+                                 chain_template=ChainSpec(6, 1.0, 12, equal_transitions=True),
+                                 n_timelines=100, bootstrap_rounds=40, seed=9),
+                      "fe099fdd224efe8d9c628fa1099b0312993505dce1f1ec21c5c57f188681158b"),
+        # the cohort of test_degenerate_labels_drop_rounds: every label is 0
+        "one_class": (CohortSpec(n_patients=40,
+                                 chain_template=ChainSpec(4, 1.0, 6, seed=0,
+                                                          equal_transitions=True),
+                                 n_timelines=5, bootstrap_rounds=4, risk_range=(1e-5, 2e-5),
+                                 seed=5),
+                      "cd07e3a1c65ac4ceb0a408b04d8a0d29cfd441cde72d3228aeae43c13ce72cb9"),
     }
 
     @pytest.mark.parametrize("case", PINNED)

@@ -201,6 +201,11 @@ class TestCounterexampleModel:
         with pytest.raises(ValueError):
             counterexample_model(1.5)
 
+    @pytest.mark.parametrize("p", ["0.5", None, True])
+    def test_p_must_be_a_number(self, p):
+        with pytest.raises(ValueError, match="p must be a number"):
+            counterexample_model(p)
+
     def test_p_one_outcome_impossible(self):
         d = enumerate_sub_distribution(counterexample_model(1.0), MC)
         assert d.mean() == 0.0
@@ -255,6 +260,18 @@ class TestDispersionProbability:
         # True == 1 would answer for one sample
         with pytest.raises(ValueError, match="n_samples"):
             dispersion_probability(True, 0.1, 0.2)
+
+    @pytest.mark.parametrize("n", ["3", None, 2.0])
+    def test_sample_count_must_be_an_integer(self, n):
+        # 2.0 once answered for two samples
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            dispersion_probability(n, 0.1, 0.2)
+
+    @pytest.mark.parametrize("name,args", [("p_base", (10, "0.1", 0.2)),
+                                           ("p_elevated", (10, 0.1, None))])
+    def test_rates_must_be_numbers(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            dispersion_probability(*args)
 
 
 @pytest.mark.parametrize("n", [1, 5, 100, 1000])
