@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"infeasible experiment point: {exc}", file=sys.stderr)
         return 4
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SeqriskError as exc:

@@ -367,7 +367,7 @@ def _calibrated_chains(specs, targets, keys) -> tuple:
     ``keys[i]`` (:func:`seqrisk.rng.stream_keys`).  Its hazard scale
     ``theta`` is bisected on ``(0, theta_max]`` until the exact outcome
     probability lies within ``min(1e-6, 1e-4 * target)`` of the target, so
-    rare targets are met to a relative 1e-4, or falls back to ``theta_max``
+    rare targets are met to a relative 1e-4, or stalls at its last midpoint
     after 200 halvings.  All chains bisect together, each on its own
     interval until it stops, so every chain follows the ``theta`` sequence
     it follows alone.  A chain whose target is None bisects nothing: it
@@ -415,7 +415,6 @@ def _calibrated_chains(specs, targets, keys) -> tuple:
         below = p_mid < targets
         lo = np.where(running & below, theta, lo)
         hi = np.where(running & ~below, theta, hi)
-    theta = np.where(running, theta_max, theta)
     theta[free] = draws[free] * theta_max[free]
     transitions = _assemble_chain(W, weights, theta)
     violations = validate(transitions)
@@ -511,8 +510,9 @@ def variance_sweep(
     grid value substituted into ``base_spec`` and record per-trajectory
     (n = 1) statistics; ``sample_count`` keeps one chain and records the
     variance of the ``n``-sample estimator, plus ``variance * n`` to make
-    the 1/n scaling inspectable; its grid values must be positive integers
-    (``2.0`` is 2), or it raises ValueError.  Points whose chain
+    the 1/n scaling inspectable.  Grid values must be numbers (a bool is
+    not one), and on ``sample_count`` positive integers (``2.0`` is 2), or
+    it raises ValueError.  Points whose chain
     construction fails are marked with a ``failed`` row and the sweep
     continues.  Exact (enumeration) variances are added wherever the
     instance is small enough.  Every stream derives from ``base_spec.seed``,
@@ -530,6 +530,8 @@ def variance_sweep(
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    for g in grid:
+        _check_number(f"{axis} grid value", g)
     _check_number("replications", replications, numbers.Integral)
     if replications < 2:
         raise ValueError("replications must be >= 2")
@@ -886,7 +888,13 @@ def equivalence_ratio(
     no count qualifies are dropped from the CI and tallied in
     ``not_reached`` (see :func:`synthetic_cohort_eval` rows).  The rounds
     draw from ``substream(seed, 10, 0)``, and the row carries ``seed``.
+    ``reference_n`` and ``bootstrap_rounds`` must be integers of at least 1,
+    or it raises ValueError.
     """
+    for name, count in (("reference_n", reference_n), ("bootstrap_rounds", bootstrap_rounds)):
+        _check_number(name, count, numbers.Integral)
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     ref_key = (reference_kind, int(reference_n))
     if ref_key not in auc_table:
         raise ValueError(f"auc_table missing reference cell {ref_key}")

@@ -60,11 +60,15 @@ class ValueDistribution:
         """Build from raw (value, probability) pairs.
 
         Atoms whose values lie within ``MERGE_TOL`` of each other are merged
-        (they are floating-point duplicates of the same analytic value).
+        (they are floating-point duplicates of the same analytic value).  A
+        non-finite value or probability, a negative probability or
+        probabilities that do not sum to 1 raise ValueError.
         """
         pairs = sorted((float(v), float(p)) for v, p in pairs)
         if not pairs:
             raise ValueError("no atoms")
+        if not all(math.isfinite(v) and math.isfinite(p) for v, p in pairs):
+            raise ValueError("non-finite atom value or probability")
         if any(p < 0 for _, p in pairs):
             raise ValueError("negative atom probability")
         merged: list[list[float]] = []

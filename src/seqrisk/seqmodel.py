@@ -506,14 +506,14 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     (:func:`_state_types`).  So a running row of one chain under unit
     times takes 14 bytes in standard mode (token, hazard sum, row number)
     plus 9 of results (value and hit), and 10 bytes in outcome-excluded
-    mode on a chain where no row ends early, its survival products being
-    the result.  A step walks the running rows in order in blocks of
-    ``_BLOCK``: a block takes its rows' uniforms, finds their next tokens
-    into buffers of one block allocated once per call, writes them into
-    the running state, writes the values of the rows that stop to the
-    result, and moves the others forward in place.  Beyond the result
-    arrays, a call allocates nothing that grows with the rows past one
-    group.
+    mode where no row ends early: a group then multiplies its survival
+    products in place in its rows of the result.  A step walks the running
+    rows in order in blocks of ``_BLOCK``: a block takes its rows'
+    uniforms, finds their next tokens into buffers of one block allocated
+    once per call, writes them into the running state, writes the values
+    of the rows that stop to the result, and moves the others forward in
+    place.  Beyond the result arrays, a call allocates nothing that grows
+    with the rows past one group.
 
     A row moves to token ``(cum[row] <= u).sum()``.  A group of one chain
     reads that count from its chain's :func:`_bucket_table`, built in the
@@ -575,7 +575,7 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     # degenerate step) ends a row: no step needs the stop test
     can_stop = limit is not None or bool(stop_after.any())
     # when no row can end early, every row runs every step in place: row
-    # numbers are positions and the running state is the result
+    # numbers are positions and the products accumulate in the result
     ends_early = can_stop or check_degenerate
     # the bucket of a 64-bit word is its top log2(_BINS) bits
     shift = 64 - (_BINS.bit_length() - 1)
@@ -596,9 +596,8 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     lookup = model is None and per == 1
     # each row's final hazard sum or survival product, and whether it drew
     # the outcome, written when it stops; a row that drew the outcome
-    # stopped there, so none of the rows running at the end did.  With no
-    # early end, one group's running state is the result
-    final = None if per == n_chains and not ends_early else np.empty(rows)
+    # stopped there, so none of the rows running at the end did
+    final = np.empty(rows)
     hit = None if excluded else np.zeros(rows, dtype=bool)
     # one block's table rows (a group of several chains) or bucket-table
     # keys, flags, gathered floats and uniforms (comparison only); a lookup
@@ -620,7 +619,8 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         # chain offset in the group's flat tables (one chain's states index
         # them directly), elapsed time and row number, ascending
         st = np.full(k, initial_state, dtype=token_type)
-        acc = np.ones(k) if excluded else np.zeros(k)
+        acc = np.empty(k) if ends_early else final[c0 * n:c1 * n]
+        acc.fill(1.0 if excluded else 0.0)
         off = np.repeat(np.arange(c1 - c0, dtype=row_type) * size, n) if per > 1 else None
         el = np.zeros(k) if limit is not None else None
         ids = np.arange(c0 * n, c1 * n, dtype=row_type) if ends_early else None
@@ -632,8 +632,9 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
         if per == 1:
             rng = stream.at(streams[c0]) if keyed else streams
         else:
-            # the dtype of ``ids``, so that searchsorted converts neither
-            first_rows = np.arange(c0, c1 + 1, dtype=row_type) * n
+            # each chain's first offset, and one past the last chain's, in
+            # the dtype of ``off``, so that searchsorted converts neither
+            edges = np.arange(c1 - c0 + 1, dtype=row_type) * size
             # uniforms each chain of the group has read
             read = np.zeros(c1 - c0, dtype=np.intp)
         for t in range(steps):
@@ -678,10 +679,9 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                     if per == 1:
                         rng.random(out=u)
                     else:
-                        # each chain's rows take its next uniforms, in row order
-                        starts = (first_rows - (c0 * n + lo) if ids is None
-                                  else np.searchsorted(ids[lo:hi], first_rows))
-                        bounds = np.clip(starts, 0, m)
+                        # each chain's rows take its next uniforms, in row order;
+                        # ``off`` is compacted with the rows, so it is sorted
+                        bounds = np.searchsorted(off[lo:hi], edges)
                         counts = np.diff(bounds)
                         pick = np.repeat(base + read - bounds[:-1], counts)
                         pick += ramp[:m]
@@ -736,10 +736,6 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
                 break
         if ends_early:
             final[ids[:k]] = acc[:k]
-        elif final is None:
-            final = acc
-        else:
-            final[c0 * n:c1 * n] = acc
         # free the running state before the next group's, and before the
         # standard mode's hits become floats
         del st, acc, off, el, ids, running

@@ -271,6 +271,16 @@ class TestOracleCommands:
 
 
 class TestSweepCommand:
+    def test_a_key_error_propagates(self, tmp_path, monkeypatch):
+        # no input raises KeyError, so one is a fault of the program, not of
+        # the configuration
+        def broken(axis, grid, base, replications):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(experiments, "variance_sweep", broken)
+        with pytest.raises(KeyError, match="missing"):
+            cli.main(["sweep", "--axis", "probability", "--out", str(tmp_path / "sweep.csv")])
+
     def test_csv_schema_and_manifest(self, tmp_path, run_cli):
         out_path = tmp_path / "sweep.csv"
         out = run_cli("sweep", "--axis", "probability", "--grid", "0.2,0.5",

@@ -173,6 +173,18 @@ class TestRandomChain:
         lo, hi = err.value.achievable
         assert lo == 0.0 and hi < 0.999
 
+    def test_stalled_bisection_names_its_last_midpoint(self):
+        # 200 halvings leave this target short of its relative 1e-4: the
+        # error names the probability the chain stalled at, near the target,
+        # not the one at the top of the interval
+        spec = ChainSpec(11, 0.5, 20, seed=1, target_probability=1e-58)
+        with pytest.raises(CalibrationError, match="bisection stalled at") as err:
+            random_chain(spec)
+        stalled = float(str(err.value).split()[3].rstrip(","))
+        assert str(err.value) == f"bisection stalled at {stalled!r}, target 1e-58"
+        assert 0.5e-58 < stalled < 1.5e-58 and abs(stalled - 1e-58) > 1e-62
+        assert err.value.achievable[1] > 0.99
+
     def test_seed_comes_from_the_spec(self):
         spec = ChainSpec(5, 0.5, 6, seed=6)
         assert np.array_equal(random_chain(spec).transition,
@@ -482,6 +494,14 @@ class TestVarianceSweep:
         base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
         with pytest.raises(ValueError, match=f"positive integers, got {value!r}"):
             variance_sweep("sample_count", [4, value], base, 100)
+
+    @pytest.mark.parametrize("axis", ["probability", "spontaneity", "sample_count"])
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "none"])
+    def test_grid_values_must_be_numbers(self, axis, value):
+        base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
+        with pytest.raises(ValueError, match=f"{axis} grid value must be a number, got "
+                                             f"{value!r}"):
+            variance_sweep(axis, [1, value], base, 100)
 
     def test_integral_float_sample_count_is_that_count(self):
         base = ChainSpec(4, 1.0, 5, seed=0, target_probability=0.4)
@@ -884,6 +904,21 @@ class TestEquivalenceRatio:
         assert m_point is None
         assert not_reached == 25
         assert np.isnan(row.value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("bootstrap_rounds", 0, "bootstrap_rounds must be >= 1, got 0"),
+        ("bootstrap_rounds", True, "bootstrap_rounds must be an integer, got True"),
+        ("bootstrap_rounds", 20.0, "bootstrap_rounds must be an integer, got 20.0"),
+        ("reference_n", 10.7, "reference_n must be an integer, got 10.7"),
+        ("reference_n", 0, "reference_n must be >= 1, got 0"),
+    ], ids=["zero_rounds", "bool_rounds", "float_rounds", "fractional_n", "zero_n"])
+    def test_counts_are_checked(self, field, value, message):
+        table = make_auc_table({"mc": np.linspace(0.6, 0.7, 10),
+                                "reach": np.linspace(0.8, 0.85, 10)})
+        args = {"reference_n": 10, "bootstrap_rounds": 20, field: value}
+        with pytest.raises(ValueError, match=message):
+            equivalence_ratio(table, "mc", args["reference_n"], "reach",
+                              args["bootstrap_rounds"], seed=1)
 
     def test_missing_cells_rejected(self):
         table = make_auc_table({"mc": np.linspace(0.6, 0.7, 5)})

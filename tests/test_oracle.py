@@ -111,6 +111,17 @@ class TestValueDistribution:
         with pytest.raises(ValueError):
             ValueDistribution.from_pairs([(0.0, 0.4), (1.0, 0.4)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, float("nan")), (1.0, 1.0)],
+        [(0.0, float("inf")), (1.0, 1.0)],
+        [(float("nan"), 0.5), (1.0, 0.5)],
+        [(float("inf"), 0.5), (0.0, 0.5)],
+    ], ids=["nan_probability", "inf_probability", "nan_value", "inf_value"])
+    def test_non_finite_atoms_rejected(self, pairs):
+        # a NaN passes both the negativity check and the sum check
+        with pytest.raises(ValueError, match="non-finite atom value or probability"):
+            ValueDistribution.from_pairs(pairs)
+
     def test_duplicate_values_merge(self):
         d = ValueDistribution.from_pairs([(0.5, 0.25), (0.5 + 1e-14, 0.25), (1.0, 0.5)])
         assert len(d.atoms) == 2

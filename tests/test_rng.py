@@ -9,7 +9,7 @@ import pytest
 
 from seqrisk.rng import KeyedStream, stream_keys, substream
 
-SEEDS = [0, 3, 9, 2**32, 2**40 + 5, 2**70 + 1]
+SEEDS = [0, 3, 9, 2**32, 2**40 + 5, 2**70 + 1, 2**200 + 7]
 
 
 def numpy_key(seed, key):

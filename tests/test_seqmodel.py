@@ -31,7 +31,7 @@ from seqrisk import (
     trajectory_stream,
     validate,
 )
-from seqrisk import seqmodel
+from seqrisk import oracle, seqmodel
 from seqrisk.rng import KeyedStream, stream_keys, substream
 
 from conftest import (
@@ -499,6 +499,25 @@ class TestSampleTrajectory:
                 return np.array([1.0, 0.0])
 
         assert one_trajectory(Loop(), STANDARD, 2) == ([0.0, 0.0], 2)
+
+    def test_time_limit_stop_matches_the_same_step_cap(self):
+        # tokens of 2.0 time units pass a limit of 5.0 on the third token,
+        # where unit tokens meet a cap of 3 steps: the same trajectories
+        rows = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.0, 0.0, 1.0]]
+        timed = RuledChain(rows, 0, Vocabulary(size=3, outcome=2, time_map=[2.0] * 3),
+                           HorizonPolicy(max_steps=10, time_limit=5.0))
+        capped = RuledChain(rows, 0, Vocabulary.unit_steps(3, 2), HorizonPolicy(max_steps=3))
+        assert {stop for _, stop, _ in oracle._walk(timed, STANDARD)} == {"outcome",
+                                                                          "time_limit"}
+        for kind in KINDS:
+            assert (enumerate_sub_distribution(timed, kind).atoms
+                    == enumerate_sub_distribution(capped, kind).atoms)
+        for mode in (STANDARD, OUTCOME_EXCLUDED):
+            rng_t, rng_c = trajectory_stream(8), trajectory_stream(8)
+            for a, b in zip(sample_batch(timed, mode, 500, rng_t),
+                            sample_batch(capped, mode, 500, rng_c)):
+                assert np.array_equal(a, b)
+            assert rng_t.random() == rng_c.random()
 
     def test_degenerate_hazard_flags_trajectory(self):
         # outcome takes all mass from state 1; exclusion cannot continue
