@@ -193,6 +193,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
+    experiments._check_bins(args.bins)
     spec = _chain_spec(args, experiments.ChainSpec(
         experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
         target_probability=0.2, equal_transitions=False,

@@ -75,7 +75,12 @@ class EstimateReport:
     ``sample_variance`` uses divisor ``n - 1`` (defined as 0.0 when
     ``n == 1``); ``std_error = sqrt(sample_variance / n)``.  ``sub_values``
     are retained post-clipping, as a read-only float64 array the report
-    owns, so downstream bootstraps can reuse them.
+    owns, so downstream bootstraps can reuse them.  A report is checked
+    where it is made, by :func:`aggregate` or :meth:`load`: ValueError
+    naming the field unless ``kind`` and ``clip_policy`` are known, the
+    statistics are finite numbers (the variance and error ``>= 0``), ``n``
+    is a positive integer, ``n_clipped`` an integer in ``[0, n]`` and
+    ``seed`` an integer or None.
     """
 
     kind: str
@@ -89,6 +94,25 @@ class EstimateReport:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.clip_policy not in CLIP_POLICIES:
+            raise ValueError(f"clip_policy must be one of {CLIP_POLICIES}, "
+                             f"got {self.clip_policy!r}")
+        for name, low in (("mean", -math.inf), ("sample_variance", 0.0), ("std_error", 0.0)):
+            value = getattr(self, name)
+            _check_number(name, value)
+            if not (math.isfinite(value) and value >= low):
+                bound = "" if low == -math.inf else " and >= 0"
+                raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        _check_number("n", self.n, numbers.Integral)
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n!r}")
+        _check_number("n_clipped", self.n_clipped, numbers.Integral)
+        if not 0 <= self.n_clipped <= self.n:
+            raise ValueError(f"n_clipped must be in [0, n={self.n}], got {self.n_clipped!r}")
+        if self.seed is not None:
+            _check_number("seed", self.seed, numbers.Integral)
         values = np.array(self.sub_values, dtype=np.float64)
         values.flags.writeable = False
         object.__setattr__(self, "sub_values", values)
@@ -155,12 +179,18 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
     """Build an :class:`EstimateReport` from raw sub-values.
 
     Summation uses ``math.fsum`` in index order, so the report does not
-    depend on how the values were produced or partitioned.
+    depend on how the values were produced or partitioned.  ValueError on
+    no values, a value that is not finite, or a report field
+    :class:`EstimateReport` rejects.
     """
     values, n_clipped = apply_clip(values, clip_policy)
     n = values.size
     if n == 0:
         raise ValueError("cannot aggregate zero sub-values")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"sub_values must be finite, got {float(values.flat[i])!r} at index {i}")
     # a memoryview yields Python floats: fsum neither boxes each element as
     # np.float64 nor needs a list of them
     mean = math.fsum(memoryview(values)) / n

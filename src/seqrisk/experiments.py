@@ -13,7 +13,8 @@ Every experiment makes its chains one way, :func:`_calibrated_chains`
 (one bisection over a list of specs, then one validation of the stack),
 and samples them one way, :func:`_sample_pools` (one stacked sampler call
 per mode, each chain on its own stage streams).  A sweep calibrates all
-the points of its axis together and samples each point alone; a cohort
+the points of its axis together and samples each point alone (the
+``sample_count`` axis samples one pool for all its counts); a cohort
 calibrates and samples all its patients as one stack.  Every chain's
 numbers are those it gets alone.  Each experiment reads one seed, its
 spec's ``seed``, and derives every stage stream from it, so results are
@@ -510,7 +511,14 @@ def variance_sweep(
     grid value substituted into ``base_spec`` and record per-trajectory
     (n = 1) statistics; ``sample_count`` keeps one chain and records the
     variance of the ``n``-sample estimator, plus ``variance * n`` to make
-    the 1/n scaling inspectable.  Grid values must be numbers (a bool is
+    the 1/n scaling inspectable.  One pool per mode serves every count:
+    ``replications`` rows of ``max(grid)`` trajectories, and count ``n``
+    averages the first ``n`` of each row.  So a count's values depend on the
+    grid's largest count, the counts of one grid are correlated, and equal
+    counts give equal rows; each variance still estimates that of the
+    ``n``-sample mean without bias, since the rows are independent.  A grid
+    of one count reads the pool a grid of that count always read.  Grid
+    values must be numbers (a bool is
     not one), and on ``sample_count`` positive integers (``2.0`` is 2), or
     it raises ValueError.  Points whose chain
     construction fails are marked with a ``failed`` row and the sweep
@@ -544,25 +552,30 @@ def variance_sweep(
         for g in grid:
             if not (float(g).is_integer() and g >= 1):
                 raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
+        counts = [int(g) for g in grid]
         transitions, (p,), errors = _calibrated_chains(
             [base_spec], [base_spec.target_probability], stream_keys(seed, aid, 0, 0))
         _raise_first(errors)
         rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
         chain = _chain_model(base_spec, transitions[0])
         clock.lap("calibrate")
-        for j, g in enumerate(grid):
-            n = int(g)
+        width = max(counts)
+
+        def count_variances(values):
+            # replication r's n-sample estimate is the mean of row r's first n values
+            runs = values[0].reshape(replications, width)
+            return [float(runs[:, :n].mean(axis=1).var(ddof=1)) for n in counts]
+
+        variances = _sample_pools(
+            chain, transitions, replications * width,
+            stream_keys(seed, aid, 0, 1), stream_keys(seed, aid, 0, 2),
+            reduce=count_variances,
+        )
+        for j, n in enumerate(counts):
             task = f"sample_count={n}"
-            # each replication's n-sample estimate
-            estimates = _sample_pools(
-                chain, transitions, replications * n,
-                stream_keys(seed, aid, j, 1), stream_keys(seed, aid, j, 2),
-                reduce=lambda values: values[0].reshape(replications, n).mean(axis=1),
-            )
-            for kind, est in estimates.items():
-                var = float(est.var(ddof=1))
-                rows.append(MetricRow(task, kind, n, "variance", var, seed=seed))
-                rows.append(MetricRow(task, kind, n, "variance_times_n", var * n, seed=seed))
+            for kind, var in variances.items():
+                rows.append(MetricRow(task, kind, n, "variance", var[j], seed=seed))
+                rows.append(MetricRow(task, kind, n, "variance_times_n", var[j] * n, seed=seed))
         clock.lap("sample")
         return ExperimentTable(tuple(rows), stage_seconds=clock.seconds)
 
@@ -613,6 +626,13 @@ def variance_sweep(
     return ExperimentTable(tuple(rows), stage_seconds=clock.seconds)
 
 
+def _check_bins(bins) -> None:
+    """Raise ValueError unless ``bins`` is a positive integer."""
+    _check_number("bins", bins, numbers.Integral)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins!r}")
+
+
 @dataclass(frozen=True)
 class DistributionResult:
     """Estimator values from repeated fixed-size estimates on one chain."""
@@ -624,6 +644,10 @@ class DistributionResult:
     seed: int
 
     def to_csv_text(self, *, bins: int = 40) -> str:
+        """Histogram of each kind's estimates over ``bins`` equal bins from 0
+        to ``max(1, largest estimate)``; ValueError unless ``bins`` is a
+        positive integer."""
+        _check_bins(bins)
         hi = max(1.0, max(float(v.max()) for v in self.estimates.values()))
         lines = ["kind,bin_low,bin_high,count"]
         for kind, values in self.estimates.items():

@@ -409,6 +409,19 @@ class TestDistributionCommand:
         assert "infeasible experiment point: target probability 0.0" in out.stderr
         assert list(tmp_path.iterdir()) == [spec]
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_are_checked_before_sampling_exit_2(self, tmp_path, run_cli, monkeypatch,
+                                                     bins):
+        def fail(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(experiments, "_sample_stack", fail)
+        out_path = tmp_path / "hist.csv"
+        out = run_cli("distribution", "--bins", bins, "--out", str(out_path))
+        assert out.returncode == 2
+        assert f"configuration error: bins must be >= 1, got {bins}" in out.stderr
+        assert not out_path.exists()
+
     def test_format_is_not_an_option(self, tmp_path, capsys):
         out_path = tmp_path / "h.json"
         with pytest.raises(SystemExit) as exc:

@@ -178,6 +178,18 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate(MC, [])
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^kind must be one of .*, got 'bogus'$"):
+            aggregate("bogus", [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad,index", [(math.nan, 0), (math.inf, 1), (-math.inf, 1)])
+    def test_values_that_are_not_finite_rejected(self, bad, index):
+        values = [0.5, 1.0]
+        values[index] = bad
+        message = f"sub_values must be finite, got {bad!r} at index {index}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate(MC, values)
+
     @settings(max_examples=300, deadline=None)
     @given(values=_VALUE_LISTS, clip_policy=st.sampled_from(CLIP_POLICIES))
     def test_matches_the_list_reference(self, values, clip_policy):
@@ -255,6 +267,34 @@ class TestAggregation:
         del meta["sub_values_file"]
         path.write_text(json.dumps({**meta, "sub_values": [0.0, 1.0]}))
         with pytest.raises(ValueError, match="lists its sub_values inline"):
+            EstimateReport.load(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("kind", "bogus", "kind must be one of ('mc', 'scope', 'reach'), got 'bogus'"),
+        ("clip_policy", "zzz", "clip_policy must be one of ('none', 'clip_to_unit'), "
+                               "got 'zzz'"),
+        ("mean", "x", "mean must be a number, got 'x'"),
+        ("sample_variance", -0.5, "sample_variance must be finite and >= 0, got -0.5"),
+        ("std_error", None, "std_error must be a number, got None"),
+        ("n_clipped", -5, "n_clipped must be in [0, n=2], got -5"),
+        ("n_clipped", 3, "n_clipped must be in [0, n=2], got 3"),
+        ("n_clipped", 1.5, "n_clipped must be an integer, got 1.5"),
+        ("seed", "7", "seed must be an integer, got '7'"),
+    ], ids=["kind", "clip_policy", "mean", "variance", "std_error", "n_clipped_negative",
+            "n_clipped_above_n", "n_clipped_fraction", "seed"])
+    def test_load_rejects_a_bad_field(self, tmp_path, field, value, message):
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0]).save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimateReport.load(path)
+
+    def test_load_rejects_a_mean_that_is_not_finite(self, tmp_path):
+        # the json module reads and writes NaN
+        path = tmp_path / "report.json"
+        aggregate(MC, [0.0, 1.0]).save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "mean": math.nan}))
+        with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
             EstimateReport.load(path)
 
     @pytest.mark.parametrize("text", ["5", "[1]"])

@@ -452,8 +452,8 @@ class TestVarianceSweep:
             assert abs(scaled - var * n) <= 1e-12
 
     def test_sample_count_axis_holds_one_mode_pool_at_a_time(self):
-        # MC and SCOPE are reduced to their estimates before REACH samples:
-        # no standard-mode array is alive when an excluded batch starts
+        # MC and SCOPE are reduced to their variances before REACH samples:
+        # no standard-mode array is alive when the excluded batch starts
         base = ChainSpec(5, 1.0, 8, seed=12, target_probability=0.5)
         standard, alive = [], []
 
@@ -468,8 +468,49 @@ class TestVarianceSweep:
         sample_stack = experiments._sample_stack
         with mock.patch.object(experiments, "_sample_stack", spy):
             table = variance_sweep("sample_count", [1, 4], base, 100)
-        assert alive == [0, 0]
+        assert alive == [0]
         assert table == variance_sweep("sample_count", [1, 4], base, 100)
+
+    def test_one_count_grid_is_pinned(self):
+        # a grid of one count n reads one pool of replications x n samples on
+        # point 0's streams and averages whole rows: its table keeps its digest
+        base = ChainSpec(5, 0.6, 8, seed=12, target_probability=0.5)
+        text = variance_sweep("sample_count", [4], base, 100).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "c1c7987bfb6671b2b522494a7999910ea8cd635197d8e542e7243e9da9781a63"
+
+    def test_counts_read_prefixes_of_one_pool(self):
+        base = ChainSpec(5, 0.6, 8, seed=12, target_probability=0.5)
+        grid, reps = [4, 1, 4, 2], 100
+        table = variance_sweep("sample_count", grid, base, reps)
+        chain = lone_chain(base, 12, 3, 0, 0)
+        source = (chain.transition[None], chain.initial_state)
+        pools = {}
+        for mode, kinds, stream in ((STANDARD, (MC, SCOPE), 1), (OUTCOME_EXCLUDED, (REACH,), 2)):
+            values = experiments._sample_stack(source, chain.vocabulary, chain.horizon, mode,
+                                               reps * 4, stream_keys(12, 3, 0, stream))
+            pools.update(zip(kinds, (v.reshape(reps, 4) for v in values)))
+        rows = [r for r in table.rows if r.statistic == "variance"]
+        assert [(r.task, r.kind, r.n) for r in rows] == \
+            [(f"sample_count={n}", kind, n) for n in grid for kind in (MC, SCOPE, REACH)]
+        for r in rows:
+            assert r.value == float(pools[r.kind][:, :r.n].mean(axis=1).var(ddof=1))
+        # rows keep grid order; the two points of count 4 are the same rows
+        assert table.rows[1:7] == table.rows[13:19]
+
+    def test_default_grid_samples_one_pool_per_mode(self):
+        base = ChainSpec(11, 1.0, 20, seed=3, target_probability=0.5)
+        calls = []
+
+        def spy(source, vocab, horizon, mode, n, keys):
+            calls.append((mode, n))
+            return sample_stack(source, vocab, horizon, mode, n, keys)
+
+        sample_stack = experiments._sample_stack
+        with mock.patch.object(experiments, "_sample_stack", spy):
+            variance_sweep("sample_count", experiments.SAMPLE_COUNT_GRID, base,
+                           experiments.SAMPLE_COUNT_REPLICATIONS)
+        assert calls == [(STANDARD, 2_000 * 128), (OUTCOME_EXCLUDED, 2_000 * 128)]
 
     @pytest.mark.parametrize("axis, grid", [("probability", [0.3, 0.6]),
                                             ("spontaneity", [0.5, 1.0]),
@@ -653,6 +694,18 @@ class TestDistributionExperiment:
         # the edges read back as numbers, whatever the numpy scalar repr
         for kind, lo, hi, count in (line.split(",") for line in lines[1:]):
             assert float(lo) < float(hi) and int(count) >= 0
+
+    @pytest.mark.parametrize("bins,message", [
+        (0, "bins must be >= 1, got 0"),
+        (-2, "bins must be >= 1, got -2"),
+        (True, "bins must be an integer, got True"),
+        (2.5, "bins must be an integer, got 2.5"),
+        ("4", "bins must be an integer, got '4'"),
+    ], ids=["zero", "negative", "bool", "fraction", "string"])
+    def test_bins_must_be_a_positive_integer(self, bins, message):
+        result = estimate_distribution_experiment(ChainSpec(4, 1.0, 5, seed=14), 20, 5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            result.to_csv_text(bins=bins)
 
 
 def reference_auroc_columns(score_matrix, labels):
