@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 configuration error, 3 model validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -305,9 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built once per process: each tree of
+    parsers holds reference cycles that only the cyclic collector frees, so
+    a fresh one per command grows the heap of a long in-process run.
+    Parsing leaves it unchanged and returns a fresh namespace each call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.started = started  # manifests time the whole command
     try:
         return args.func(args)

@@ -301,10 +301,13 @@ class ExperimentTable:
             header = fh.readline().strip().split(",")
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header {header}")
-            for line in fh:
+            for number, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 cells = line.rstrip("\n").split(",")
+                if len(cells) != len(CSV_COLUMNS):
+                    raise ValueError(f"line {number} has {len(cells)} cells, "
+                                     f"expected {len(CSV_COLUMNS)}")
                 d = dict(zip(CSV_COLUMNS, cells))
                 rows.append(
                     MetricRow(

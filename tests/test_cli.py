@@ -1,11 +1,15 @@
 """End-to-end CLI checks, in this process through ``cli.main``; a few run
 ``python -m seqrisk`` to check the process itself."""
 
+import argparse
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +18,19 @@ import seqrisk
 from seqrisk import ChainSpec, MarkovModel, cli, estimate, experiments, random_chain
 
 
+#: child processes import the package from src/, as pytest's ``pythonpath`` does here
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                os.environ.get("PYTHONPATH")) if p)}
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=CHILD_ENV)
+
+
 def run_module(*args):
-    return subprocess.run([sys.executable, "-m", "seqrisk", *args],
-                          capture_output=True, text=True)
+    return run_python("-m", "seqrisk", *args)
 
 
 @pytest.fixture()
@@ -203,6 +217,47 @@ class TestEstimateCommand:
         report = estimate(model, "scope", 300, 2, clip_policy="clip_to_unit")
         files = report.files(out_path)
         assert {path: path.read_bytes() for path in files} == files
+
+
+class TestRepeatedMain:
+    """``cli.main`` parses with one parser per process: a command leaves no
+    parser for the cyclic collector, and no command sees another's options."""
+
+    def estimate(self, chain_file, out, *extra):
+        return ["estimate", "--model", str(chain_file), "--kind", "mc", "--n", "50",
+                "--seed", "1", "--out", str(out), *extra]
+
+    def test_leaves_no_parser_behind(self, chain_file, tmp_path, capsys):
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        try:
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            for i in range(2):
+                assert cli.main(self.estimate(chain_file, tmp_path / f"r{i}.json")) == 0
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert left == []
+
+    def test_an_option_does_not_carry_over(self, chain_file, tmp_path, capsys):
+        assert cli.main(self.estimate(chain_file, tmp_path / "a.json",
+                                      "--clip", "clip_to_unit")) == 0
+        assert cli.main(self.estimate(chain_file, tmp_path / "b.json")) == 0
+        manifest = json.loads((tmp_path / "b.json.manifest.json").read_text())
+        assert manifest["config"]["clip"] == "none"
+
+    def test_a_failed_parse_leaves_the_next_command_working(self, chain_file, tmp_path,
+                                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--kind", "mc", "--n", "ten"])
+        assert exc.value.code == 2
+        assert cli.main(self.estimate(chain_file, tmp_path / "r.json")) == 0
+        assert (tmp_path / "r.json.manifest.json").is_file()
 
 
 #: a small run of each command that reads --spec
@@ -488,8 +543,7 @@ def test_import_leaves_scipy_unloaded():
     code = ("import sys, seqrisk, seqrisk.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -502,7 +556,7 @@ def test_a_cohort_leaves_numpy_ma_unloaded(tmp_path):
             "code = cli.main(['cohort', '--patients', '30', '--timelines', '20', "
             f"'--rounds', '5', '--seed', '3', '--out', {str(out_path)!r}]); "
             "print(code, 'numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
     assert ",auroc," in out_path.read_text()

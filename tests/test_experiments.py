@@ -1053,6 +1053,21 @@ class TestExperimentTable:
         assert text.splitlines()[0] == "task,kind,n,statistic,value,ci_low,ci_high,seed"
         assert ExperimentTable.read_csv(path) == table
 
+    HEADER = "task,kind,n,statistic,value,ci_low,ci_high,seed\n"
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(self.HEADER + "t1,mc,1,variance,0.25,,,3\n\nt1,mc,1,variance,0.25\n")
+        with pytest.raises(ValueError, match="line 4 has 5 cells, expected 8"):
+            ExperimentTable.read_csv(path)
+
+    def test_extra_cell_names_its_line(self, tmp_path):
+        # an extra comma would otherwise drop the last cell unseen
+        path = tmp_path / "table.csv"
+        path.write_text(self.HEADER + "t1,mc,1,variance,0.25,,,3,\n")
+        with pytest.raises(ValueError, match="line 2 has 9 cells, expected 8"):
+            ExperimentTable.read_csv(path)
+
     def test_ci_ordering_enforced(self):
         with pytest.raises(ValueError):
             MetricRow("t", MC, 1, "auroc", 0.9, 0.1, 0.5)

@@ -799,13 +799,14 @@ class TestBlockInvariance:
             with mock.patch.object(seqmodel, "_BLOCK", block):
                 assert run() == want, block
 
-    @pytest.mark.parametrize("mode,most", [(STANDARD, 30.0), (OUTCOME_EXCLUDED, 16.0)])
+    @pytest.mark.parametrize("mode,most", [(STANDARD, 27.3), (OUTCOME_EXCLUDED, 13.4)])
     def test_traced_bytes_per_row(self, mode, most):
         # the running state is allocated once, its tokens in 16 bits and its
-        # row numbers in 32, and a step's buffers hold one block; with every
-        # integer in 8 bytes the peak is 38.5 and 21.3 bytes per row, and a
-        # sampler that allocates its per-step temporaries afresh, one entry
-        # per running row, peaks at 51.9 and 50.7
+        # row numbers in 32, and a step's buffers hold one block of 32,768
+        # rows: the peak is 25.7 and 12.6 bytes per row (28.2 and 15.0 with
+        # blocks of 65,536); with every integer in 8 bytes it is 35.9 and
+        # 18.8, and a sampler that allocates its per-step temporaries
+        # afresh, one entry per running row, peaks at 51.9 and 50.7
         chain = random_chain(ChainSpec(n_states=11, spontaneity=0.5, horizon_steps=20,
                                        target_probability=0.3, seed=0))
         n = 256_000
