@@ -41,7 +41,7 @@ from . import __version__, experiments
 from .errors import CalibrationError, EmptyPlotError, ModelValidationError, SeqriskError
 from .estimators import CLIP_NONE, CLIP_POLICIES, KINDS, estimate
 from .oracle import dispersion_probability, exact_bijection_check, exact_outcome_probability
-from .seqmodel import MarkovModel
+from .seqmodel import MarkovModel, _check_count
 from .svgplot import table_plot
 
 
@@ -75,11 +75,15 @@ def _resolve_model(args) -> MarkovModel:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``."""
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``; the temp file is gone afterwards, also when either step fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write(args, files: dict, stage_seconds=None, started=None) -> None:
@@ -194,7 +198,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    experiments._check_bins(args.bins)
+    _check_count("bins", args.bins)
     spec = _chain_spec(args, experiments.ChainSpec(
         experiments.DEFAULT_CHAIN_STATES, 1.0, experiments.DEFAULT_HORIZON_STEPS,
         target_probability=0.2, equal_transitions=False,

@@ -40,6 +40,7 @@ from .rng import trajectory_stream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
+    _check_count,
     _check_keys,
     _check_number,
     sample_batch,
@@ -105,9 +106,7 @@ class EstimateReport:
             if not (math.isfinite(value) and value >= low):
                 bound = "" if low == -math.inf else " and >= 0"
                 raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-        _check_number("n", self.n, numbers.Integral)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
+        _check_count("n", self.n)
         _check_number("n_clipped", self.n_clipped, numbers.Integral)
         if not 0 <= self.n_clipped <= self.n:
             raise ValueError(f"n_clipped must be in [0, n={self.n}], got {self.n_clipped!r}")
@@ -155,7 +154,7 @@ class EstimateReport:
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"sub_values_file must name a file in the report's "
                              f"directory, got {name!r}")
-        _check_number("n", n, numbers.Integral)
+        _check_count("n", n)
         raw = (path.parent / name).read_bytes()
         if len(raw) != 8 * n:
             raise ValueError(f"{name} holds {len(raw)} bytes, expected {n} float64 values")
@@ -219,14 +218,10 @@ def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> 
 
 
 def _sub_values(model, kinds, n, seed) -> list[np.ndarray]:
-    """One float64 array of ``n`` sub-values per kind, all from one trajectory pool."""
-    _check_number("n", n, numbers.Integral)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    modes = {required_mode(k) for k in kinds}
-    if len(modes) != 1:
-        raise ValueError(f"kinds {kinds} cannot share one trajectory pool")
-    mode = modes.pop()
+    """One float64 array of ``n`` sub-values per kind, all from one trajectory
+    pool in the mode of ``kinds[0]``, which every kind must share."""
+    _check_count("n", n)
+    mode = required_mode(kinds[0])
     pool = dict(zip(_BATCH_KINDS[mode], sample_batch(model, mode, n, trajectory_stream(seed))))
     return [pool[k] for k in kinds]
 

@@ -48,7 +48,9 @@ from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
     MarkovModel,
+    _check_count,
     _check_number,
+    _check_probability,
     _from_dict,
     _sample_stack,
     validate,
@@ -102,31 +104,27 @@ class ChainSpec:
     equal_transitions: bool = False
 
     def __post_init__(self):
-        for name in ("n_states", "horizon_steps", "seed"):
-            _check_number(name, getattr(self, name), numbers.Integral)
+        _check_count("n_states", self.n_states, least=2)
+        _check_count("horizon_steps", self.horizon_steps)
+        _check_number("seed", self.seed, numbers.Integral)
         _check_number("spontaneity", self.spontaneity)
         if not isinstance(self.equal_transitions, bool):
             raise ValueError(
                 f"equal_transitions must be true or false, got {self.equal_transitions!r}"
             )
-        if self.n_states < 2:
-            raise ValueError("n_states must be >= 2")
         if not 0.0 < self.spontaneity <= 1.0:
             raise ValueError("spontaneity must lie in (0, 1]")
         if round(self.spontaneity * (self.n_states - 1)) < 1:
             raise ValueError(
                 "spontaneity too small: no non-outcome state would carry hazard"
             )
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
         target = self.target_probability
         if target is not None:
             if isinstance(target, bool) or not isinstance(target, numbers.Real):
                 raise ValueError(
                     f"target_probability must be a number or null, got {target!r}"
                 )
-            if not 0.0 <= target <= 1.0:
-                raise ValueError("target_probability must lie in [0, 1]")
+            _check_probability("target_probability", target)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -157,8 +155,10 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_patients", "n_timelines", "bootstrap_rounds", "seed"):
-            _check_number(name, getattr(self, name), numbers.Integral)
+        _check_count("n_patients", self.n_patients, least=2)
+        _check_count("n_timelines", self.n_timelines)
+        _check_count("bootstrap_rounds", self.bootstrap_rounds)
+        _check_number("seed", self.seed, numbers.Integral)
         if not isinstance(self.chain_template, ChainSpec):
             raise ValueError(
                 f"chain_template must be a ChainSpec, got {self.chain_template!r}"
@@ -168,12 +168,6 @@ class CohortSpec:
             raise ValueError(f"risk_range must be a pair of numbers, got {pair!r}")
         for x in pair:
             _check_number("risk_range", x)
-        if self.n_patients < 2:
-            raise ValueError("n_patients must be >= 2")
-        if self.n_timelines < 1:
-            raise ValueError("n_timelines must be >= 1")
-        if self.bootstrap_rounds < 1:
-            raise ValueError("bootstrap_rounds must be >= 1")
         lo, hi = self.risk_range
         if not 0.0 < lo < hi < 1.0:
             raise ValueError("risk_range must satisfy 0 < lo < hi < 1")
@@ -543,9 +537,7 @@ def variance_sweep(
         raise ValueError("grid must be nonempty")
     for g in grid:
         _check_number(f"{axis} grid value", g)
-    _check_number("replications", replications, numbers.Integral)
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
+    _check_count("replications", replications, least=2)
     clock = _StageClock()
     aid = _AXIS_ID[axis]
     seed = base_spec.seed
@@ -629,13 +621,6 @@ def variance_sweep(
     return ExperimentTable(tuple(rows), stage_seconds=clock.seconds)
 
 
-def _check_bins(bins) -> None:
-    """Raise ValueError unless ``bins`` is a positive integer."""
-    _check_number("bins", bins, numbers.Integral)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins!r}")
-
-
 @dataclass(frozen=True)
 class DistributionResult:
     """Estimator values from repeated fixed-size estimates on one chain."""
@@ -650,7 +635,7 @@ class DistributionResult:
         """Histogram of each kind's estimates over ``bins`` equal bins from 0
         to ``max(1, largest estimate)``; ValueError unless ``bins`` is a
         positive integer."""
-        _check_bins(bins)
+        _check_count("bins", bins)
         hi = max(1.0, max(float(v.max()) for v in self.estimates.values()))
         lines = ["kind,bin_low,bin_high,count"]
         for kind, values in self.estimates.items():
@@ -675,10 +660,8 @@ def estimate_distribution_experiment(
     by construction; the other two fill in between.  Every stream derives
     from ``spec.seed``.
     """
-    _check_number("n_estimates", n_estimates, numbers.Integral)
-    _check_number("samples_per_estimate", samples_per_estimate, numbers.Integral)
-    if n_estimates < 1 or samples_per_estimate < 1:
-        raise ValueError("n_estimates and samples_per_estimate must be >= 1")
+    _check_count("n_estimates", n_estimates)
+    _check_count("samples_per_estimate", samples_per_estimate)
     seed = spec.seed
     transitions, (p,), errors = _calibrated_chains(
         [spec], [spec.target_probability], stream_keys(seed, 4, 0))
@@ -701,23 +684,33 @@ def estimate_distribution_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _check_labels(labels) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size == 0:
+def _check_scored(scores, labels, unit: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, labels)`` as float and int arrays; ValueError unless they
+    are non-empty and of one shape, every label is 0 or 1 and every score
+    is finite, and in [0, 1] when ``unit``."""
+    scores, labels = np.asarray(scores, dtype=float), np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise ValueError(f"scores and labels must have one shape, got {scores.shape} "
+                         f"and {labels.shape}")
+    if scores.size == 0:
         raise ValueError("empty input")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return labels.astype(int)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    if unit and (np.any(scores < 0) or np.any(scores > 1)):
+        raise ValueError("scores must lie in [0, 1]")
+    return scores, labels.astype(int)
 
 
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve, Mann-Whitney form; ties earn 0.5 credit."""
-    scores = np.asarray(scores, dtype=float)
-    labels = _check_labels(labels)
-    if scores.shape != labels.shape:
-        raise ValueError("scores and labels must have the same length")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    """Area under the ROC curve, Mann-Whitney form; ties earn 0.5 credit.
+
+    ValueError unless ``scores`` and ``labels`` are non-empty and of one
+    length, every label is 0 or 1 and every score is finite;
+    :class:`~seqrisk.errors.UndefinedMetricError` unless both labels occur.
+    """
+    scores, labels = _check_scored(scores, labels, unit=False)
     # dense ranks keep every tie (``-0.0 == 0.0`` included) and are >= 0
     _, ranks = np.unique(scores, return_inverse=True)
     return float(_auroc_columns(ranks.reshape(-1, 1), labels)[0])
@@ -813,27 +806,18 @@ def _count_aurocs(keys, pool_n: int, n_pos: int) -> np.ndarray:
     return u / (n_pos * (keys.shape[1] - n_pos))
 
 
-def _check_scores(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empty input")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    if np.any(scores < 0) or np.any(scores > 1):
-        raise ValueError("scores must lie in [0, 1]")
-    return scores
-
-
 def brier(scores, labels) -> float:
-    """Mean squared difference between scores in [0, 1] and binary labels."""
-    scores = _check_scores(scores)
-    labels = _check_labels(labels)
+    """Mean squared difference between scores in [0, 1] and binary labels.
+
+    ValueError unless ``scores`` and ``labels`` are non-empty and of one
+    length, every label is 0 or 1 and every score is a number in [0, 1].
+    """
+    scores, labels = _check_scored(scores, labels, unit=True)
     return float(np.mean((scores - labels) ** 2))
 
 
 def _calibration_bins(scores, labels, n_bins):
-    scores = _check_scores(scores)
-    labels = _check_labels(labels)
+    scores, labels = _check_scored(scores, labels, unit=True)
     which = np.minimum((scores * n_bins).astype(int), n_bins - 1)
     out = []
     for b in range(n_bins):
@@ -850,11 +834,11 @@ def _calibration_bins(scores, labels, n_bins):
 def calibration_curve(scores, labels, n_bins: int = 10) -> list:
     """Per-bin (mean score, event rate, count) over equal-width bins on [0, 1].
 
-    Empty bins are omitted.
+    Empty bins are omitted.  ValueError on the inputs :func:`brier`
+    rejects, and unless ``n_bins`` is an integer of at least 1:
+    "n_bins must be an integer, got ..." or "n_bins must be >= 1, got ...".
     """
-    _check_number("n_bins", n_bins, numbers.Integral)
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    _check_count("n_bins", n_bins)
     return [(ms, er, c) for _, ms, er, c in _calibration_bins(scores, labels, n_bins)]
 
 
@@ -915,24 +899,31 @@ def equivalence_ratio(
     no count qualifies are dropped from the CI and tallied in
     ``not_reached`` (see :func:`synthetic_cohort_eval` rows).  The rounds
     draw from ``substream(seed, 10, 0)``, and the row carries ``seed``.
-    ``reference_n`` and ``bootstrap_rounds`` must be integers of at least 1,
-    or it raises ValueError.
+    ``reference_n`` and ``bootstrap_rounds`` must be integers of at least 1
+    ("<name> must be >= 1, got ..."), and every cell read must hold at
+    least one replicate, all finite, or it raises ValueError naming the
+    cell.
     """
-    for name, count in (("reference_n", reference_n), ("bootstrap_rounds", bootstrap_rounds)):
-        _check_number(name, count, numbers.Integral)
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    _check_count("reference_n", reference_n)
+    _check_count("bootstrap_rounds", bootstrap_rounds)
     ref_key = (reference_kind, int(reference_n))
     if ref_key not in auc_table:
         raise ValueError(f"auc_table missing reference cell {ref_key}")
     counts = sorted(n for k, n in auc_table if k == alt_kind)
     if not counts:
         raise ValueError(f"auc_table has no cells for kind {alt_kind!r}")
-    alts = [np.asarray(auc_table[(alt_kind, n)], dtype=float) for n in counts]
-    return _equivalence(
-        np.asarray(auc_table[ref_key], dtype=float), counts, alts, alt_kind, reference_n,
-        bootstrap_rounds, substream(seed, 10, 0), seed,
-    )[0]
+
+    def replicates(key) -> np.ndarray:
+        values = np.asarray(auc_table[key], dtype=float)
+        if values.size == 0:
+            raise ValueError(f"auc_table cell {key} holds no replicates")
+        if not np.isfinite(values).all():
+            raise ValueError(f"auc_table cell {key} holds a replicate that is not finite")
+        return values
+
+    alts = [replicates((alt_kind, n)) for n in counts]
+    return _equivalence(replicates(ref_key), counts, alts, alt_kind, reference_n,
+                        bootstrap_rounds, substream(seed, 10, 0), seed)[0]
 
 
 # ---------------------------------------------------------------------------

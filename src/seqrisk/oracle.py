@@ -23,7 +23,6 @@ to any statistic, far below every tolerance used in the package).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +36,8 @@ from .seqmodel import (
     HorizonPolicy,
     MarkovModel,
     Vocabulary,
-    _check_number,
+    _check_count,
+    _check_probability,
     _degenerate,
     _read_rows,
     _stop_reason,
@@ -259,9 +259,7 @@ class _BranchCoinModel:
 def counterexample_model(p: float) -> _BranchCoinModel:
     """Model showing no outcome-probability threshold makes the hazard-sum
     estimator dominate Monte Carlo; see :class:`_BranchCoinModel`."""
-    _check_number("p", p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_probability("p", p)
     return _BranchCoinModel(p)
 
 
@@ -274,13 +272,9 @@ def dispersion_probability(n_samples: int, p_base: float, p_elevated: float) -> 
     ``sum_k Binom(k; n, p_base) * P(Binom(n, p_elevated) > k)``.
     Binomial terms are evaluated in log space.
     """
-    _check_number("n_samples", n_samples, numbers.Integral)
-    if n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
-    for name, p in (("p_base", p_base), ("p_elevated", p_elevated)):
-        _check_number(name, p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
+    _check_count("n_samples", n_samples)
+    _check_probability("p_base", p_base)
+    _check_probability("p_elevated", p_elevated)
     n = int(n_samples)
     return float(math.fsum(_binomial_pmf(n, p_base) * _binomial_sf(n, p_elevated)))
 

@@ -96,6 +96,20 @@ def _check_number(name: str, value, kind=numbers.Real) -> None:
         raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    _check_number(name, value, numbers.Integral)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_probability(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a number (not a bool) in [0, 1]."""
+    _check_number(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 def _check_keys(d: dict, known, what: str, required=()) -> None:
     """Raise ValueError unless ``d`` is a dict, naming the keys of ``d``
     outside ``known``, or the ``required`` keys it lacks."""
@@ -133,12 +147,10 @@ class Vocabulary:
     time_map: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("size", "outcome"):
-            _check_number(name, getattr(self, name), numbers.Integral)
+        _check_count("size", self.size)
+        _check_number("outcome", self.outcome, numbers.Integral)
         for t in self.terminal:
             _check_number("terminal token", t, numbers.Integral)
-        if self.size < 1:
-            raise ValueError("vocabulary size must be positive")
         if not 0 <= self.outcome < self.size:
             raise ValueError(f"outcome token {self.outcome} outside [0, {self.size})")
         if any(not 0 <= t < self.size for t in self.terminal):
@@ -176,9 +188,7 @@ class HorizonPolicy:
     time_limit: float | None = None
 
     def __post_init__(self):
-        _check_number("max_steps", self.max_steps, numbers.Integral)
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be a positive integer")
+        _check_count("max_steps", self.max_steps)
         if self.time_limit is not None:
             _check_number("time_limit", self.time_limit)
             if not (np.isfinite(self.time_limit) and self.time_limit >= 0):
@@ -422,9 +432,7 @@ def sample_batch(model: SequenceModel, mode: str, n: int, rng: np.random.Generat
     lists of at most ``max_steps`` ints.  This is the one-model case of
     :func:`_sample_stack`, which reads ``rng`` step by step.
     """
-    _check_number("n", n, numbers.Integral)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_count("n", n, least=0)
     if isinstance(getattr(rng, "bit_generator", None), np.random.MT19937):
         raise ValueError(
             "sample_batch reads a uniform as (word >> 11) * 2**-53 of one 64-bit "

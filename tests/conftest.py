@@ -6,6 +6,7 @@ experiment's chain is held to."""
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,21 @@ SUITE_SEED_BASE = 1000
 SUITE_SIZE = 200
 
 CRITERION_LINES: list[str] = []
+
+
+#: the values every count argument rejects, by the least value it takes
+BAD_COUNTS = {"bool": lambda least: True, "fraction": lambda least: 2.5,
+              "below_least": lambda least: least - 1}
+
+
+def raises_count_error(name: str, least: int, value):
+    """``pytest.raises`` for the message the count check on ``name`` gives
+    ``value``: a bool or a fraction is not an integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        message = f"{name} must be >= {least}, got {value}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 def record_criterion(line: str) -> None:

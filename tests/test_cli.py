@@ -405,6 +405,16 @@ class TestSweepCommand:
         assert "configuration error: cannot render" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_leaves_no_temp_file_exit_5(self, tmp_path, run_cli):
+        # the rename onto a directory fails after the temp file is written
+        out_path = tmp_path / "out.csv"
+        out_path.mkdir()
+        out = run_cli("sweep", "--axis", "spontaneity", "--grid", "0.5",
+                      "--replications", "20", "--out", str(out_path))
+        assert out.returncode == 5
+        assert list(tmp_path.glob("*.tmp*")) == []
+        assert list(tmp_path.iterdir()) == [out_path]
+
     def test_spec_keeps_the_axis_default_replications(self, tmp_path, monkeypatch):
         seen = []
 

@@ -1,10 +1,13 @@
-"""The README's library tour and the demos that run in seconds work as written."""
+"""The README's library tour, its command lines and the demos that run in
+seconds work as written."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from seqrisk import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +36,19 @@ def test_readme_model_file_validates(tmp_path):
     out = run_python("-m", "seqrisk", "validate", "--model", str(path))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_readme_command_lines_parse():
+    # a renamed or removed flag fails here; each line's comment is not an argument
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["seqrisk"]]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_estimator_tour_demo_runs():

@@ -33,7 +33,14 @@ from seqrisk.estimators import (
     CLIP_NONE, CLIP_POLICIES, KINDS, aggregate, apply_clip, required_mode,
 )
 
-from conftest import RuledChain, ScriptedStream, make_random_model, ruled_batch
+from conftest import (
+    BAD_COUNTS,
+    RuledChain,
+    ScriptedStream,
+    make_random_model,
+    raises_count_error,
+    ruled_batch,
+)
 
 
 class WrappedChain:
@@ -95,6 +102,24 @@ _VALUE_LISTS = st.one_of(
     st.tuples(st.floats(-1e6, 1e6), st.integers(1, 200)).map(lambda t: [t[0]] * t[1]),
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=1),
 )
+
+
+#: count arguments of this module that no table of their own covers:
+#: (name, least value, call with the value)
+COUNT_ARGUMENTS = {
+    "EstimateReport.n": ("n", 1, lambda v: EstimateReport(
+        kind=MC, n=v, mean=0.0, sample_variance=0.0, std_error=0.0, sub_values=[])),
+    "estimate.n": ("n", 1, lambda v: estimate(make_random_model(0), REACH, v, seed=0)),
+    "paired_estimates.n": ("n", 1, lambda v: paired_estimates(make_random_model(0), v, seed=0)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("name,least,call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_count_arguments_are_checked(name, least, call, bad):
+    value = BAD_COUNTS[bad](least)
+    with raises_count_error(name, least, value):
+        call(value)
 
 
 def one_value(model, mode, uniforms):

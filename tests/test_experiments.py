@@ -1,6 +1,7 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
 import hashlib
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -59,7 +60,7 @@ from seqrisk.experiments import (
 from seqrisk.oracle import outcome_probability_dp
 from seqrisk.rng import KeyedStream, stream_keys, substream
 
-from conftest import lone_chain
+from conftest import BAD_COUNTS, lone_chain, raises_count_error
 
 
 class TestChainSpec:
@@ -103,6 +104,39 @@ class TestCohortSpec:
         fields = {"n_patients": 20, "chain_template": ChainSpec(4, 1.0, 5), **entry}
         with pytest.raises(ValueError, match=message):
             CohortSpec(**fields)
+
+
+def cohort_spec(**counts):
+    return CohortSpec(**{"n_patients": 20, "chain_template": ChainSpec(4, 1.0, 5), **counts})
+
+
+#: count arguments of this module that no table of their own covers:
+#: (name, least value, call with the value)
+COUNT_ARGUMENTS = {
+    "ChainSpec.n_states": ("n_states", 2, lambda v: ChainSpec(v, 1.0, 5)),
+    "ChainSpec.horizon_steps": ("horizon_steps", 1, lambda v: ChainSpec(4, 1.0, v)),
+    "CohortSpec.n_patients": ("n_patients", 2, lambda v: cohort_spec(n_patients=v)),
+    "CohortSpec.n_timelines": ("n_timelines", 1, lambda v: cohort_spec(n_timelines=v)),
+    "CohortSpec.bootstrap_rounds": ("bootstrap_rounds", 1,
+                                    lambda v: cohort_spec(bootstrap_rounds=v)),
+    "variance_sweep.replications": ("replications", 2, lambda v: variance_sweep(
+        "probability", [0.3], ChainSpec(4, 1.0, 3, equal_transitions=True), v)),
+    "estimate_distribution_experiment.n_estimates": ("n_estimates", 1, lambda v:
+        estimate_distribution_experiment(ChainSpec(4, 1.0, 3, target_probability=0.3), v, 3)),
+    "estimate_distribution_experiment.samples_per_estimate": ("samples_per_estimate", 1,
+        lambda v: estimate_distribution_experiment(
+            ChainSpec(4, 1.0, 3, target_probability=0.3), 3, v)),
+    "calibration_curve.n_bins": ("n_bins", 1,
+                                 lambda v: calibration_curve([0.1, 0.9], [0, 1], v)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("name,least,call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_count_arguments_are_checked(name, least, call, bad):
+    value = BAD_COUNTS[bad](least)
+    with raises_count_error(name, least, value):
+        call(value)
 
 
 class TestRandomChain:
@@ -881,6 +915,14 @@ class TestBrierAndCalibration:
         with pytest.raises(ValueError):
             brier([], [])
 
+    @pytest.mark.parametrize("scores,labels", [([0.1, 0.2], [1]), ([0.1, 0.2, 0.9], [1, 0]),
+                                               ([0.5], [0, 1])])
+    @pytest.mark.parametrize("metric", [brier, calibration_curve, auroc])
+    def test_scores_and_labels_must_have_one_length(self, metric, scores, labels):
+        # brier broadcast the shorter input, calibration_curve raised IndexError
+        with pytest.raises(ValueError, match="scores and labels must have one shape"):
+            metric(scores, labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -964,7 +1006,8 @@ class TestEquivalenceRatio:
         ("bootstrap_rounds", 20.0, "bootstrap_rounds must be an integer, got 20.0"),
         ("reference_n", 10.7, "reference_n must be an integer, got 10.7"),
         ("reference_n", 0, "reference_n must be >= 1, got 0"),
-    ], ids=["zero_rounds", "bool_rounds", "float_rounds", "fractional_n", "zero_n"])
+        ("reference_n", True, "reference_n must be an integer, got True"),
+    ], ids=["zero_rounds", "bool_rounds", "float_rounds", "fractional_n", "zero_n", "bool_n"])
     def test_counts_are_checked(self, field, value, message):
         table = make_auc_table({"mc": np.linspace(0.6, 0.7, 10),
                                 "reach": np.linspace(0.8, 0.85, 10)})
@@ -979,6 +1022,24 @@ class TestEquivalenceRatio:
             equivalence_ratio(table, "mc", 5, "reach", 10, seed=0)
         with pytest.raises(ValueError):
             equivalence_ratio(table, "scope", 5, "mc", 10, seed=0)
+
+    @pytest.mark.parametrize("cell", [("mc", 5), ("reach", 3)])
+    def test_empty_cell_rejected(self, cell):
+        # numpy's "Mean of empty slice" warning, and a NaN mean elsewhere
+        table = make_auc_table({"mc": np.linspace(0.6, 0.7, 5), "reach": np.full(5, 0.8)})
+        table[cell] = []
+        with pytest.raises(ValueError, match=re.escape(f"auc_table cell {cell} holds no "
+                                                       f"replicates")):
+            equivalence_ratio(table, "mc", 5, "reach", 10, seed=0)
+
+    @pytest.mark.parametrize("cell", [("mc", 5), ("reach", 3)])
+    def test_cell_with_a_replicate_that_is_not_finite_rejected(self, cell):
+        # a NaN reference replicate gave a NaN ratio with the CI [100, 100]
+        table = make_auc_table({"mc": np.linspace(0.6, 0.7, 5), "reach": np.full(5, 0.8)})
+        table[cell] = np.append(table[cell], np.nan)
+        with pytest.raises(ValueError, match=re.escape(f"auc_table cell {cell} holds a "
+                                                       f"replicate that is not finite")):
+            equivalence_ratio(table, "mc", 5, "reach", 10, seed=0)
 
     def test_seed_draws_the_rounds_and_labels_the_row(self):
         curves = {

@@ -1,5 +1,6 @@
 """Exact oracles: DP probability, enumeration, closed forms, dispersion."""
 
+import re
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from seqrisk import (
 
 from seqrisk.oracle import _binomial_pmf, _binomial_sf, outcome_probability_dp
 
-from conftest import make_random_model
+from conftest import BAD_COUNTS, make_random_model, raises_count_error
 
 
 def branch_coin_chain(p):
@@ -209,7 +210,7 @@ class TestEnumeration:
 
 class TestCounterexampleModel:
     def test_p_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("p must lie in [0, 1], got 1.5")):
             counterexample_model(1.5)
 
     @pytest.mark.parametrize("p", ["0.5", None, True])
@@ -282,6 +283,19 @@ class TestDispersionProbability:
                                            ("p_elevated", (10, 0.1, None))])
     def test_rates_must_be_numbers(self, name, args):
         with pytest.raises(ValueError, match=f"{name} must be a number"):
+            dispersion_probability(*args)
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_sample_count_is_checked(self, bad):
+        value = BAD_COUNTS[bad](1)
+        with raises_count_error("n_samples", 1, value):
+            dispersion_probability(value, 0.1, 0.2)
+
+    @pytest.mark.parametrize("name,args,value", [
+        ("p_base", (10, -0.1, 0.2), -0.1), ("p_base", (10, float("nan"), 0.2), float("nan")),
+        ("p_elevated", (10, 0.1, 1.2), 1.2)])
+    def test_rates_must_lie_in_the_unit_interval(self, name, args, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0, 1], got {value!r}")):
             dispersion_probability(*args)
 
 

@@ -35,6 +35,7 @@ from seqrisk import oracle, seqmodel
 from seqrisk.rng import KeyedStream, stream_keys, substream
 
 from conftest import (
+    BAD_COUNTS,
     RuledChain,
     ScriptedStream,
     assert_matches_reference,
@@ -42,6 +43,7 @@ from conftest import (
     make_random_model,
     reference_sample,
     reference_values,
+    raises_count_error,
     ruled_batch,
 )
 
@@ -98,6 +100,22 @@ def chain(rows, initial=0, outcome=None, steps=5):
     if outcome is None:
         outcome = rows.shape[0] - 1
     return MarkovModel.step_mode(rows, initial, outcome, steps)
+
+
+#: count arguments of this module that no table of their own covers:
+#: (name, least value, call with the value)
+COUNT_ARGUMENTS = {
+    "Vocabulary.size": ("size", 1, lambda v: Vocabulary(size=v, outcome=0)),
+    "HorizonPolicy.max_steps": ("max_steps", 1, lambda v: HorizonPolicy(max_steps=v)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+@pytest.mark.parametrize("name,least,call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_count_arguments_are_checked(name, least, call, bad):
+    value = BAD_COUNTS[bad](least)
+    with raises_count_error(name, least, value):
+        call(value)
 
 
 class TestVocabulary:
