@@ -22,16 +22,15 @@ vocabulary and horizon, and read every trajectory from the one stream
 :func:`~seqrisk.seqmodel.sample_batch`, whatever the model's class: a
 model whose distributions equal a chain's gives that chain's sub-values
 bit for bit.  An :class:`EstimateReport` keeps the sub-values as one
-float64 array and saves as two files: metadata JSON and the values as a
-little-endian float64 ``.f64`` sidecar.
+float64 array, computes its statistics from them and saves as two files:
+metadata JSON and the values as a little-endian float64 ``.f64`` sidecar.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,6 @@ from .seqmodel import (
     STANDARD,
     _check_count,
     _check_keys,
-    _check_number,
     sample_batch,
 )
 
@@ -71,24 +69,27 @@ _BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
 
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
-    """Aggregate of ``n`` sub-estimator values plus variance diagnostics.
+    """``n`` sub-estimator values and the statistics computed from them.
 
-    ``sample_variance`` uses divisor ``n - 1`` (defined as 0.0 when
-    ``n == 1``); ``std_error = sqrt(sample_variance / n)``.  ``sub_values``
-    are retained post-clipping, as a read-only float64 array the report
-    owns, so downstream bootstraps can reuse them.  A report is checked
-    where it is made, by :func:`aggregate` or :meth:`load`: ValueError
-    naming the field unless ``kind`` and ``clip_policy`` are known, the
-    statistics are finite numbers (the variance and error ``>= 0``), ``n``
-    is a positive integer, ``n_clipped`` an integer in ``[0, n]`` and
-    ``seed`` an integer or None.
+    A report is its ``sub_values``, kept post-clipping as a read-only
+    float64 array the report owns, so downstream bootstraps can reuse them.
+    ``n``, ``mean``, ``sample_variance`` (divisor ``n - 1``, 0.0 when
+    ``n == 1``) and ``std_error = sqrt(sample_variance / n)`` are computed
+    from the values where the report is made.  Summation uses ``math.fsum``
+    in index order, so the statistics do not depend on how the values were
+    produced or partitioned.  ValueError naming the field unless ``kind``
+    and ``clip_policy`` are known, the values are a non-empty
+    one-dimensional array of finite numbers, ``seed`` is a nonnegative
+    integer or None and ``n_clipped`` is 0 under ``none``; under
+    ``clip_to_unit`` no value may exceed 1 and ``n_clipped`` may be at most
+    the number of values equal to 1.
     """
 
     kind: str
-    n: int
-    mean: float
-    sample_variance: float
-    std_error: float
+    n: int = field(init=False)
+    mean: float = field(init=False)
+    sample_variance: float = field(init=False)
+    std_error: float = field(init=False)
     sub_values: np.ndarray
     clip_policy: str = CLIP_NONE
     n_clipped: int = 0
@@ -100,21 +101,47 @@ class EstimateReport:
         if self.clip_policy not in CLIP_POLICIES:
             raise ValueError(f"clip_policy must be one of {CLIP_POLICIES}, "
                              f"got {self.clip_policy!r}")
-        for name, low in (("mean", -math.inf), ("sample_variance", 0.0), ("std_error", 0.0)):
-            value = getattr(self, name)
-            _check_number(name, value)
-            if not (math.isfinite(value) and value >= low):
-                bound = "" if low == -math.inf else " and >= 0"
-                raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-        _check_count("n", self.n)
-        _check_number("n_clipped", self.n_clipped, numbers.Integral)
-        if not 0 <= self.n_clipped <= self.n:
-            raise ValueError(f"n_clipped must be in [0, n={self.n}], got {self.n_clipped!r}")
         if self.seed is not None:
-            _check_number("seed", self.seed, numbers.Integral)
+            _check_count("seed", self.seed, least=0)
         values = np.array(self.sub_values, dtype=np.float64)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"sub_values must be a non-empty 1-d array, got shape {values.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"sub_values must be finite, got {float(values[i])!r} at index {i}")
+        ones = 0
+        if self.clip_policy == CLIP_TO_UNIT:
+            if values.max() > 1.0:
+                raise ValueError(f"sub_values must be <= 1 under clip_to_unit, "
+                                 f"got {float(values.max())!r}")
+            ones = int(np.count_nonzero(values == 1.0))
+        _check_count("n_clipped", self.n_clipped, least=0)
+        if self.n_clipped > ones:
+            raise ValueError(f"n_clipped must be in [0, {ones}] under clip_policy "
+                             f"{self.clip_policy!r}, got {self.n_clipped}")
+        n = values.size
+        # a memoryview yields Python floats: fsum neither boxes each element as
+        # np.float64 nor needs a list of them
+        mean = math.fsum(memoryview(values)) / n
+        if n > 1:
+            # corrected two-pass: the residual term cancels the rounding of the
+            # mean, so constant inputs give exactly zero variance; float_power
+            # squares through libm pow, as ``d ** 2`` on floats does (``d * d``
+            # can differ in the last bit)
+            dev = values - mean
+            ss = math.fsum(memoryview(np.float_power(dev, 2.0)))
+            residual = math.fsum(memoryview(dev))
+            var = max(0.0, (ss - residual * residual / n) / (n - 1))
+        else:
+            var = 0.0
         values.flags.writeable = False
-        object.__setattr__(self, "sub_values", values)
+        # plain ints, so that the report's JSON takes them
+        own = {"sub_values": values, "n": n, "mean": mean, "sample_variance": var,
+               "std_error": math.sqrt(var / n), "n_clipped": int(self.n_clipped),
+               "seed": None if self.seed is None else int(self.seed)}
+        for name, value in own.items():
+            object.__setattr__(self, name, value)
 
     def files(self, path) -> dict[Path, bytes]:
         """The report's two files and their bytes: ``path`` holds the metadata
@@ -134,10 +161,12 @@ class EstimateReport:
 
     @classmethod
     def load(cls, path) -> "EstimateReport":
-        """Read a report :meth:`save` wrote; ValueError on metadata that is
-        not a JSON object, on inline sub-values, on a missing or unknown key,
-        or unless the sidecar is a file in the report's directory holding
-        exactly ``n`` float64 values."""
+        """Read a report :meth:`save` wrote and rebuild it from its values;
+        ValueError on metadata that is not a JSON object, on inline
+        sub-values, on a missing or unknown key, unless the sidecar is a
+        file in the report's directory holding exactly ``n`` float64
+        values, or naming the key whose ``mean``, ``sample_variance`` or
+        ``std_error`` differs from the one the values give."""
         path = Path(path)
         d = json.loads(path.read_text())
         if not isinstance(d, dict):
@@ -150,7 +179,7 @@ class EstimateReport:
         if missing:
             raise ValueError(f"{path.name} lacks the report keys {missing}")
         _check_keys(d, keys, "report")
-        name, n = d.pop("sub_values_file"), d["n"]
+        name, n = d.pop("sub_values_file"), d.pop("n")
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"sub_values_file must name a file in the report's "
                              f"directory, got {name!r}")
@@ -158,7 +187,13 @@ class EstimateReport:
         raw = (path.parent / name).read_bytes()
         if len(raw) != 8 * n:
             raise ValueError(f"{name} holds {len(raw)} bytes, expected {n} float64 values")
-        return cls(**d, sub_values=np.frombuffer(raw, dtype="<f8"))
+        stored = {key: d.pop(key) for key in ("mean", "sample_variance", "std_error")}
+        report = cls(**d, sub_values=np.frombuffer(raw, dtype="<f8"))
+        for key, value in stored.items():
+            if value != getattr(report, key):
+                raise ValueError(f"{path.name} gives {key} {value!r}, but its "
+                                 f"{n} values give {getattr(report, key)!r}")
+        return report
 
 
 def apply_clip(values, clip_policy: str):
@@ -175,52 +210,17 @@ def apply_clip(values, clip_policy: str):
 
 
 def aggregate(kind: str, values, *, clip_policy: str = CLIP_NONE, seed=None) -> EstimateReport:
-    """Build an :class:`EstimateReport` from raw sub-values.
-
-    Summation uses ``math.fsum`` in index order, so the report does not
-    depend on how the values were produced or partitioned.  ValueError on
-    no values, a value that is not finite, or a report field
-    :class:`EstimateReport` rejects.
-    """
+    """The :class:`EstimateReport` of raw sub-values after ``clip_policy``;
+    ValueError on a field the report rejects."""
     values, n_clipped = apply_clip(values, clip_policy)
-    n = values.size
-    if n == 0:
-        raise ValueError("cannot aggregate zero sub-values")
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"sub_values must be finite, got {float(values.flat[i])!r} at index {i}")
-    # a memoryview yields Python floats: fsum neither boxes each element as
-    # np.float64 nor needs a list of them
-    mean = math.fsum(memoryview(values)) / n
-    if n > 1:
-        # corrected two-pass: the residual term cancels the rounding of the
-        # mean, so constant inputs give exactly zero variance; float_power
-        # squares through libm pow, as ``d ** 2`` on floats does (``d * d``
-        # can differ in the last bit)
-        dev = values - mean
-        ss = math.fsum(memoryview(np.float_power(dev, 2.0)))
-        residual = math.fsum(memoryview(dev))
-        var = max(0.0, (ss - residual * residual / n) / (n - 1))
-    else:
-        var = 0.0
-    return EstimateReport(
-        kind=kind,
-        n=n,
-        mean=mean,
-        sample_variance=var,
-        std_error=math.sqrt(var / n),
-        sub_values=values,
-        clip_policy=clip_policy,
-        n_clipped=n_clipped,
-        seed=seed,
-    )
+    return EstimateReport(kind, values, clip_policy, n_clipped, seed)
 
 
 def _sub_values(model, kinds, n, seed) -> list[np.ndarray]:
     """One float64 array of ``n`` sub-values per kind, all from one trajectory
     pool in the mode of ``kinds[0]``, which every kind must share."""
     _check_count("n", n)
+    _check_count("seed", seed, least=0)
     mode = required_mode(kinds[0])
     pool = dict(zip(_BATCH_KINDS[mode], sample_batch(model, mode, n, trajectory_stream(seed))))
     return [pool[k] for k in kinds]

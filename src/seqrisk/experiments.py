@@ -106,7 +106,7 @@ class ChainSpec:
     def __post_init__(self):
         _check_count("n_states", self.n_states, least=2)
         _check_count("horizon_steps", self.horizon_steps)
-        _check_number("seed", self.seed, numbers.Integral)
+        _check_count("seed", self.seed, least=0)
         _check_number("spontaneity", self.spontaneity)
         if not isinstance(self.equal_transitions, bool):
             raise ValueError(
@@ -158,7 +158,7 @@ class CohortSpec:
         _check_count("n_patients", self.n_patients, least=2)
         _check_count("n_timelines", self.n_timelines)
         _check_count("bootstrap_rounds", self.bootstrap_rounds)
-        _check_number("seed", self.seed, numbers.Integral)
+        _check_count("seed", self.seed, least=0)
         if not isinstance(self.chain_template, ChainSpec):
             raise ValueError(
                 f"chain_template must be a ChainSpec, got {self.chain_template!r}"
@@ -279,7 +279,7 @@ class ExperimentTable:
         for r in self.rows:
             cells = (getattr(r, c) for c in CSV_COLUMNS)
             lines.append(",".join(
-                "" if v is None else repr(v) if isinstance(v, float) else str(v)
+                "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
                 for v in cells
             ))
         return "\n".join(lines) + "\n"
@@ -628,7 +628,6 @@ class DistributionResult:
     estimates: dict
     true_probability: float
     samples_per_estimate: int
-    n_estimates: int
     seed: int
 
     def to_csv_text(self, *, bins: int = 40) -> str:
@@ -674,7 +673,6 @@ def estimate_distribution_experiment(
         estimates={kind: v.reshape(shape).mean(axis=1) for kind, (v,) in pools.items()},
         true_probability=float(p),
         samples_per_estimate=samples_per_estimate,
-        n_estimates=n_estimates,
         seed=seed,
     )
 

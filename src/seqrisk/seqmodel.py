@@ -181,7 +181,7 @@ class HorizonPolicy:
     ``max_steps`` is mandatory so every trajectory terminates even when the
     model emits only zero-time tokens.  When ``time_limit`` is set,
     generation stops after the first token that pushes cumulative time
-    strictly past it.
+    strictly past it.  Both are kept as plain ``int`` and ``float``.
     """
 
     max_steps: int
@@ -189,10 +189,12 @@ class HorizonPolicy:
 
     def __post_init__(self):
         _check_count("max_steps", self.max_steps)
+        object.__setattr__(self, "max_steps", int(self.max_steps))
         if self.time_limit is not None:
             _check_number("time_limit", self.time_limit)
             if not (np.isfinite(self.time_limit) and self.time_limit >= 0):
                 raise ValueError("time_limit must be finite and >= 0 when set")
+            object.__setattr__(self, "time_limit", float(self.time_limit))
 
     def to_dict(self) -> dict:
         d = {"max_steps": self.max_steps}
@@ -230,12 +232,13 @@ class MarkovModel:
     The next-token distribution depends only on the most recent token (or
     on ``initial_state`` for an empty prefix).  States double as tokens;
     every token advances time by one unit, so a horizon in step-count mode
-    carries ``time_limit == max_steps == number of steps``.  Construction
-    rejects a matrix that is not row-stochastic with
-    :class:`ModelValidationError`, one diagnostic per bad row or entry.
+    carries ``time_limit == max_steps == number of steps``.  ``n_states``
+    is the matrix's size, ``len(transition)``.  Construction rejects a
+    matrix that is not square with ValueError, and one that is not
+    row-stochastic with :class:`ModelValidationError`, one diagnostic per
+    bad row or entry.
     """
 
-    n_states: int
     transition: np.ndarray
     initial_state: int
     outcome_state: int
@@ -243,17 +246,15 @@ class MarkovModel:
     _vocab: Vocabulary = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_number("n_states", self.n_states, numbers.Integral)
         t = np.asarray(self.transition, dtype=float)
-        if t.shape != (self.n_states, self.n_states):
-            raise ValueError(
-                f"transition must be {self.n_states}x{self.n_states}, got {t.shape}"
-            )
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ValueError(f"transition must be a square matrix, got shape {t.shape}")
         for name in ("initial_state", "outcome_state"):
             v = getattr(self, name)
             _check_number(name, v, numbers.Integral)
-            if not 0 <= v < self.n_states:
-                raise ValueError(f"{name} {v} outside [0, {self.n_states})")
+            if not 0 <= v < len(t):
+                raise ValueError(f"{name} {v} outside [0, {len(t)})")
+            object.__setattr__(self, name, int(v))
         violations = validate(t)
         if violations:
             raise ModelValidationError(violations)
@@ -265,6 +266,10 @@ class MarkovModel:
         )
 
     @property
+    def n_states(self) -> int:
+        return len(self.transition)
+
+    @property
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
@@ -273,9 +278,7 @@ class MarkovModel:
         cls, transition, initial_state: int, outcome_state: int, steps: int
     ) -> "MarkovModel":
         """Chain observed for a fixed number of steps (unit time per token)."""
-        transition = np.asarray(transition, dtype=float)
         return cls(
-            n_states=transition.shape[0],
             transition=transition,
             initial_state=initial_state,
             outcome_state=outcome_state,
@@ -305,14 +308,13 @@ class MarkovModel:
         keys = ("n_states", "transition", "initial_state", "outcome_state", "horizon")
         _check_keys(d, keys, "model", keys)
         n = d["n_states"]
-        _check_number("n_states", n, numbers.Integral)
+        _check_count("n_states", n)
         entries = np.asarray(d["transition"], dtype=object).ravel()
         for x in entries:
             _check_number("transition entry", x)
         if entries.size != n * n:
             raise ValueError(f"transition has {entries.size} entries, expected {n * n}")
         return cls(
-            n_states=n,
             transition=entries.astype(float).reshape(n, n),
             initial_state=d["initial_state"],
             outcome_state=d["outcome_state"],

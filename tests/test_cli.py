@@ -300,6 +300,20 @@ class TestSpecSeed:
         assert overridden == self.run(tmp_path, capsys, argv, unseeded)
         assert overridden[1] == 0
 
+    #: every command that takes a seed, with its other arguments
+    SEEDED = {**{name: [*argv, "--spec", "{spec}"] for name, argv in SPEC_COMMANDS.items()},
+              "estimate_model": ["estimate", "--kind", "mc", "--n", "10", "--model", "{model}"],
+              "cohort": ["cohort", "--patients", "4", "--timelines", "2"]}
+
+    @pytest.mark.parametrize("argv", SEEDED.values(), ids=SEEDED)
+    def test_negative_seed_exit_2(self, tmp_path, capsys, specs, chain_file, argv):
+        # named where it enters, not by numpy's seeding ("expected non-negative integer")
+        argv = [a.format(spec=specs[0], model=chain_file) for a in argv]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommands:
     def test_dispersion_reference_value(self, run_cli):

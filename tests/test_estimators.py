@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,10 +108,12 @@ _VALUE_LISTS = st.one_of(
 #: count arguments of this module that no table of their own covers:
 #: (name, least value, call with the value)
 COUNT_ARGUMENTS = {
-    "EstimateReport.n": ("n", 1, lambda v: EstimateReport(
-        kind=MC, n=v, mean=0.0, sample_variance=0.0, std_error=0.0, sub_values=[])),
     "estimate.n": ("n", 1, lambda v: estimate(make_random_model(0), REACH, v, seed=0)),
     "paired_estimates.n": ("n", 1, lambda v: paired_estimates(make_random_model(0), v, seed=0)),
+    "EstimateReport.seed": ("seed", 0, lambda v: EstimateReport(MC, [0.0], seed=v)),
+    "estimate.seed": ("seed", 0, lambda v: estimate(make_random_model(0), REACH, 3, seed=v)),
+    "paired_estimates.seed": ("seed", 0,
+                              lambda v: paired_estimates(make_random_model(0), 3, seed=v)),
 }
 
 
@@ -176,6 +179,59 @@ class TestSubEstimators:
         assert required_mode(REACH) == OUTCOME_EXCLUDED
         with pytest.raises(ValueError):
             required_mode("other")
+
+
+class TestReport:
+    """A report is its sub-values: the constructor takes the values, the
+    clip fields and the seed, and computes every statistic from the values."""
+
+    def test_constructor_takes_no_statistic(self):
+        assert [f.name for f in fields(EstimateReport) if f.init] == [
+            "kind", "sub_values", "clip_policy", "n_clipped", "seed"]
+        rep = EstimateReport(MC, [0, 0, 0])
+        assert (rep.n, rep.mean, rep.sample_variance, rep.std_error) == (3, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            EstimateReport(MC, [0.0, 0.0, 0.0], n=2, mean=0.7)
+
+    @pytest.mark.parametrize("values", [[], [[0.5, 1.0]], 0.5], ids=["empty", "2d", "scalar"])
+    def test_values_must_be_a_non_empty_array(self, values):
+        shape = np.shape(values)
+        message = f"sub_values must be a non-empty 1-d array, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimateReport(MC, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_values_must_be_finite(self, bad):
+        message = f"sub_values must be finite, got {bad!r} at index 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimateReport(MC, [0.0, 1.0, bad])
+
+    @pytest.mark.parametrize("values,clip,n_clipped,message", [
+        ([5.0], CLIP_TO_UNIT, 0, "sub_values must be <= 1 under clip_to_unit, got 5.0"),
+        ([0.5, 1.0, 1.0], CLIP_NONE, 3,
+         "n_clipped must be in [0, 0] under clip_policy 'none', got 3"),
+        # each clipped value became exactly 1
+        ([0.5, 1.0, 1.0], CLIP_TO_UNIT, 3,
+         "n_clipped must be in [0, 2] under clip_policy 'clip_to_unit', got 3"),
+    ], ids=["above_1", "clipped_under_none", "more_than_the_ones"])
+    def test_clip_fields_agree_with_the_values(self, values, clip, n_clipped, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimateReport(SCOPE, values, clip, n_clipped)
+
+    def test_numpy_integers_are_kept_as_ints(self, tmp_path):
+        rep = estimate(make_random_model(3), MC, 10, seed=np.int64(3))
+        clipped = EstimateReport(SCOPE, [1.0], CLIP_TO_UNIT, np.int64(1), np.uint8(2))
+        for r in (rep, clipped):
+            assert type(r.seed) is int and type(r.n_clipped) is int
+        rep.save(tmp_path / "report.json")
+        assert_same_report(EstimateReport.load(tmp_path / "report.json"), rep)
+        assert_same_report(rep, estimate(make_random_model(3), MC, 10, seed=3))
+
+    def test_a_bad_seed_fails_before_sampling(self):
+        with mock.patch("seqrisk.estimators.sample_batch") as sampler:
+            with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+                estimate(make_random_model(3), MC, 10, seed=True)
+        sampler.assert_not_called()
 
 
 class TestAggregation:
@@ -298,15 +354,21 @@ class TestAggregation:
         ("kind", "bogus", "kind must be one of ('mc', 'scope', 'reach'), got 'bogus'"),
         ("clip_policy", "zzz", "clip_policy must be one of ('none', 'clip_to_unit'), "
                                "got 'zzz'"),
-        ("mean", "x", "mean must be a number, got 'x'"),
-        ("sample_variance", -0.5, "sample_variance must be finite and >= 0, got -0.5"),
-        ("std_error", None, "std_error must be a number, got None"),
-        ("n_clipped", -5, "n_clipped must be in [0, n=2], got -5"),
-        ("n_clipped", 3, "n_clipped must be in [0, n=2], got 3"),
+        ("mean", "x", "report.json gives mean 'x', but its 2 values give 0.5"),
+        ("sample_variance", -0.5,
+         "report.json gives sample_variance -0.5, but its 2 values give 0.5"),
+        ("std_error", None, "report.json gives std_error None, but its 2 values give 0.5"),
+        ("n_clipped", -5, "n_clipped must be >= 0, got -5"),
+        ("n_clipped", 3, "n_clipped must be in [0, 0] under clip_policy 'none', got 3"),
         ("n_clipped", 1.5, "n_clipped must be an integer, got 1.5"),
         ("seed", "7", "seed must be an integer, got '7'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("n", 0, "n must be >= 1, got 0"),
+        ("n", True, "n must be an integer, got True"),
+        ("n", 2.5, "n must be an integer, got 2.5"),
     ], ids=["kind", "clip_policy", "mean", "variance", "std_error", "n_clipped_negative",
-            "n_clipped_above_n", "n_clipped_fraction", "seed"])
+            "n_clipped_unclipped", "n_clipped_fraction", "seed", "seed_negative", "n_zero",
+            "n_bool", "n_fraction"])
     def test_load_rejects_a_bad_field(self, tmp_path, field, value, message):
         path = tmp_path / "report.json"
         aggregate(MC, [0.0, 1.0]).save(path)
@@ -314,12 +376,26 @@ class TestAggregation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EstimateReport.load(path)
 
-    def test_load_rejects_a_mean_that_is_not_finite(self, tmp_path):
-        # the json module reads and writes NaN
+    @pytest.mark.parametrize("key", ["mean", "sample_variance", "std_error"])
+    # the json module reads and writes NaN
+    @pytest.mark.parametrize("edit", [lambda v: 0.9, lambda v: math.nextafter(v, math.inf),
+                                      lambda v: math.nan], ids=["edited", "one_ulp", "nan"])
+    def test_load_rejects_statistics_its_values_do_not_give(self, tmp_path, key, edit):
+        path = tmp_path / "report.json"
+        rep = aggregate(SCOPE, [0.25, 1.5, 0.5])
+        rep.save(path)
+        stored = edit(getattr(rep, key))
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: stored}))
+        message = f"report.json gives {key} {stored!r}, but its 3 values give {getattr(rep, key)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimateReport.load(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_load_rejects_a_sidecar_value_that_is_not_finite(self, tmp_path, bad):
         path = tmp_path / "report.json"
         aggregate(MC, [0.0, 1.0]).save(path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), "mean": math.nan}))
-        with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
+        path.with_name("report.json.f64").write_bytes(np.array([0.0, bad], "<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^sub_values must be finite, got {bad!r} at index 1$"):
             EstimateReport.load(path)
 
     @pytest.mark.parametrize("text", ["5", "[1]"])

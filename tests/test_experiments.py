@@ -119,6 +119,8 @@ COUNT_ARGUMENTS = {
     "CohortSpec.n_timelines": ("n_timelines", 1, lambda v: cohort_spec(n_timelines=v)),
     "CohortSpec.bootstrap_rounds": ("bootstrap_rounds", 1,
                                     lambda v: cohort_spec(bootstrap_rounds=v)),
+    "ChainSpec.seed": ("seed", 0, lambda v: ChainSpec(4, 1.0, 5, seed=v)),
+    "CohortSpec.seed": ("seed", 0, lambda v: cohort_spec(seed=v)),
     "variance_sweep.replications": ("replications", 2, lambda v: variance_sweep(
         "probability", [0.3], ChainSpec(4, 1.0, 3, equal_transitions=True), v)),
     "estimate_distribution_experiment.n_estimates": ("n_estimates", 1, lambda v:
@@ -1112,6 +1114,15 @@ class TestExperimentTable:
         table.write_csv(path)
         text = path.read_text()
         assert text.splitlines()[0] == "task,kind,n,statistic,value,ci_low,ci_high,seed"
+        assert ExperimentTable.read_csv(path) == table
+
+    def test_numpy_floats_read_back(self, tmp_path):
+        # a numpy float's repr is "np.float64(0.5)" under numpy 2
+        table = ExperimentTable((MetricRow("t1", MC, 1, "variance", np.float64(0.5),
+                                           np.float64(0.25), np.float64(0.75), seed=3),))
+        assert table.to_csv_text().splitlines()[1] == "t1,mc,1,variance,0.5,0.25,0.75,3"
+        path = tmp_path / "table.csv"
+        table.write_csv(path)
         assert ExperimentTable.read_csv(path) == table
 
     HEADER = "task,kind,n,statistic,value,ci_low,ci_high,seed\n"

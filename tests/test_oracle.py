@@ -103,7 +103,7 @@ class TestExactOutcomeProbability:
         from seqrisk import ModelValidationError
 
         with pytest.raises(ModelValidationError):
-            MarkovModel(2, np.array([[0.5, 0.4], [0.0, 1.0]]), 0, 1,
+            MarkovModel(np.array([[0.5, 0.4], [0.0, 1.0]]), 0, 1,
                         HorizonPolicy(max_steps=3))
 
 
@@ -187,7 +187,7 @@ class TestEnumeration:
 
     def test_size_guard_refuses_a_huge_step_cap_at_once(self):
         m = make_random_model(3)
-        huge = MarkovModel(m.n_states, m.transition, m.initial_state, m.outcome_state,
+        huge = MarkovModel(m.transition, m.initial_state, m.outcome_state,
                            HorizonPolicy(max_steps=10**9))
         started = time.perf_counter()
         with pytest.raises(InstanceTooLargeError):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 from unittest import mock
@@ -31,7 +32,7 @@ from seqrisk import (
     trajectory_stream,
     validate,
 )
-from seqrisk import oracle, seqmodel
+from seqrisk import cli, oracle, seqmodel
 from seqrisk.rng import KeyedStream, stream_keys, substream
 
 from conftest import (
@@ -168,6 +169,11 @@ class TestHorizonPolicy:
     def test_round_trip(self):
         h = HorizonPolicy(max_steps=4, time_limit=2.5)
         assert HorizonPolicy.from_dict(h.to_dict()) == h
+
+    def test_numpy_scalars_are_kept_as_plain_numbers(self):
+        h = HorizonPolicy(max_steps=np.int64(3), time_limit=np.float32(2.5))
+        assert type(h.max_steps) is int and type(h.time_limit) is float
+        assert json.loads(json.dumps(h.to_dict())) == {"max_steps": 3, "time_limit": 2.5}
 
     @pytest.mark.parametrize("d", [{}, {"time_limit": 2.0}])
     def test_from_dict_names_a_missing_key(self, d):
@@ -1002,6 +1008,47 @@ class TestPinnedBits:
             assert sha256_of(self.table_values(mode)) == self.TABLE[mode]
 
 
+class TestPinnedReports:
+    """Digests of the two files ``seqrisk estimate --spec`` writes for the
+    benchmark's estimate chain at n = 2,000 and seed 3, taken at the commit
+    before a report computed its statistics from its sub-values.  A change
+    to the report's fields, their order or their values fails here.  The
+    chain's scope values stay below 1 at target 0.3, so the row at target
+    0.6 (205 values clipped) is the one that pins clipping."""
+
+    # (kind, clip policy, target probability): (report JSON, .f64 sidecar)
+    REPORTS = {
+        ("mc", "none", 0.3): (
+            "7def94da45d1e751112d1c8a4f75b0b2857f81ec37bf7d93b6f3a36262516351",
+            "d1aed174bc4e8a2abf8b82590272e7049e8c8abf092dc6d23c3c20f760baeb4e"),
+        ("scope", "none", 0.3): (
+            "aa6cc010145333a4ea2abbf6ccd689ae9c1c111952f6ee00eea5a5665603906e",
+            "4e3044fadeac6eefd39f61256de3fafba251c68a7af71a7e8a1a12dc11dd4df8"),
+        ("reach", "none", 0.3): (
+            "5c65c363e9506c2aaf90c76d53687fd8df58a5c27970e109500156943c10b160",
+            "08a8c71f37c03c67245bee52458bc24a240b7a4ad368007365fefefec38d86b2"),
+        ("scope", "clip_to_unit", 0.3): (
+            "49b1dcb343aa8272925614844edb97b4f938074f69ece7dd17a70fe0b83e44d3",
+            "4e3044fadeac6eefd39f61256de3fafba251c68a7af71a7e8a1a12dc11dd4df8"),
+        ("scope", "clip_to_unit", 0.6): (
+            "b74409abaadad2e79f2d620972b51284ccdb2eea6d035c15ae7a88476fd79fcc",
+            "3eb6354f8ad49dc08826ce98a31b9d61a522e9b199c1c03afa5cf256f4872c55"),
+    }
+
+    @pytest.mark.parametrize("kind,clip,target", REPORTS)
+    def test_estimate_report_files(self, tmp_path, kind, clip, target):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_states": 11, "spontaneity": 0.5, "horizon_steps": 20,
+                                    "target_probability": target,
+                                    "equal_transitions": False}))
+        out = tmp_path / "report.json"
+        assert cli.main(["estimate", "--spec", str(spec), "--kind", kind, "--n", "2000",
+                         "--seed", "3", "--clip", clip, "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "report.json.f64"))
+        assert got == self.REPORTS[kind, clip, target]
+
+
 class TestWordDraws:
     """The bucket-table path reads ``bit_generator.random_raw`` words where
     the other paths read ``random()`` doubles: the same uniforms, from the
@@ -1140,7 +1187,7 @@ class TestValidate:
     def test_row_sum_violation_names_row(self):
         rows = np.array([[0.5, 0.49], [0.0, 1.0]])
         with pytest.raises(ModelValidationError) as err:
-            MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
+            MarkovModel(rows, 0, 1, HorizonPolicy(max_steps=2))
         out = err.value.violations
         assert len(out) == 1 and "row 0" in out[0]
 
@@ -1158,7 +1205,7 @@ class TestValidate:
     def test_range_violation(self):
         rows = np.array([[1.1, -0.1], [0.0, 1.0]])
         with pytest.raises(ModelValidationError) as err:
-            MarkovModel(2, rows, 0, 1, HorizonPolicy(max_steps=2))
+            MarkovModel(rows, 0, 1, HorizonPolicy(max_steps=2))
         assert any("outside [0, 1]" in v for v in err.value.violations)
 
 
@@ -1223,6 +1270,24 @@ class TestSerialization:
         assert np.array_equal(m.transition, m2.transition)
         assert (m.initial_state, m.outcome_state, m.horizon) == (
             m2.initial_state, m2.outcome_state, m2.horizon)
+
+    def test_numpy_states_serialize(self):
+        m = MarkovModel(np.eye(3), np.int64(0), np.int64(2), HorizonPolicy(np.int64(4)))
+        assert type(m.initial_state) is int and type(m.outcome_state) is int
+        m2 = MarkovModel.from_json(m.to_json())
+        assert (m2.initial_state, m2.outcome_state, m2.horizon) == (0, 2, m.horizon)
+
+    def test_size_is_the_matrix_size(self):
+        # the file keeps n_states, which from_json checks against the entries
+        m = make_random_model(9)
+        assert m.n_states == len(m.transition)
+        assert json.loads(m.to_json())["n_states"] == m.n_states
+
+    @pytest.mark.parametrize("rows", [np.full((2, 3), 1 / 3), np.ones(1), np.eye(2)[None]])
+    def test_transition_must_be_square(self, rows):
+        message = f"transition must be a square matrix, got shape {rows.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MarkovModel(rows, 0, 0, HorizonPolicy(max_steps=2))
 
     def test_bad_transition_length(self):
         doc = {"n_states": 2, "transition": [1.0, 0.0, 1.0],
