@@ -39,6 +39,7 @@ from .rng import trajectory_stream
 from .seqmodel import (
     OUTCOME_EXCLUDED,
     STANDARD,
+    _check_choice,
     _check_count,
     _check_keys,
     sample_batch,
@@ -54,17 +55,14 @@ CLIP_TO_UNIT = "clip_to_unit"
 CLIP_POLICIES = (CLIP_NONE, CLIP_TO_UNIT)
 
 
+#: kinds of the arrays :func:`sample_batch` returns in each mode, in order
+_BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
+
+
 def required_mode(kind: str) -> str:
     """Sampling mode each estimator kind needs its trajectories drawn in."""
-    if kind in (MC, SCOPE):
-        return STANDARD
-    if kind == REACH:
-        return OUTCOME_EXCLUDED
-    raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-
-
-#: kinds of the arrays :func:`sample_batch` returns in each mode
-_BATCH_KINDS = {STANDARD: (MC, SCOPE), OUTCOME_EXCLUDED: (REACH,)}
+    _check_choice("kind", kind, KINDS)
+    return next(mode for mode, kinds in _BATCH_KINDS.items() if kind in kinds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +94,8 @@ class EstimateReport:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.clip_policy not in CLIP_POLICIES:
-            raise ValueError(f"clip_policy must be one of {CLIP_POLICIES}, "
-                             f"got {self.clip_policy!r}")
+        _check_choice("kind", self.kind, KINDS)
+        _check_choice("clip_policy", self.clip_policy, CLIP_POLICIES)
         if self.seed is not None:
             _check_count("seed", self.seed, least=0)
         values = np.array(self.sub_values, dtype=np.float64)
@@ -201,8 +196,7 @@ def apply_clip(values, clip_policy: str):
 
     ``clip_to_unit`` caps values at 1 and never changes values <= 1.
     """
-    if clip_policy not in CLIP_POLICIES:
-        raise ValueError(f"unknown clip policy {clip_policy!r}")
+    _check_choice("clip_policy", clip_policy, CLIP_POLICIES)
     values = np.asarray(values, dtype=np.float64)
     if clip_policy == CLIP_NONE:
         return values, 0

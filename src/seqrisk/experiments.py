@@ -41,13 +41,12 @@ from .errors import (
     ModelValidationError,
     UndefinedMetricError,
 )
-from .estimators import CLIP_TO_UNIT, KINDS, MC, REACH, SCOPE, apply_clip
+from .estimators import CLIP_TO_UNIT, KINDS, MC, REACH, SCOPE, _BATCH_KINDS, apply_clip
 from .oracle import enumerate_sub_distribution, outcome_probability_dp
 from .rng import KeyedStream, stream_keys, substream
 from .seqmodel import (
-    OUTCOME_EXCLUDED,
-    STANDARD,
     MarkovModel,
+    _check_choice,
     _check_count,
     _check_number,
     _check_probability,
@@ -93,7 +92,9 @@ class ChainSpec:
     1e-6, and to within 1e-4 of the target relative to it.
     ``seed`` keys :func:`random_chain`'s stream, ``substream(seed, 0, 0)``,
     and every stage stream of :func:`variance_sweep` and
-    :func:`estimate_distribution_experiment`.
+    :func:`estimate_distribution_experiment`.  A spec keeps its numbers as
+    plain ``int`` and ``float``, whatever numbers it is given, so that
+    :meth:`to_dict` gives JSON.
     """
 
     n_states: int
@@ -125,6 +126,10 @@ class ChainSpec:
                     f"target_probability must be a number or null, got {target!r}"
                 )
             _check_probability("target_probability", target)
+            object.__setattr__(self, "target_probability", float(target))
+        for name, kind in (("n_states", int), ("spontaneity", float),
+                           ("horizon_steps", int), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,7 +149,9 @@ class CohortSpec:
     the exact outcome probability of each patient's chain, so cohort ground
     truth carries no estimation noise.  ``seed`` keys every stage stream of
     :func:`synthetic_cohort_eval`; ``chain_template.seed`` is not read, as
-    each patient's chain draws its parts from its own stage stream.
+    each patient's chain draws its parts from its own stage stream, and
+    ``chain_template.target_probability`` must be None.  Counts and seed
+    are kept as plain ``int`` and ``risk_range`` as a tuple of two floats.
     """
 
     n_patients: int
@@ -163,6 +170,10 @@ class CohortSpec:
             raise ValueError(
                 f"chain_template must be a ChainSpec, got {self.chain_template!r}"
             )
+        target = self.chain_template.target_probability
+        if target is not None:
+            raise ValueError(f"chain_template.target_probability must be None, as each "
+                             f"patient's target comes from risk_range, got {target!r}")
         pair = self.risk_range
         if not isinstance(pair, Sequence) or len(pair) != 2:
             raise ValueError(f"risk_range must be a pair of numbers, got {pair!r}")
@@ -171,6 +182,9 @@ class CohortSpec:
         lo, hi = self.risk_range
         if not 0.0 < lo < hi < 1.0:
             raise ValueError("risk_range must satisfy 0 < lo < hi < 1")
+        object.__setattr__(self, "risk_range", (float(lo), float(hi)))
+        for name in ("n_patients", "n_timelines", "bootstrap_rounds", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -446,15 +460,21 @@ def random_chain(spec: ChainSpec) -> MarkovModel:
     :class:`CalibrationError` naming the achievable interval.  Random
     parts are drawn from ``substream(spec.seed, 0, 0)``.
     """
-    (transition,), _, errors = _calibrated_chains(
-        [spec], [spec.target_probability], stream_keys(spec.seed, 0, 0))
-    _raise_first(errors)
-    return _chain_model(spec, transition)
+    return _lone_chain(spec, stream_keys(spec.seed, 0, 0))[0]
 
 
 def _chain_model(spec: ChainSpec, transition) -> MarkovModel:
     """The chain of ``spec`` with the given transition matrix."""
     return MarkovModel.step_mode(transition, 0, spec.n_states - 1, spec.horizon_steps)
+
+
+def _lone_chain(spec: ChainSpec, keys) -> tuple:
+    """``(chain, p)``: the chain ``spec`` gets calibrated alone on the stream
+    of the Philox key ``keys[0]`` and its exact outcome probability; raises
+    the :class:`CalibrationError` it gets."""
+    (transition,), (p,), errors = _calibrated_chains([spec], [spec.target_probability], keys)
+    _raise_first(errors)
+    return _chain_model(spec, transition), float(p)
 
 
 def spontaneity(model: MarkovModel) -> float:
@@ -484,8 +504,7 @@ def _sample_pools(chain: MarkovModel, transitions, n: int, standard_keys,
     """
     source = (transitions, chain.initial_state)
     pools = {}
-    for mode, kinds, keys in ((STANDARD, (MC, SCOPE), standard_keys),
-                              (OUTCOME_EXCLUDED, (REACH,), excluded_keys)):
+    for (mode, kinds), keys in zip(_BATCH_KINDS.items(), (standard_keys, excluded_keys)):
         pools.update(zip(kinds, map(reduce, _sample_stack(
             source, chain.vocabulary, chain.horizon, mode, n, keys))))
     return pools
@@ -530,8 +549,7 @@ def variance_sweep(
     ``sample`` and ``enumerate`` (the exact variances; not on the
     ``sample_count`` axis).
     """
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
+    _check_choice("axis", axis, AXES)
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -548,11 +566,8 @@ def variance_sweep(
             if not (float(g).is_integer() and g >= 1):
                 raise ValueError(f"sample_count grid values must be positive integers, got {g!r}")
         counts = [int(g) for g in grid]
-        transitions, (p,), errors = _calibrated_chains(
-            [base_spec], [base_spec.target_probability], stream_keys(seed, aid, 0, 0))
-        _raise_first(errors)
-        rows.append(MetricRow("sample_count", "", 0, "exact_probability", float(p), seed=seed))
-        chain = _chain_model(base_spec, transitions[0])
+        chain, p = _lone_chain(base_spec, stream_keys(seed, aid, 0, 0))
+        rows.append(MetricRow("sample_count", "", 0, "exact_probability", p, seed=seed))
         clock.lap("calibrate")
         width = max(counts)
 
@@ -562,7 +577,7 @@ def variance_sweep(
             return [float(runs[:, :n].mean(axis=1).var(ddof=1)) for n in counts]
 
         variances = _sample_pools(
-            chain, transitions, replications * width,
+            chain, chain.transition[None], replications * width,
             stream_keys(seed, aid, 0, 1), stream_keys(seed, aid, 0, 2),
             reduce=count_variances,
         )
@@ -662,16 +677,14 @@ def estimate_distribution_experiment(
     _check_count("n_estimates", n_estimates)
     _check_count("samples_per_estimate", samples_per_estimate)
     seed = spec.seed
-    transitions, (p,), errors = _calibrated_chains(
-        [spec], [spec.target_probability], stream_keys(seed, 4, 0))
-    _raise_first(errors)
+    chain, p = _lone_chain(spec, stream_keys(seed, 4, 0))
     total = n_estimates * samples_per_estimate
-    pools = _sample_pools(_chain_model(spec, transitions[0]), transitions, total,
+    pools = _sample_pools(chain, chain.transition[None], total,
                           stream_keys(seed, 4, 1), stream_keys(seed, 4, 2))
     shape = (n_estimates, samples_per_estimate)
     return DistributionResult(
         estimates={kind: v.reshape(shape).mean(axis=1) for kind, (v,) in pools.items()},
-        true_probability=float(p),
+        true_probability=p,
         samples_per_estimate=samples_per_estimate,
         seed=seed,
     )
@@ -709,29 +722,15 @@ def auroc(scores, labels) -> float:
     :class:`~seqrisk.errors.UndefinedMetricError` unless both labels occur.
     """
     scores, labels = _check_scored(scores, labels, unit=False)
-    # dense ranks keep every tie (``-0.0 == 0.0`` included) and are >= 0
-    _, ranks = np.unique(scores, return_inverse=True)
-    return float(_auroc_columns(ranks.reshape(-1, 1), labels)[0])
-
-
-def _auroc_columns(score_matrix, labels) -> np.ndarray:
-    """AUROC of every column of ``score_matrix`` against shared labels.
-
-    The exact average-rank U statistic (Hanley & McNeil, 1982), by
-    :func:`_key_sort_aurocs` on a copy with one contiguous row per column.
-
-    Contract: scores are nonnegative (``-0.0`` included); a negative or NaN
-    score raises ValueError.
-    """
-    pos = labels == 1
-    n_pos = int(pos.sum())
+    n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == labels.size:
         raise UndefinedMetricError("AUROC needs both a positive and a negative label")
-    rows = np.array(score_matrix, dtype=float, order="F").T
-    if not (rows >= 0).all():
-        raise ValueError("scores must be nonnegative numbers")
-    keys = rows.view(np.uint64)
-    return _key_sort_aurocs(keys, pos.astype(np.uint64), np.empty_like(keys), n_pos)
+    # dense ranks keep every tie (``-0.0 == 0.0`` included) and are >= 0: the
+    # exact average-rank U statistic (Hanley & McNeil, 1982) of one row of keys
+    _, ranks = np.unique(scores, return_inverse=True)
+    keys = ranks.astype(float).reshape(1, -1).view(np.uint64)
+    return float(_key_sort_aurocs(keys, labels.astype(np.uint64), np.empty_like(keys),
+                                  n_pos)[0])
 
 
 def _key_sort_aurocs(keys, label_bits, mask, n_pos: int) -> np.ndarray:
@@ -898,12 +897,13 @@ def equivalence_ratio(
     ``not_reached`` (see :func:`synthetic_cohort_eval` rows).  The rounds
     draw from ``substream(seed, 10, 0)``, and the row carries ``seed``.
     ``reference_n`` and ``bootstrap_rounds`` must be integers of at least 1
-    ("<name> must be >= 1, got ..."), and every cell read must hold at
-    least one replicate, all finite, or it raises ValueError naming the
-    cell.
+    ("<name> must be >= 1, got ...") and ``seed`` one of at least 0, and
+    every cell read must hold at least one replicate, all finite, or it
+    raises ValueError naming the cell.
     """
     _check_count("reference_n", reference_n)
     _check_count("bootstrap_rounds", bootstrap_rounds)
+    _check_count("seed", seed, least=0)
     ref_key = (reference_kind, int(reference_n))
     if ref_key not in auc_table:
         raise ValueError(f"auc_table missing reference cell {ref_key}")

@@ -84,11 +84,6 @@ _BLOCK = 32768
 _GROUP = 1 << 17
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown trajectory mode {mode!r}; expected one of {MODES}")
-
-
 def _check_number(name: str, value, kind=numbers.Real) -> None:
     """Raise ValueError unless ``value`` is a ``kind`` number; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, kind):
@@ -108,6 +103,12 @@ def _check_probability(name: str, value) -> None:
     _check_number(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    """Raise ValueError unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _check_keys(d: dict, known, what: str, required=()) -> None:
@@ -545,7 +546,7 @@ def _sample_stack(source, vocab, horizon, mode, n, streams) -> tuple:
     a chain), a step skips the stop test: only the step count, or a
     degenerate step, ends a row.
     """
-    _check_mode(mode)
+    _check_choice("mode", mode, MODES)
     size, o = vocab.size, vocab.outcome
     excluded = mode == OUTCOME_EXCLUDED
     n_chains = source[0].shape[0] if isinstance(source, tuple) else 1

@@ -77,11 +77,7 @@ def lone_chain(spec, seed, *key):
     """The chain ``spec`` gets alone with its parts drawn from
     ``substream(seed, *key)``: a one-chain calibration, raising the
     :class:`CalibrationError` it gets."""
-    (transition,), _, (error,) = experiments._calibrated_chains(
-        [spec], [spec.target_probability], stream_keys(seed, *key))
-    if error is not None:
-        raise error
-    return experiments._chain_model(spec, transition)
+    return experiments._lone_chain(spec, stream_keys(seed, *key))[0]
 
 
 class RuledChain:

@@ -1,10 +1,11 @@
 """Chain construction, sweeps, metrics, equivalence, and cohort pipeline."""
 
 import hashlib
+import json
 import re
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -43,10 +44,11 @@ from seqrisk import (
     variance_sweep,
 )
 from seqrisk import experiments
+from seqrisk.estimators import CLIP_POLICIES, KINDS, EstimateReport, apply_clip, required_mode
 from seqrisk.experiments import (
+    AXES,
     SPONTANEITY_GRID,
     MetricRow,
-    _auroc_columns,
     _auroc_rows,
     _bootstrap_aurocs,
     _calibrated_chains,
@@ -54,11 +56,13 @@ from seqrisk.experiments import (
     _ci_row,
     _cohort_metrics,
     _equivalence,
+    _key_sort_aurocs,
     _raise_first,
     _StageClock,
 )
 from seqrisk.oracle import outcome_probability_dp
 from seqrisk.rng import KeyedStream, stream_keys, substream
+from seqrisk.seqmodel import MODES
 
 from conftest import BAD_COUNTS, lone_chain, raises_count_error
 
@@ -83,6 +87,13 @@ class TestChainSpec:
                                              r"\['n_states', 'horizon_steps'\]"):
             ChainSpec.from_dict({"spontaneity": 0.5, "seed": 2})
 
+    def test_numpy_numbers_round_trip_through_json(self):
+        spec = ChainSpec(np.int64(6), np.float64(0.5), np.int32(10), seed=np.int64(3),
+                         target_probability=np.float32(0.25))
+        text = json.dumps(spec.to_dict())
+        assert ChainSpec.from_dict(json.loads(text)) == spec
+        assert [type(v) for v in spec.to_dict().values()] == [int, float, int, int, float, bool]
+
 
 #: one wrong CohortSpec field, and the error it gets
 COHORT_SPEC_ERRORS = {
@@ -94,6 +105,9 @@ COHORT_SPEC_ERRORS = {
     "string_range": ({"risk_range": ("0.1", 0.5)}, "risk_range must be a number"),
     "dict_template": ({"chain_template": {"n_states": 4}},
                       "chain_template must be a ChainSpec"),
+    "template_target": ({"chain_template": ChainSpec(6, 1.0, 12, target_probability=0.9)},
+                        "chain_template.target_probability must be None, as each patient's "
+                        "target comes from risk_range, got 0.9"),
 }
 
 
@@ -104,6 +118,15 @@ class TestCohortSpec:
         fields = {"n_patients": 20, "chain_template": ChainSpec(4, 1.0, 5), **entry}
         with pytest.raises(ValueError, match=message):
             CohortSpec(**fields)
+
+    def test_numpy_numbers_are_kept_as_plain_numbers(self):
+        spec = CohortSpec(np.int64(20), ChainSpec(4, 1.0, 5), np.int32(7), np.int64(3),
+                          (np.float64(0.1), np.float32(0.375)), np.uint8(2))
+        d = asdict(spec)
+        assert json.loads(json.dumps(d)) == {**d, "risk_range": [0.1, 0.375]}
+        assert [type(x) for x in spec.risk_range] == [float, float]
+        for name in ("n_patients", "n_timelines", "bootstrap_rounds", "seed"):
+            assert type(getattr(spec, name)) is int
 
 
 def cohort_spec(**counts):
@@ -130,6 +153,8 @@ COUNT_ARGUMENTS = {
             ChainSpec(4, 1.0, 3, target_probability=0.3), 3, v)),
     "calibration_curve.n_bins": ("n_bins", 1,
                                  lambda v: calibration_curve([0.1, 0.9], [0, 1], v)),
+    "equivalence_ratio.seed": ("seed", 0, lambda v: equivalence_ratio(
+        {(MC, 2): [0.6], (SCOPE, 1): [0.7]}, MC, 2, SCOPE, 3, v)),
 }
 
 
@@ -139,6 +164,29 @@ def test_count_arguments_are_checked(name, least, call, bad):
     value = BAD_COUNTS[bad](least)
     with raises_count_error(name, least, value):
         call(value)
+
+
+#: every argument that takes one of a fixed set of values: (name, the
+#: choices, call with a value)
+CHOICE_ARGUMENTS = {
+    "sample_batch.mode": ("mode", MODES, lambda v: sample_batch(
+        random_chain(ChainSpec(4, 1.0, 3)), v, 1, substream(0, 0, 0))),
+    "required_mode.kind": ("kind", KINDS, required_mode),
+    "EstimateReport.kind": ("kind", KINDS, lambda v: EstimateReport(v, [0.5])),
+    "EstimateReport.clip_policy": ("clip_policy", CLIP_POLICIES,
+                                   lambda v: EstimateReport(MC, [0.5], v)),
+    "apply_clip.clip_policy": ("clip_policy", CLIP_POLICIES, lambda v: apply_clip([0.5], v)),
+    "variance_sweep.axis": ("axis", AXES, lambda v: variance_sweep(
+        v, [0.3], ChainSpec(4, 1.0, 3, equal_transitions=True), 2)),
+}
+
+
+@pytest.mark.parametrize("bad", ["bogus", None, 0])
+@pytest.mark.parametrize("name,choices,call", CHOICE_ARGUMENTS.values(), ids=CHOICE_ARGUMENTS)
+def test_choice_arguments_are_checked(name, choices, call, bad):
+    message = f"{name} must be one of {choices}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestRandomChain:
@@ -461,6 +509,13 @@ class TestVarianceSweep:
         with pytest.raises(ValueError, match="replications must be an integer"):
             variance_sweep("probability", [0.3], base, replications)
 
+    def test_probability_sweep_is_pinned(self):
+        # three points of the CLI's default probability sweep at seed 3
+        base = ChainSpec(11, 1.0, 20, seed=3, equal_transitions=True)
+        text = variance_sweep("probability", [0.2, 0.5, 0.8], base, 2000).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "a6833ba5904ba5835a6d4fdde0c90f321bd5312a3cd9e5bfa146c1575df13439"
+
     def test_failed_point_marked_and_sweep_continues(self):
         base = ChainSpec(4, 0.67, 1, seed=2, equal_transitions=False)
         table = variance_sweep("probability", [0.3, 0.999], base, 100)
@@ -701,6 +756,13 @@ class TestDistributionExperiment:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             estimate_distribution_experiment(spec, *counts)
 
+    def test_default_histogram_is_pinned(self):
+        # the CSV of ``seqrisk distribution --seed 3``
+        spec = ChainSpec(11, 1.0, 20, seed=3, target_probability=0.2)
+        text = estimate_distribution_experiment(spec, 10_000, 10).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b4c7c4c885a5ab8e2522bb832114c5af2473e3810dcb9592833652a5cc677763"
+
     def test_scope_mass_above_one_on_high_probability_chain(self):
         spec = ChainSpec(11, 1.0, 20, seed=5, target_probability=0.9,
                          equal_transitions=True)
@@ -769,6 +831,14 @@ def reference_auroc_columns(score_matrix, labels):
     return u / (n_pos * n_neg)
 
 
+def key_sort_columns(score_matrix, labels):
+    """AUROC of every column of nonnegative ``score_matrix`` by
+    ``_key_sort_aurocs``, on a copy with one contiguous row per column."""
+    keys = np.array(score_matrix, dtype=float, order="F").T.view(np.uint64)
+    return _key_sort_aurocs(keys, labels.astype(np.uint64), np.empty_like(keys),
+                            int(labels.sum()))
+
+
 def pairwise_auroc(scores, labels):
     """AUROC of one column by comparing every positive with every negative."""
     pos, neg = scores[labels == 1], scores[labels == 0]
@@ -813,9 +883,10 @@ class TestAuroc:
     def test_all_ties(self):
         assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
-    def test_single_class_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            auroc([0.1, 0.2], [1, 1])
+    @pytest.mark.parametrize("labels", [[1, 1], [0, 0]])
+    def test_single_class_rejected(self, labels):
+        with pytest.raises(UndefinedMetricError, match="both a positive and a negative"):
+            auroc([0.1, 0.2], labels)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(3)
@@ -838,7 +909,7 @@ class TestAuroc:
         scores = rng.random((50, 6))
         labels = rng.integers(0, 2, size=50)
         labels[0], labels[1] = 0, 1
-        cols = _auroc_columns(scores, labels)
+        cols = key_sort_columns(scores, labels)
         for j in range(6):
             assert abs(cols[j] - auroc(scores[:, j], labels)) <= 1e-12
 
@@ -867,7 +938,7 @@ class TestAuroc:
             ranks = stats.rankdata(scores, axis=0, method="average")
             u = ranks[labels == 1].sum(axis=0) - n_pos * (n_pos + 1) / 2.0
             want = u / (n_pos * (n - n_pos))
-            np.testing.assert_array_equal(_auroc_columns(scores, labels), want)
+            np.testing.assert_array_equal(key_sort_columns(scores, labels), want)
             assert auroc(scores[:, 0], labels) == want[0]
 
     @pytest.mark.parametrize("kind", [MC, SCOPE, REACH])
@@ -877,7 +948,7 @@ class TestAuroc:
             n_pat, n_timelines = (int(x) for x in rng.integers(2, 300, size=2))
             scores, labels = cohort_like_scores(kind, rng, n_pat, n_timelines)
             np.testing.assert_array_equal(
-                _auroc_columns(scores, labels), reference_auroc_columns(scores, labels))
+                key_sort_columns(scores, labels), reference_auroc_columns(scores, labels))
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(labelled_matrix(st.one_of(st.sampled_from(EDGE_SCORES),
@@ -885,7 +956,7 @@ class TestAuroc:
     def test_columns_equal_the_pairwise_oracle(self, case):
         scores, labels = case
         want = [pairwise_auroc(scores[:, j], labels) for j in range(scores.shape[1])]
-        np.testing.assert_array_equal(_auroc_columns(scores, labels), want)
+        np.testing.assert_array_equal(key_sort_columns(scores, labels), want)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(labelled_matrix(st.one_of(
@@ -896,12 +967,6 @@ class TestAuroc:
     def test_scalar_handles_any_finite_scores(self, case):
         scores, labels = case
         assert auroc(scores[:, 0], labels) == pairwise_auroc(scores[:, 0], labels)
-
-    @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan])
-    def test_columns_reject_negative_and_nan(self, bad):
-        scores = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
-        with pytest.raises(ValueError, match="nonnegative"):
-            _auroc_columns(scores, np.array([0, 1, 1]))
 
 
 class TestBrierAndCalibration:
@@ -1189,7 +1254,7 @@ def small_cohort():
 def reference_bootstrap_aurocs(pools, labels, rounds, seed):
     """The cohort's AUROC rounds in straight lines: per round and kind,
     ``take_along_axis`` -> ``cumsum`` -> divide by the sample count ->
-    ``_auroc_columns``."""
+    ``reference_auroc_columns``."""
     n_pat, pool_n = pools[MC].shape
     denom = np.arange(1, pool_n + 1, dtype=float)
     auc = {kind: np.empty((pool_n, rounds)) for kind in (MC, SCOPE, REACH)}
@@ -1201,7 +1266,7 @@ def reference_bootstrap_aurocs(pools, labels, rounds, seed):
             idx = idx_rea if kind == REACH else idx_std
             scores = np.take_along_axis(pools[kind], idx, axis=1).cumsum(axis=1)
             scores /= denom
-            auc[kind][:, r] = _auroc_columns(scores, labels)
+            auc[kind][:, r] = reference_auroc_columns(scores, labels)
     return auc
 
 
@@ -1262,11 +1327,13 @@ class TestCohortBootstrap:
             assert np.array_equal(v.view(np.uint64), before[kind].view(np.uint64))
 
     @pytest.mark.parametrize("kind,bad", [(MC, 0.5), (MC, 2.0), (SCOPE, -1e-300),
-                                          (REACH, float("nan"))])
+                                          (SCOPE, -1.0), (SCOPE, np.nan),
+                                          (REACH, -1e-300), (REACH, np.nan)])
     def test_invalid_pool_values_rejected(self, kind, bad):
         pools, labels, rounds = bootstrap_case("cohort_like")
         pools[kind][3, 4] = bad
-        with pytest.raises(ValueError):
+        message = "MC pool values must be 0 or 1" if kind == MC else "nonnegative"
+        with pytest.raises(ValueError, match=message):
             _bootstrap_aurocs(pools, labels, rounds, 3)
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -1395,7 +1462,7 @@ class TestSyntheticCohort:
         def unreachable(*args):
             raise AssertionError("a single-class round reached the AUROC")
 
-        for ranking in ("_auroc_columns", "_key_sort_aurocs", "_count_aurocs"):
+        for ranking in ("_key_sort_aurocs", "_count_aurocs"):
             monkeypatch.setattr(experiments, ranking, unreachable)
         spec = CohortSpec(
             n_patients=40,
